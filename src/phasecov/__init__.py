@@ -19,7 +19,7 @@ from .dynamics import (AdditivityReport, AffineBlochMap, QubitState,
                        additivity_report, apply_bloch, bloch_map,
                        compose_maps, evolve_state)
 from .mesolve import IntegrationError, integrate_me, liouvillian
-from .models import (MemorySample, OhmicParams, ThermalParams,
+from .models import (MemorySample, OhmicParams, OhmicSeries, ThermalParams,
                      amplitude_memory, markov_rate_limit, ohmic_closed_form,
                      ohmic_gamma_tilde, ohmic_profile, ohmic_rate,
                      thermal_closed_form, thermal_coefficients,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditivityReport", "AffineBlochMap", "ChoiResult", "CoefficientSet",
     "CpConditions", "CpReport", "CrossoverResult", "IntegrationError",
-    "MemorySample", "NmReport", "OhmicParams", "QuadratureConfig",
+    "MemorySample", "NmReport", "OhmicParams", "OhmicSeries", "QuadratureConfig",
     "QubitState", "RateProfile", "ShortTimeReport", "ThermalParams",
     "ToleranceError", "Verdict", "additivity_report", "amplitude_memory",
     "apply_bloch", "bloch_map", "choi_matrix", "choi_spectrum", "cp_choi",

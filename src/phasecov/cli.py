@@ -49,7 +49,10 @@ SCAN_HEADER = ("param,value,stationary_P1,max_P1,osc_amplitude,"
                "nm_verdict,first_negative_start")
 
 MODELS = ("thermal", "ohmic", "both", "constant", "tabulated")
-SCAN_PARAMS = ("R", "N", "s", "alpha", "omega_c", "T")
+# the parameters each model reads, which are the ones scan can sweep
+SCAN_PARAMS = {"thermal": ("R", "N"), "ohmic": ("s", "alpha", "omega_c", "T"),
+               "both": ("R", "N", "s", "alpha", "omega_c", "T"),
+               "constant": (), "tabulated": ()}
 
 
 class UsageError(Exception):
@@ -134,13 +137,24 @@ class RunConfig:
 
 
 def _tabulated_profile(cfg: RunConfig):
+    """Linear interpolation of a rates table that covers [0, t_max]."""
     try:
         data = np.loadtxt(cfg.rates_file, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read rates file: {exc}") from exc
     if data.shape[1] != 5:
         raise UsageError("rates file needs columns t,gamma1,gamma2,gamma3,omega")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise UsageError(f"rates file has a non-finite value in data row {row + 1}, "
+                         f"column {RATES_HEADER.split(',')[col]}")
     t = data[:, 0]
+    if np.any(np.diff(t) <= 0):
+        raise UsageError("rates file t column must be strictly increasing")
+    if not t[0] <= 0.0 < cfg.t_max <= t[-1]:
+        raise UsageError(f"rates file covers t in [{t[0]!r}, {t[-1]!r}], "
+                         f"which does not contain [0, t-max = {cfg.t_max!r}]")
 
     def interp(col):
         return lambda x, _t=t, _v=data[:, col]: float(np.interp(x, _t, _v))
@@ -158,8 +172,7 @@ def _profile_for(cfg: RunConfig):
             models.ThermalParams(cfg.R, cfg.N), t_max=cfg.t_max))
     if cfg.model in ("ohmic", "both"):
         parts.append(models.ohmic_profile(
-            models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),
-            cfg.quad_cfg))
+            models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel)))
     if cfg.model == "constant":
         from .coeffs import constant_profile
         parts.append(constant_profile(cfg.g1, cfg.g2, cfg.g3, cfg.w))
@@ -174,8 +187,9 @@ def _coefficient_grid(cfg: RunConfig) -> list[CoefficientSet]:
 
     The thermal part uses its closed form (exact also across rate
     singularities at R > 1/2); the Ohmic part uses the zero-T closed
-    form or the single frequency integral at T > 0; constant rates use
-    the GKSL expressions; tabulated rates are integrated numerically.
+    form or, at T > 0, the exact series on the whole grid at once;
+    constant rates use the GKSL expressions; tabulated rates are
+    integrated numerically.
     """
     times = cfg.times
     if cfg.model == "constant":
@@ -202,8 +216,7 @@ def _coefficient_grid(cfg: RunConfig) -> list[CoefficientSet]:
         if op.T == 0:
             tilde = np.array([models.ohmic_closed_form(op, t)[1] for t in times])
         else:
-            tilde = np.array([models.ohmic_gamma_tilde(op, t, cfg.quad_cfg)
-                              for t in times])
+            tilde = models.OhmicSeries(op).gamma_tilde(times)
     return [CoefficientSet(t=float(t), Gamma=float(gm), GammaTilde=float(td),
                            Omega=0.0, g=float(gg))
             for t, gm, td, gg in zip(times, gamma, tilde, g)]
@@ -224,11 +237,20 @@ def _write_text(path: str, text: str) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _evolve(state0: QubitState, c: CoefficientSet) -> QubitState:
+    """evolve_state, with a map that leaves the state space as a usage error."""
+    try:
+        return evolve_state(state0, c)
+    except ValueError as exc:
+        raise UsageError(f"the generator maps the initial state outside the "
+                         f"state space at t = {c.t!r}: {exc}") from exc
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     state0 = cfg.initial_state
     rows = [EVOLVE_HEADER]
     for c in _coefficient_grid(cfg):
-        s = evolve_state(state0, c)
+        s = _evolve(state0, c)
         rows.append(",".join([
             _fmt(c.t), _fmt(s.P1), _fmt(s.alpha.real), _fmt(s.alpha.imag),
             _fmt(c.Gamma), _fmt(c.GammaTilde), _fmt(c.Omega), _fmt(c.g),
@@ -312,15 +334,16 @@ def _with_param(cfg: RunConfig, name: str, value: float) -> RunConfig:
 
 
 def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
-    if param not in SCAN_PARAMS:
-        raise UsageError(f"unknown scan parameter {param!r}; "
-                         f"choose from {', '.join(SCAN_PARAMS)}")
+    used = SCAN_PARAMS[cfg.model]
+    if param not in used:
+        raise UsageError(f"model {cfg.model!r} does not use parameter {param!r}; "
+                         f"it uses {', '.join(used) or 'no scan parameter'}")
     rows = [SCAN_HEADER]
     for value in values:
         sub = _with_param(cfg, param, value)
         sub.validate()
         state0 = sub.initial_state
-        p1 = np.array([evolve_state(state0, c).P1 for c in _coefficient_grid(sub)])
+        p1 = np.array([_evolve(state0, c).P1 for c in _coefficient_grid(sub)])
         stationary = p1[-1]
         report = nonmarkov.negative_intervals(
             _profile_for(sub), (0.0, sub.t_max), tol=sub.tol)
@@ -358,8 +381,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p1-0", type=float, default=1.0)
     p.add_argument("--re-alpha-0", type=float, default=0.0)
     p.add_argument("--im-alpha-0", type=float, default=0.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, default=1e-10,
+                   help="relative tolerance of the quadrature of tabulated rates")
+    p.add_argument("--abs-tol", type=float, default=1e-12,
+                   help="absolute tolerance of the quadrature of tabulated rates")
     p.add_argument("--tol", type=float, default=None,
                    help=f"verdict tolerance (default {cptp.DEFAULT_TOL:g}, "
                         f"override with {TOL_ENV_VAR})")

@@ -36,12 +36,17 @@ Two thermal-kernel conventions for the rate are supported:
     kernel="literature":  gamma3(t) = 2 int dw J(w) coth(w/(2T)) sin(w t)/w
 
 with coth -> 1 at T = 0 (units hbar = k_B = 1).  At T = 0 both have
-closed forms in u = w_c t, used as oracles for the quadrature:
+closed forms in u = w_c t:
 
     paper:      gamma3 = 2 a G(s+1) w_c (1+u^2)^(-(s+1)/2) sin((s+1) atan u)
     literature: gamma3 = 2 a G(s)   (1+u^2)^(-s/2)        sin(s atan u)
 
-(G is Euler's gamma function).  The accumulated GammaTilde is
+(G is Euler's gamma function).  At T > 0, expanding coth in
+exponentials makes both gamma3 and GammaTilde exact series of such
+terms (``OhmicSeries``), which the CLI and ``ohmic_profile`` use.
+Adaptive quadrature over frequency (``ohmic_rate``,
+``ohmic_gamma_tilde``) stays as the independent reference route for
+both closed forms and the series.  The accumulated GammaTilde is
 nonnegative for every s, T and both kernels, so adding this dephasing
 never endangers complete positivity; its rate does go negative, for
 s > 1 (paper kernel) or s > 2 (literature kernel), which is what makes
@@ -53,6 +58,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import exprel, poch
 from scipy.special import gamma as _gamma_fn
 
 from .coeffs import CoefficientSet, QuadratureConfig, RateProfile, _quad, _zero
@@ -69,6 +76,7 @@ __all__ = [
     "ohmic_rate",
     "ohmic_gamma_tilde",
     "ohmic_closed_form",
+    "OhmicSeries",
     "ohmic_profile",
     "markov_rate_limit",
 ]
@@ -250,10 +258,13 @@ def _spectral(p: OhmicParams, w: float) -> float:
 def ohmic_rate(p: OhmicParams, t: float, cfg: QuadratureConfig | None = None) -> float:
     """Dephasing rate gamma3(t) by adaptive quadrature over frequency.
 
-    The semi-infinite integral is truncated at
-    w_max = max(50 w_c, 10/t); the neglected tail is bounded by the
-    exp(-w/w_c) factor, exp(-50) ~ 2e-22 relative to the integrand
-    scale, far below the quadrature tolerances.
+    A reference route: the program evaluates gamma3 with
+    ``ohmic_closed_form`` at T = 0 and ``OhmicSeries`` at T > 0, and the
+    tests check both against this quadrature.  The semi-infinite
+    integral is truncated at w_max = max(50 w_c, 10/t); the neglected
+    tail is bounded by the exp(-w/w_c) factor, exp(-50) ~ 2e-22
+    relative to the integrand scale, far below the quadrature
+    tolerances.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -286,7 +297,8 @@ def ohmic_gamma_tilde(p: OhmicParams, t: float, cfg: QuadratureConfig | None = N
         literature: 2 int dw J coth(w/(2T)) [1 - cos(w t)] / w^2
 
     whose integrands are pointwise nonnegative, which is why this model
-    always has GammaTilde >= 0.
+    always has GammaTilde >= 0.  Like ``ohmic_rate``, a reference route
+    for the closed form and the series.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -349,16 +361,114 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     return rate, tilde
 
 
-def ohmic_profile(p: OhmicParams, cfg: QuadratureConfig | None = None) -> RateProfile:
+# Terms k < _SERIES_TERMS of the T > 0 series are summed directly, the
+# rest by Euler-Maclaurin with B_2 ... B_12; b / |a_K - i t| <= 1/K
+# keeps the neglected B_14 term near 1e-13 of the tail for s <= 5.
+_SERIES_TERMS = 16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _angles(a, t):
+    """lr and th with log(1 - i t/a) = lr - i th, for t >= 0."""
+    t = np.asarray(t, dtype=float)
+    if t.min(initial=0.0) < 0:
+        raise ValueError("t must be non-negative")
+    tau = t[..., None] / a
+    return 0.5 * np.log1p(tau * tau), np.arctan(tau)
+
+
+def _flat_minus_re(x, lr, th):
+    """[1 - Re exp(-x L)] / x for L = lr - i th, regular at x = 0."""
+    return (lr * exprel(-x * lr) * np.cos(x * th)
+            + 0.5 * x * th * th * np.sinc(x * th / (2.0 * np.pi)) ** 2)
+
+
+class OhmicSeries:
+    """Exact gamma3 and GammaTilde of Ohmic dephasing at T > 0.
+
+    Expanding coth(b w/2) = -1 + 2 sum_k exp(-k b w), with b = 1/T for
+    the literature kernel and 2/T for the paper kernel, turns each
+    frequency integral into Laplace transforms at a_k = 1/w_c + k b:
+
+        gamma3     = P G(e)   sum_k c_k Im (a_k - i t)^(-e)
+        GammaTilde = P G(e-1) sum_k c_k [a_k^(1-e) - Re (a_k - i t)^(1-e)]
+
+    with P = 2 alpha w_c^(-s), c_0 = 1, c_k = 2 and e = s (literature)
+    or s + 1 (paper).  The k = 0 term is the T = 0 closed form.  Terms
+    k >= K = 16 are summed by Euler-Maclaurin at a_K; the integral of
+    the tail is again a power of (a_K - i t).  With log(1 - i t/a) =
+    lr - i th, lr = log1p(tau^2)/2, th = atan(tau), tau = t/a, every
+    removable singularity (e = 1, 2 in GammaTilde, e = 1 in the tail of
+    gamma3) is carried by ``exprel`` and ``sinc``, without a branch on s.
+
+    Built once per parameter set; ``rate`` and ``gamma_tilde`` take a
+    float (and return one) or an ndarray of times.
+    """
+
+    def __init__(self, p: OhmicParams):
+        if not p.T > 0:
+            raise ValueError("the series needs T > 0; use ohmic_closed_form at T = 0")
+        b = (2.0 if p.kernel == "paper" else 1.0) / p.T
+        e = p.s + 1.0 if p.kernel == "paper" else p.s
+        k = np.arange(_SERIES_TERMS)
+        a_tail = 1.0 / p.omega_c + _SERIES_TERMS * b
+        m = 2 * np.arange(1, len(_BERNOULLI) + 1) - 1
+        # Euler-Maclaurin adds -B_2j/(2j)! f^(m)(K), m = 2j - 1; for
+        # f(k) = (a_k - i t)^-e, f^(m)(K) = -b^m (e)_m (a_K - i t)^-(e+m)
+        em = (np.array(_BERNOULLI) * b ** m * poch(e, m)
+              / np.array([math.factorial(n + 1) for n in m]))
+        # terms (a, exponent, weight): direct sum, f(K)/2, derivatives
+        a = np.concatenate([1.0 / p.omega_c + b * k, np.full(1 + len(m), a_tail)])
+        c = np.concatenate([np.where(k == 0, 1.0, 2.0), [1.0], 2.0 * em])
+        x = np.concatenate([np.full(_SERIES_TERMS + 1, e), e + m])
+        self._rate_terms = (a, x, c * a ** -x)
+        # GammaTilde adds the tail integral's two exprel/sinc parts at a_K
+        a = np.append(a, [a_tail, a_tail])
+        x = np.append(x - 1.0, [e - 2.0, e - 1.0])
+        c = np.append(c, [2.0 / b, -2.0 * a_tail / b])
+        self._tilde_terms = (a, x, c * a ** -x)
+        self._e1 = e - 1.0
+        self._tail = 2.0 / b * a_tail ** (1.0 - e)
+        # G(e-1) [..] = G(e) [..] / (e-1): the same scale for both
+        self._scale = 2.0 * p.alpha * p.omega_c ** -p.s * _gamma_fn(e)
+
+    def _finish(self, direct, tail, lr, th):
+        # adds tail * Im (a_K - i t)^(1-e) / ((e-1) a_K^(1-e)), regular at e = 1
+        k = slice(_SERIES_TERMS, _SERIES_TERMS + 1)
+        lr, th = lr[..., k], th[..., k]
+        tail = tail * np.exp(-self._e1 * lr) * th * np.sinc(self._e1 * th / np.pi)
+        out = self._scale * (direct + tail[..., 0]) + 0.0
+        return float(out) if out.ndim == 0 else out
+
+    def rate(self, t):
+        """gamma3(t)."""
+        a, x, w = self._rate_terms
+        lr, th = _angles(a, t)
+        direct = np.add.reduce(w * np.exp(-x * lr) * np.sin(x * th), axis=-1)
+        return self._finish(direct, self._tail, lr, th)
+
+    def gamma_tilde(self, t):
+        """GammaTilde(t) = int_0^t gamma3."""
+        a, x, w = self._tilde_terms
+        lr, th = _angles(a, t)
+        direct = np.add.reduce(w * _flat_minus_re(x, lr, th), axis=-1)
+        # the tail integral D(e-2) / ((e-1)(e-2)), D(y) = a_K^-y - Re
+        # (a_K - i t)^-y, split by partial fractions into the last two
+        # terms above and this one, each regular at e = 1 and e = 2
+        t = np.asarray(t, dtype=float)[..., None]
+        return self._finish(direct, self._tail * t, lr, th)
+
+
+def ohmic_profile(p: OhmicParams) -> RateProfile:
     """Pure-dephasing rate profile for the Ohmic model.
 
-    gamma3 comes from the closed form at T = 0 and from frequency
-    quadrature otherwise; gamma1, gamma2 and omega vanish.
+    gamma3 comes from the closed form at T = 0 and from the exact
+    series (``OhmicSeries``) otherwise; gamma1, gamma2 and omega vanish.
     """
     if p.T == 0:
         gamma3 = lambda t: ohmic_closed_form(p, t)[0]
     else:
-        gamma3 = lambda t: ohmic_rate(p, t, cfg)
+        gamma3 = OhmicSeries(p).rate
     return RateProfile(gamma3=gamma3)
 
 

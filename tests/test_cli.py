@@ -57,6 +57,23 @@ class TestEvolve:
         assert np.all(_col(rows, 1) == 0.4)
         assert np.all(_col(rows, 2) == 0.2)
 
+    def test_nonphysical_constant_generator_is_usage_error(self, tmp_path, capsys):
+        # gamma1 = 2, gamma2 = -1 from P1(0) = 1: P1 = 2 exp(-t/2) - 1 turns
+        # negative at t = 2 ln 2, between two grid points
+        args = ["--model", "constant", "--g1", "2", "--g2=-1", "--t-max", "10",
+                "--steps", "200"]
+        t = np.linspace(0.0, 10.0, 200)
+        first_bad = float(t[np.argmax(2.0 * np.exp(-t / 2.0) - 1.0 < 0.0)])
+        assert main(["evolve", *args, "--out", str(tmp_path / "ev.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"t = {first_bad!r}" in err
+        # the constant model has no parameter to sweep
+        assert main(["scan", *args, "--param", "N", "--values", "1",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["cp-check", *args, "--out", str(tmp_path / "cp.json")]) \
+            == EXIT_VIOLATION
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["evolve", "--model", "both", "--R", "0.3", "--N", "0.5",
@@ -166,6 +183,23 @@ class TestScan:
         assert [r[5] for r in rows] == ["Markovian", "NonMarkovian"]
         assert rows[0][6] == "" and float(rows[1][6]) == pytest.approx(0.824, abs=1e-3)
 
+    @pytest.mark.parametrize("model,param,used", [
+        ("ohmic", "N", "s, alpha, omega_c, T"),
+        ("thermal", "s", "R, N"),
+        ("both", "g1", "R, N, s, alpha, omega_c, T"),
+        ("tabulated", "R", "no scan parameter"),
+    ])
+    def test_parameter_the_model_ignores_is_usage_error(self, tmp_path, capsys,
+                                                        model, param, used):
+        out = tmp_path / "s.csv"
+        # tabulated needs --rates-file to pass validation; it is never read
+        code = main(["scan", "--model", model, "--rates-file", "unused.csv",
+                     "--param", param, "--values", "0,1,5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.rstrip().endswith(f"it uses {used}")
+        assert not out.exists()
+
     def test_unknown_parameter_is_usage_error(self, tmp_path, capsys):
         code = main(["scan", "--model", "thermal", "--param", "bogus",
                      "--values", "1,2", "--out", str(tmp_path / "s.csv")])
@@ -212,6 +246,30 @@ class TestPlumbing:
         assert main(args) == EXIT_OK
         monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
         assert main(args) == EXIT_USAGE
+
+    @pytest.mark.parametrize("defect,t_max,message", [
+        ("swap", 4.0, "strictly increasing"),
+        (None, 5.0, "does not contain [0, t-max = 5.0]"),
+        ("nan", 4.0, "non-finite value in data row 21, column gamma3"),
+    ])
+    def test_invalid_rates_table_is_usage_error(self, tmp_path, capsys,
+                                                defect, t_max, message):
+        t = np.linspace(0.0, 4.0, 41)
+        table = np.column_stack([t, 0.0 * t, 0.5 + 0.0 * t, 0.1 * t, 0.0 * t])
+        if defect == "swap":
+            table[[10, 11], 0] = table[[11, 10], 0]
+        elif defect == "nan":
+            table[20, 3] = np.nan
+        path = tmp_path / "rates.csv"
+        np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
+        for command in ("evolve", "rates"):
+            out = tmp_path / f"out-{command}.csv"
+            assert main([command, "--model", "tabulated", "--rates-file", str(path),
+                         "--t-max", repr(t_max), "--steps", "9",
+                         "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert not out.exists()
 
     def test_tabulated_model_round_trip(self, tmp_path):
         table = tmp_path / "rates.csv"

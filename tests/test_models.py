@@ -8,8 +8,9 @@ from scipy.optimize import brentq
 from phasecov import (ThermalParams, amplitude_memory,
                       integrate_profile, markov_rate_limit,
                       thermal_closed_form, thermal_profile, thermal_zeros)
-from phasecov.models import (OhmicParams, ohmic_closed_form,
-                             ohmic_gamma_tilde, ohmic_profile, ohmic_rate)
+from phasecov.models import (KERNELS, OhmicParams, OhmicSeries,
+                             ohmic_closed_form, ohmic_gamma_tilde,
+                             ohmic_profile, ohmic_rate)
 
 R_GRID = (0.1, 0.3, 0.5, 0.7, 2.0, 10.0)
 
@@ -237,6 +238,75 @@ class TestOhmicDecoherence:
         p = OhmicParams(alpha=0.1, s=0.5, T=1.0, kernel="literature")
         for t in (0.2, 1.0, 5.0):
             assert ohmic_gamma_tilde(p, t) >= 0.0
+
+
+class TestOhmicSeries:
+    """The exact T > 0 series against the QUADPACK reference route."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    # s = 1 and 2 hit the series' removable singularities
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_matches_quadrature(self, kernel, s):
+        # where the QUADPACK route itself holds: at t = 1e-3 its interval
+        # [0, 10/t] hides the peak near w_c from ohmic_gamma_tilde, and at
+        # t >= 20 ohmic_rate runs out of subdivisions
+        times = np.geomspace(2e-3, 10.0, 7)
+        for T in (0.05, 0.2, 1.0, 3.0, 10.0):
+            for omega_c in (0.5, 2.0):
+                p = OhmicParams(alpha=0.1, s=s, omega_c=omega_c, T=T, kernel=kernel)
+                series = OhmicSeries(p)
+                for t in times:
+                    assert series.rate(t) == pytest.approx(
+                        ohmic_rate(p, t), rel=1e-8, abs=1e-12)
+                    assert series.gamma_tilde(t) == pytest.approx(
+                        ohmic_gamma_tilde(p, t), rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_gamma_tilde_integrates_the_rate(self, kernel):
+        # the time integral of the series rate is the reference at the
+        # ends of [1e-3, 50], outside the QUADPACK route's range
+        for s in (0.3, 1.0, 2.0, 5.0):
+            for T in (0.05, 10.0):
+                series = OhmicSeries(OhmicParams(alpha=0.1, s=s, omega_c=0.5, T=T,
+                                                 kernel=kernel))
+                for t in (1e-3, 50.0):
+                    nested, _ = quad(series.rate, 0.0, t, epsabs=0.0, epsrel=1e-12,
+                                     limit=200)
+                    assert series.gamma_tilde(t) == pytest.approx(nested, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_array_input_equals_scalar_calls(self, kernel):
+        t = np.linspace(0.0, 20.0, 258)
+        for s in (0.5, 1.0, 2.0, 3.5):
+            series = OhmicSeries(OhmicParams(alpha=0.1, s=s, omega_c=1.3, T=0.7,
+                                             kernel=kernel))
+            for fn in (series.rate, series.gamma_tilde):
+                scalar = np.array([fn(float(x)) for x in t])
+                assert type(fn(1.0)) is float
+                np.testing.assert_allclose(fn(t), scalar, rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(fn(t.reshape(2, -1)),
+                                           scalar.reshape(2, -1), rtol=1e-15, atol=0.0)
+
+    def test_zero_and_negative_time(self):
+        for kernel in KERNELS:
+            for s in (0.5, 1.0, 2.0):
+                series = OhmicSeries(OhmicParams(alpha=0.1, s=s, T=1.0, kernel=kernel))
+                assert series.rate(0.0) == 0.0
+                assert series.gamma_tilde(0.0) == 0.0
+                with pytest.raises(ValueError):
+                    series.rate(-1e-3)
+                with pytest.raises(ValueError):
+                    series.gamma_tilde(np.array([0.5, -0.1]))
+
+    def test_requires_positive_temperature(self):
+        with pytest.raises(ValueError):
+            OhmicSeries(OhmicParams(alpha=0.1, s=1.0, T=0.0))
+
+    def test_profile_uses_the_series(self):
+        p = OhmicParams(alpha=0.1, s=2.5, T=0.4, kernel="paper")
+        series, profile = OhmicSeries(p), ohmic_profile(p)
+        for t in (0.3, 2.0, 9.0):
+            assert profile.gamma3(t) == series.rate(t)
 
 
 class TestMarkovRateLimit:
