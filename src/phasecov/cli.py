@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -55,6 +56,10 @@ SCAN_PARAMS = {"thermal": ("R", "N"), "ohmic": ("s", "alpha", "omega_c", "T"),
                "constant": (), "tabulated": ()}
 
 
+_LONG_OPTION = re.compile(r"--\w[\w-]*")
+_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+
+
 class UsageError(Exception):
     pass
 
@@ -63,6 +68,23 @@ class _Parser(argparse.ArgumentParser):
     # our documented exit codes differ from argparse's default 2
     def error(self, message):
         raise UsageError(message)
+
+
+def _join_negative_numbers(argv) -> list[str]:
+    """Attach a negative number to the option before it: --x -1e-3 -> --x=-1e-3.
+
+    argparse takes a separate token such as -9.3e-06 for an option name
+    unless it looks like -1 or -.5.  Every phasecov option takes a
+    value, and none is named like a number, so a long option followed by
+    a token such as -9.3e-06 or -1,2 always means that value.
+    """
+    out = []
+    for token in argv:
+        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE_NUMBER.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def default_tolerance() -> float:
@@ -161,7 +183,9 @@ def _tabulated_profile(cfg: RunConfig):
 
     from .coeffs import RateProfile
     return RateProfile(gamma1=interp(1), gamma2=interp(2),
-                       gamma3=interp(3), omega=interp(4))
+                       gamma3=interp(3), omega=interp(4),
+                       grid_rates=lambda x: np.array(
+                           [np.interp(x, t, data[:, col]) for col in range(1, 5)]))
 
 
 def _profile_for(cfg: RunConfig):
@@ -304,14 +328,10 @@ def cmd_rates(cfg: RunConfig) -> int:
     singular = [s for s in profile.singular_points if s <= cfg.t_max]
     rows = [RATES_HEADER]
     suppressed = []
-    for i, t in enumerate(times):
+    for i, (t, values) in enumerate(zip(times, profile.rates_on(times).T)):
         cells = [_fmt(t)]
         near_pole = any(abs(t - s) <= dt / 2 for s in singular)
-        for fn in (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega):
-            try:
-                v = fn(t)
-            except (ArithmeticError, ValueError):
-                v = math.nan
+        for v in values:
             if near_pole or not math.isfinite(v):
                 cells.append("")
                 if i not in suppressed:
@@ -357,42 +377,50 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     return EXIT_OK
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=MODELS)
-    p.add_argument("--R", type=float, default=0.25,
-                   help="thermal coupling (dimensionless, > 0)")
-    p.add_argument("--N", type=float, default=0.0,
-                   help="mean thermal occupation (>= 0)")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="Ohmic coupling constant")
-    p.add_argument("--s", type=float, default=1.0, help="Ohmicity parameter")
-    p.add_argument("--omega-c", type=float, default=1.0, help="cutoff frequency")
-    p.add_argument("--T", type=float, default=0.0,
-                   help="dephasing bath temperature (hbar = k_B = 1)")
-    p.add_argument("--kernel", choices=models.KERNELS, default="literature")
-    p.add_argument("--g1", type=float, default=0.0, help="constant heating rate")
-    p.add_argument("--g2", type=float, default=0.0, help="constant dissipation rate")
-    p.add_argument("--g3", type=float, default=0.0, help="constant dephasing rate")
-    p.add_argument("--w", type=float, default=0.0, help="constant frequency shift")
-    p.add_argument("--rates-file", help="CSV t,gamma1,gamma2,gamma3,omega")
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=200,
-                   help="number of grid points including t = 0")
-    p.add_argument("--p1-0", type=float, default=1.0)
-    p.add_argument("--re-alpha-0", type=float, default=0.0)
-    p.add_argument("--im-alpha-0", type=float, default=0.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10,
-                   help="relative tolerance of the quadrature of tabulated rates")
-    p.add_argument("--abs-tol", type=float, default=1e-12,
-                   help="absolute tolerance of the quadrature of tabulated rates")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"verdict tolerance (default {cptp.DEFAULT_TOL:g}, "
-                        f"override with {TOL_ENV_VAR})")
-    p.add_argument("--out", default="-", help="output path, - for stdout")
-    p.add_argument("--config", help="JSON file with defaults for any option")
+def _add_model_args(p: argparse.ArgumentParser) -> set[str]:
+    """Add the options every subcommand takes; return their dests."""
+    dests = set()
+
+    def add(*flags, **kwargs):
+        dests.add(p.add_argument(*flags, **kwargs).dest)
+
+    add("--model", required=True, choices=MODELS)
+    add("--R", type=float, default=0.25,
+        help="thermal coupling (dimensionless, > 0)")
+    add("--N", type=float, default=0.0,
+        help="mean thermal occupation (>= 0)")
+    add("--alpha", type=float, default=0.1,
+        help="Ohmic coupling constant")
+    add("--s", type=float, default=1.0, help="Ohmicity parameter")
+    add("--omega-c", type=float, default=1.0, help="cutoff frequency")
+    add("--T", type=float, default=0.0,
+        help="dephasing bath temperature (hbar = k_B = 1)")
+    add("--kernel", choices=models.KERNELS, default="literature")
+    add("--g1", type=float, default=0.0, help="constant heating rate")
+    add("--g2", type=float, default=0.0, help="constant dissipation rate")
+    add("--g3", type=float, default=0.0, help="constant dephasing rate")
+    add("--w", type=float, default=0.0, help="constant frequency shift")
+    add("--rates-file", help="CSV t,gamma1,gamma2,gamma3,omega")
+    add("--t-max", type=float, default=10.0)
+    add("--steps", type=int, default=200,
+        help="number of grid points including t = 0")
+    add("--p1-0", type=float, default=1.0)
+    add("--re-alpha-0", type=float, default=0.0)
+    add("--im-alpha-0", type=float, default=0.0)
+    add("--rel-tol", type=float, default=1e-10,
+        help="relative tolerance of the quadrature of tabulated rates")
+    add("--abs-tol", type=float, default=1e-12,
+        help="absolute tolerance of the quadrature of tabulated rates")
+    add("--tol", type=float, default=None,
+        help=f"verdict tolerance (default {cptp.DEFAULT_TOL:g}, "
+             f"override with {TOL_ENV_VAR})")
+    add("--out", default="-", help="output path, - for stdout")
+    add("--config", help="JSON file with defaults for any option")
+    return dests
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The phasecov parser; ``config`` holds defaults for any option."""
     parser = _Parser(prog="phasecov", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -403,23 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("scan", "summary per value of a swept parameter (CSV)"),
     ):
         p = sub.add_parser(name, help=descr)
-        _add_model_args(p)
+        dests = _add_model_args(p)
         if name == "cp-check":
-            p.add_argument("--method", choices=("paper", "choi", "both"),
-                           default="both")
+            dests.add(p.add_argument("--method", choices=("paper", "choi", "both"),
+                                     default="both").dest)
         if name == "scan":
-            p.add_argument("--param", required=True)
-            p.add_argument("--values", required=True,
-                           help="comma-separated parameter values")
+            dests.add(p.add_argument("--param", required=True).dest)
+            dests.add(p.add_argument("--values", required=True,
+                                     help="comma-separated parameter values").dest)
+        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _load_config(argv) -> dict:
+    """The option defaults in the --config JSON file named in argv, if any."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return argv
+        return {}
     try:
         with open(known.config) as fh:
             values = json.load(fh)
@@ -427,10 +457,7 @@ def _apply_config_file(parser, argv):
         raise UsageError(f"cannot load config file: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError("config file must hold a JSON object")
-    for action_parser in parser._subparsers._group_actions[0].choices.values():
-        valid = {a.dest for a in action_parser._actions}
-        action_parser.set_defaults(**{k: v for k, v in values.items() if k in valid})
-    return argv
+    return values
 
 
 def _config_from_args(args) -> RunConfig:
@@ -448,11 +475,9 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    argv = _join_negative_numbers(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser(_load_config(argv)).parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "evolve":
             return cmd_evolve(cfg)

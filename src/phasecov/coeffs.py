@@ -64,6 +64,21 @@ def _zero(t: float) -> float:
     return 0.0
 
 
+def _safe_eval(fn, t):
+    """fn(t), with ArithmeticError or ValueError recorded as NaN."""
+    try:
+        return fn(t)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+def _rate_rows(t, gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> np.ndarray:
+    """Stack four rates, arrays on the grid t or constants, as (4, len(t))."""
+    rows = np.zeros((4, len(t)))
+    rows[0], rows[1], rows[2], rows[3] = gamma1, gamma2, gamma3, omega
+    return rows
+
+
 @dataclass(frozen=True)
 class RateProfile:
     """The four time functions defining a phase-covariant generator.
@@ -72,7 +87,15 @@ class RateProfile:
     Evaluation has to be deterministic.  ``singular_points`` lists times
     where a rate may diverge (isolated, integrable singularities); they
     are used as mandatory quadrature panel boundaries and are excluded
-    from pointwise scans.
+    from pointwise scans.  The list is complete up to
+    ``singular_reach``: integrators and scans refuse a window that ends
+    beyond it.
+
+    ``grid_rates``, when set, maps a 1-D ndarray of times to the
+    (4, n) float array of (gamma1, gamma2, gamma3, omega) on them.  It
+    must return the values the four callables return, non-finite where
+    they diverge; grid consumers call it once through :meth:`rates_on`
+    instead of calling each rate at each point.
     """
 
     gamma1: Callable[[float], float] = _zero
@@ -80,10 +103,32 @@ class RateProfile:
     gamma3: Callable[[float], float] = _zero
     omega: Callable[[float], float] = _zero
     singular_points: tuple[float, ...] = ()
+    singular_reach: float = math.inf
+    grid_rates: Callable[[np.ndarray], np.ndarray] | None = None
 
     def rates(self, t: float) -> tuple[float, float, float, float]:
         """Evaluate (gamma1, gamma2, gamma3, omega) at time t."""
         return (self.gamma1(t), self.gamma2(t), self.gamma3(t), self.omega(t))
+
+    def rates_on(self, times) -> np.ndarray:
+        """(gamma1, gamma2, gamma3, omega) on a grid, shape (4, len(times)).
+
+        One ``grid_rates`` call when it is set; otherwise each callable
+        at each time, with ArithmeticError or ValueError recorded as NaN.
+        """
+        t = np.asarray(times, dtype=float)
+        if self.grid_rates is not None:
+            return np.asarray(self.grid_rates(t), dtype=float)
+        fns = (self.gamma1, self.gamma2, self.gamma3, self.omega)
+        return np.array([[_safe_eval(fn, x) for x in t] for fn in fns], dtype=float)
+
+    def check_reach(self, t_end: float) -> None:
+        """Raise ValueError if t_end lies beyond the singular-point list."""
+        if t_end > self.singular_reach:
+            raise ValueError(
+                f"the profile lists its singular points only up to "
+                f"t = {self.singular_reach:g}, so a window to t = {t_end:g} may "
+                "cross unlisted ones; build it with a larger t_max")
 
 
 def constant_profile(gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> RateProfile:
@@ -93,6 +138,7 @@ def constant_profile(gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> RateProfi
         gamma2=lambda t, _v=float(gamma2): _v,
         gamma3=lambda t, _v=float(gamma3): _v,
         omega=lambda t, _v=float(omega): _v,
+        grid_rates=lambda t: _rate_rows(t, gamma1, gamma2, gamma3, omega),
     )
 
 
@@ -105,6 +151,7 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
         funcs = [getter(p) for p in profiles]
         return lambda t: math.fsum(f(t) for f in funcs)
 
+    grids = [p.grid_rates for p in profiles]
     sing = sorted({s for p in profiles for s in p.singular_points})
     return RateProfile(
         gamma1=_sum(lambda p: p.gamma1),
@@ -112,6 +159,9 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
         gamma3=_sum(lambda p: p.gamma3),
         omega=_sum(lambda p: p.omega),
         singular_points=tuple(sing),
+        singular_reach=min(p.singular_reach for p in profiles),
+        grid_rates=(None if None in grids
+                    else lambda t: sum(grid(t) for grid in grids)),
     )
 
 
@@ -166,17 +216,20 @@ class CoefficientSet:
         return cls(t=t, Gamma=0.0, GammaTilde=0.0, Omega=0.0, g=0.0)
 
 
-def _quad(func, a, b, cfg, points=None):
+def _quad(func, a, b, cfg, points=None, **weight):
     """scipy adaptive Gauss-Kronrod wrapper that converts failures.
 
     ``points`` are interior singular locations; QUADPACK then never
     samples them and extrapolates through the integrable divergence.
+    ``weight`` passes QUADPACK's ``weight`` and ``wvar`` through, for
+    oscillatory integrands.
     """
     kwargs = dict(
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
         limit=cfg.max_subdivisions,
         full_output=1,
+        **weight,
     )
     if points:
         kwargs["points"] = list(points)
@@ -246,12 +299,14 @@ def integrate_profile(
 
     Each requested time reuses the integrals accumulated up to the
     previous one, so a dense grid costs one pass.  Raises ValueError for
-    a non-monotone grid and :class:`ToleranceError` when the error
+    a non-monotone grid or one that ends beyond the profile's
+    ``singular_reach``, and :class:`ToleranceError` when the error
     control cannot be met (for example across a non-integrable rate
     divergence).
     """
     cfg = cfg or QuadratureConfig()
     ts = _validate_times(times)
+    profile.check_reach(ts[-1])
     sing = sorted(profile.singular_points)
 
     out = []
@@ -285,6 +340,7 @@ def segment_coefficients(
     """
     if t_end < t_start or t_start < 0:
         raise ValueError("need 0 <= t_start <= t_end")
+    profile.check_reach(t_end)
     cfg = cfg or QuadratureConfig()
     if t_end == t_start:
         return CoefficientSet.identity(t_end)
@@ -329,6 +385,7 @@ def weak_coupling_integrals(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    profile.check_reach(t)
     cfg = cfg or QuadratureConfig()
     if t == 0:
         return (0.0, 0.0, 0.0)

@@ -104,7 +104,8 @@ def integrate_me(
     Parameters
     ----------
     profile : RateProfile
-        Generator rates; must be free of singular points on [0, t_end].
+        Generator rates; must be free of singular points on [0, t_end],
+        and t_end must not lie beyond its ``singular_reach``.
     rho0 : array_like
         Valid 2x2 density matrix at t = 0.
     t_end : float
@@ -122,6 +123,7 @@ def integrate_me(
     rho0 = validate_density_matrix(rho0)
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
+    profile.check_reach(t_end)
     for s in profile.singular_points:
         if 0.0 <= s <= t_end:
             raise IntegrationError(

@@ -62,7 +62,8 @@ import numpy as np
 from scipy.special import exprel, poch
 from scipy.special import gamma as _gamma_fn
 
-from .coeffs import CoefficientSet, QuadratureConfig, RateProfile, _quad, _zero
+from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _quad,
+                     _rate_rows, _zero)
 
 __all__ = [
     "ThermalParams",
@@ -130,6 +131,8 @@ class MemorySample:
 
 # Degenerate d -> 0 branch is taken inside this band around R = 1/2.
 _DEGENERATE_BAND = 1e-14
+# |cos + sin/delta| at or below this times hypot(1, 1/delta) is a zero of c.
+_ZERO_BAND = 8 * 2.220446049250313e-16
 
 
 def amplitude_memory(R: float, tau: float) -> MemorySample:
@@ -158,14 +161,17 @@ def amplitude_memory(R: float, tau: float) -> MemorySample:
         e = math.exp(-d * tau)
         c = 0.5 * (math.exp(-(1 - d) * tau / 2) * (1 + 1 / d)
                    + math.exp(-(1 + d) * tau / 2) * (1 - 1 / d))
-        f = (2 * R / d) * (1 - e) / ((1 + 1 / d) + e * (1 - 1 / d))
+        # (1 + 1/d) + e (1 - 1/d) = 1 + e + (1 - e)/d, with 1 - e from
+        # expm1: no cancellation at small d tau nor at d -> 0
+        em = -math.expm1(-d * tau)
+        f = (2 * R / d) * em / (1 + e + em / d)
         return MemorySample(tau=tau, c_ratio=c, x=c * c, f=f)
 
     delta = math.sqrt(-disc)
     w = delta * tau / 2
     bracket = math.cos(w) + math.sin(w) / delta
     scale = math.hypot(1.0, 1.0 / delta)
-    if abs(bracket) <= 8 * 2.220446049250313e-16 * scale:
+    if abs(bracket) <= _ZERO_BAND * scale:
         return MemorySample(tau=tau, c_ratio=0.0, x=0.0, f=math.inf, singular=True)
     c = math.exp(-tau / 2) * bracket
     f = (2 * R / delta) * math.sin(w) / bracket
@@ -192,15 +198,43 @@ def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
     return tuple(zeros)
 
 
+def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:
+    """amplitude_memory(R, tau).f on an ndarray of times.
+
+    The same branch, picked once for the whole grid, and the same
+    formulas as the scalar function, with f = +inf at the zeros of c.
+    """
+    disc = 1.0 - 2.0 * R
+    if abs(disc) <= _DEGENERATE_BAND:
+        return (tau / 2) / (1.0 + tau / 2)
+    if disc > 0:
+        d = math.sqrt(disc)
+        em = -np.expm1(-d * tau)
+        return (2 * R / d) * em / (1 + np.exp(-d * tau) + em / d)
+    delta = math.sqrt(-disc)
+    w = delta * tau / 2
+    bracket = np.cos(w) + np.sin(w) / delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (2 * R / delta) * np.sin(w) / bracket
+    return np.where(np.abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta),
+                    np.inf, f)
+
+
 def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
     """Rate profile gamma1 = 2N f, gamma2 = 2(N+1) f, gamma3 = omega = 0.
 
-    ``singular_points`` holds the zeros of c up to t_max (empty for
-    R <= 1/2).
+    ``singular_points`` holds the zeros of c up to t_max, which is then
+    the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
+    list is empty and the reach unbounded.
     """
 
     def _f(t: float) -> float:
         return amplitude_memory(p.R, t).f
+
+    def grid_rates(t):
+        f = _memory_rate_on(p.R, t)
+        # at N = 0, gamma1 is 0 also at the poles, where 0 * f is NaN
+        return _rate_rows(t, 0.0 if p.N == 0 else 2.0 * p.N * f, 2.0 * (p.N + 1.0) * f)
 
     gamma1 = _zero if p.N == 0 else (lambda t: 2.0 * p.N * _f(t))
     return RateProfile(
@@ -209,6 +243,8 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
         gamma3=_zero,
         omega=_zero,
         singular_points=thermal_zeros(p.R, t_max),
+        singular_reach=math.inf if p.R <= 0.5 else t_max,
+        grid_rates=grid_rates,
     )
 
 
@@ -255,36 +291,44 @@ def _spectral(p: OhmicParams, w: float) -> float:
     return p.alpha * (w / p.omega_c) ** p.s * math.exp(-w / p.omega_c)
 
 
+def _panels(p: OhmicParams):
+    """[0, w_c], [w_c, 10 w_c] and [10 w_c, 50 w_c].
+
+    Past 50 w_c the exp(-w/w_c) factor leaves less than 1e-13 of the
+    integrand's peak for s <= 5.  The edges keep the spectral peak, near
+    s w_c, in view of the adaptive rule at every t: a single interval
+    [0, 10/t] hides it at t = 1e-3 (GammaTilde 2.97e-14 for 2.92e-8).
+    """
+    edges = (0.0, p.omega_c, 10.0 * p.omega_c, 50.0 * p.omega_c)
+    return zip(edges[:-1], edges[1:])
+
+
+def _spectral_amplitude(p: OhmicParams, power: float):
+    """w -> 2 J(w) coth(...) / w^power, the non-oscillating factor."""
+    def amplitude(w):
+        if w <= 0.0:
+            return 0.0
+        return 2.0 * _spectral(p, w) * _thermal_factor(p, w) / w ** power
+    return amplitude
+
+
 def ohmic_rate(p: OhmicParams, t: float, cfg: QuadratureConfig | None = None) -> float:
     """Dephasing rate gamma3(t) by adaptive quadrature over frequency.
 
     A reference route: the program evaluates gamma3 with
     ``ohmic_closed_form`` at T = 0 and ``OhmicSeries`` at T > 0, and the
-    tests check both against this quadrature.  The semi-infinite
-    integral is truncated at w_max = max(50 w_c, 10/t); the neglected
-    tail is bounded by the exp(-w/w_c) factor, exp(-50) ~ 2e-22
-    relative to the integrand scale, far below the quadrature
-    tolerances.
+    tests check both against this quadrature.  Each panel of
+    ``_panels`` is integrated with QUADPACK's sine weight (QAWO), which
+    handles the sin(w t) factor at large t.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0.0:
         return 0.0
     cfg = cfg or QuadratureConfig()
-    w_max = max(50.0 * p.omega_c, 10.0 / t)
-
-    if p.kernel == "paper":
-        def integrand(w):
-            if w <= 0.0:
-                return 0.0
-            return 2.0 * _spectral(p, w) * _thermal_factor(p, w) * math.sin(w * t)
-    else:
-        def integrand(w):
-            if w <= 0.0:
-                return 0.0
-            return 2.0 * _spectral(p, w) * _thermal_factor(p, w) * math.sin(w * t) / w
-
-    return _quad(integrand, 0.0, w_max, cfg)
+    amplitude = _spectral_amplitude(p, 0.0 if p.kernel == "paper" else 1.0)
+    return math.fsum(_quad(amplitude, a, b, cfg, weight="sin", wvar=t)
+                     for a, b in _panels(p))
 
 
 def ohmic_gamma_tilde(p: OhmicParams, t: float, cfg: QuadratureConfig | None = None) -> float:
@@ -298,24 +342,31 @@ def ohmic_gamma_tilde(p: OhmicParams, t: float, cfg: QuadratureConfig | None = N
 
     whose integrands are pointwise nonnegative, which is why this model
     always has GammaTilde >= 0.  Like ``ohmic_rate``, a reference route
-    for the closed form and the series.
+    for the closed form and the series.  A panel of ``_panels`` that
+    starts a full period of cos(w t) or more past 0 is split into its
+    plain part and a cosine-weighted (QAWO) part; the others are
+    integrated as they stand.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0.0:
         return 0.0
     cfg = cfg or QuadratureConfig()
-    w_max = max(50.0 * p.omega_c, 10.0 / t)
     power = 1.0 if p.kernel == "paper" else 2.0
+    amplitude = _spectral_amplitude(p, power)
 
     def integrand(w):
-        if w <= 0.0:
-            return 0.0
         # 1 - cos(w t) written cancellation-free
-        osc = 2.0 * math.sin(0.5 * w * t) ** 2
-        return 2.0 * _spectral(p, w) * _thermal_factor(p, w) * osc / w ** power
+        return amplitude(w) * 2.0 * math.sin(0.5 * w * t) ** 2
 
-    return _quad(integrand, 0.0, w_max, cfg)
+    parts = []
+    for a, b in _panels(p):
+        if a * t >= 2.0 * math.pi:
+            parts += [_quad(amplitude, a, b, cfg),
+                      -_quad(amplitude, a, b, cfg, weight="cos", wvar=t)]
+        else:
+            parts.append(_quad(integrand, a, b, cfg))
+    return math.fsum(parts)
 
 
 def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
@@ -459,6 +510,17 @@ class OhmicSeries:
         return self._finish(direct, self._tail * t, lr, th)
 
 
+def _zero_temperature_rate_on(p: OhmicParams, t: np.ndarray) -> np.ndarray:
+    """gamma3 of ``ohmic_closed_form`` on an ndarray of times."""
+    u = p.omega_c * t
+    theta = np.arctan(u)
+    one_u2 = 1.0 + u * u
+    if p.kernel == "paper":
+        return (2.0 * p.alpha * _gamma_fn(p.s + 1.0) * p.omega_c
+                * one_u2 ** (-(p.s + 1.0) / 2.0) * np.sin((p.s + 1.0) * theta))
+    return 2.0 * p.alpha * _gamma_fn(p.s) * one_u2 ** (-p.s / 2.0) * np.sin(p.s * theta)
+
+
 def ohmic_profile(p: OhmicParams) -> RateProfile:
     """Pure-dephasing rate profile for the Ohmic model.
 
@@ -467,9 +529,11 @@ def ohmic_profile(p: OhmicParams) -> RateProfile:
     """
     if p.T == 0:
         gamma3 = lambda t: ohmic_closed_form(p, t)[0]
+        gamma3_on = lambda t: _zero_temperature_rate_on(p, t)
     else:
-        gamma3 = OhmicSeries(p).rate
-    return RateProfile(gamma3=gamma3)
+        gamma3 = gamma3_on = OhmicSeries(p).rate
+    return RateProfile(gamma3=gamma3,
+                       grid_rates=lambda t: _rate_rows(t, gamma3=gamma3_on(t)))
 
 
 def markov_rate_limit(R: float) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import RateProfile
+from .coeffs import RateProfile, _safe_eval
 
 __all__ = [
     "Verdict",
@@ -56,14 +56,6 @@ class NmReport:
         return min(starts) if starts else None
 
 
-def _safe_eval(fn, t):
-    try:
-        v = fn(t)
-    except (ArithmeticError, ValueError):
-        return math.nan
-    return v
-
-
 def _refine(fn, lo, hi, tol):
     """Locate the boundary of the predicate fn(t) < -tol inside (lo, hi)."""
     neg_lo = _safe_eval(fn, lo) < -tol
@@ -78,26 +70,18 @@ def _refine(fn, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def _rate_intervals(fn, grid, tol):
-    vals = np.array([_safe_eval(fn, t) for t in grid])
+def _rate_intervals(fn, grid, vals, tol):
+    """Negative intervals of one rate from its samples vals on grid."""
     finite = np.isfinite(vals)
     neg = finite & (vals < -tol)
-
-    intervals = []
-    open_start = None
-    for i, t in enumerate(grid):
-        if neg[i] and open_start is None:
-            open_start = grid[i - 1] if i > 0 else t
-            start = t if i == 0 else _refine(fn, grid[i - 1], t, tol)
-        elif not neg[i] and open_start is not None:
-            end = _refine(fn, grid[i - 1], t, tol)
-            intervals.append((start, end))
-            open_start = None
-    if open_start is not None:
-        intervals.append((start, float(grid[-1])))
-    intervals = [(float(a), float(b)) for a, b in intervals]
-    singular_samples = [float(t) for t, f in zip(grid, finite) if not f]
-    return intervals, singular_samples
+    flips = np.flatnonzero(neg[1:] != neg[:-1]) + 1
+    cuts = [_refine(fn, grid[i - 1], grid[i], tol) for i in flips]
+    if neg[0]:
+        cuts.insert(0, grid[0])
+    if neg[-1]:
+        cuts.append(grid[-1])
+    intervals = [(float(a), float(b)) for a, b in zip(cuts[::2], cuts[1::2])]
+    return intervals, [float(t) for t in grid[~finite]]
 
 
 def negative_intervals(
@@ -108,15 +92,18 @@ def negative_intervals(
 ) -> NmReport:
     """Sign-scan the three decay rates on a window.
 
-    The grid scan (default resolution window/2048) brackets each sign
-    change, which bisection then sharpens to 1e-10 in time.  Listed
+    The grid scan (default resolution window/2048) samples all rates in
+    one ``profile.rates_on`` call and brackets each sign change, which
+    bisection on the scalar rate then sharpens to 1e-10 in time.  Listed
     singular points and non-finite samples are excluded from the sign
     logic and reported separately; an interval opening at a rate
-    divergence starts at the divergence time itself.
+    divergence starts at the divergence time itself.  A window beyond
+    the profile's ``singular_reach`` raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (0 <= t0 < t1) or not math.isfinite(t1):
         raise ValueError("window must satisfy 0 <= t_start < t_end < inf")
+    profile.check_reach(t1)
     if resolution is not None and resolution <= 0:
         raise ValueError("resolution must be positive")
     res = resolution if resolution is not None else (t1 - t0) / 2048.0
@@ -125,9 +112,8 @@ def negative_intervals(
 
     intervals = {}
     singular = {s for s in profile.singular_points if t0 <= s <= t1}
-    for name in RATE_NAMES:
-        fn = getattr(profile, name)
-        ivs, bad_samples = _rate_intervals(fn, grid, tol)
+    for name, vals in zip(RATE_NAMES, profile.rates_on(grid)):
+        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol)
         intervals[name] = tuple(ivs)
         singular.update(bad_samples)
     verdict = (Verdict.NON_MARKOVIAN

@@ -221,6 +221,14 @@ class TestPlumbing:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    def test_negative_number_in_scientific_notation(self, tmp_path):
+        out = tmp_path / "ev.csv"
+        assert main(["evolve", "--model", "constant", "--g1", "0.1", "--p1-0", "0.5",
+                     "--im-alpha-0", "-9.3e-06", "--steps", "3",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert float(rows[0][3]) == -9.3e-06
+
     def test_config_file_defaults_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"R": 0.25, "N": 1.0, "t_max": 2.0, "steps": 4}))

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
-                      ThermalParams, ToleranceError, constant_profile,
-                      integrate_profile, markovian_coefficients,
+                      ThermalParams, ToleranceError, combine_profiles,
+                      constant_profile, integrate_profile, markovian_coefficients,
                       segment_coefficients, thermal_closed_form,
                       thermal_profile, weak_coupling_integrals)
+from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
 from phasecov.models import OhmicParams, ohmic_closed_form, ohmic_profile
 
 
@@ -167,3 +170,73 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-9)
+
+
+def _tabulated(tmp_path):
+    t = np.linspace(0.0, 12.0, 97)
+    table = np.column_stack([t, 0.2 + 0.1 * np.sin(t), 0.5 * np.exp(-t / 3),
+                             np.cos(1.7 * t), 0.3 * t])
+    path = tmp_path / "rates.csv"
+    np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
+    return _tabulated_profile(RunConfig(model="tabulated", rates_file=str(path),
+                                        t_max=12.0))
+
+
+def _built_in_profiles(tmp_path):
+    yield from (thermal_profile(ThermalParams(R, N), t_max=12.0)
+                for R in (0.02, 0.25, 0.45, 0.5, 0.55, 2.0, 20.0) for N in (0.0, 1.3))
+    yield from (ohmic_profile(OhmicParams(0.1, s, 1.3, T, kernel))
+                for s in (0.5, 1.0, 2.0, 3.5) for T in (0.0, 0.7)
+                for kernel in ("paper", "literature"))
+    yield constant_profile(0.3, -0.7, 0.15, 0.4)
+    yield _tabulated(tmp_path)
+    yield combine_profiles(thermal_profile(ThermalParams(10.0, 0.5), t_max=12.0),
+                           ohmic_profile(OhmicParams(0.1, 3.0, 1.0, 0.5, "paper")),
+                           constant_profile(omega=0.2))
+
+
+def test_rates_on_equals_per_point_evaluation(tmp_path):
+    for profile in _built_in_profiles(tmp_path):
+        assert profile.grid_rates is not None
+        # the listed poles are on the grid, where the rates are infinite
+        t = np.union1d(np.linspace(0.0, 12.0, 2049), profile.singular_points)
+        grid = profile.rates_on(t)
+        points = dataclasses.replace(profile, grid_rates=None).rates_on(t)
+        assert grid.shape == points.shape == (4, t.size)
+        finite = np.isfinite(points)
+        assert (~finite[1]).any() == bool(profile.singular_points)
+        np.testing.assert_array_equal(np.isfinite(grid), finite)
+        np.testing.assert_array_equal(grid[~finite], points[~finite])
+        np.testing.assert_allclose(grid[finite], points[finite], rtol=1e-14, atol=0.0)
+
+
+def test_rates_on_falls_back_to_the_callables():
+    def gamma2(t):
+        if t == 1.0:
+            raise ZeroDivisionError
+        return 1.0 / (t - 2.0) if t < 3.0 else math.sqrt(-t)
+
+    profile = RateProfile(gamma1=lambda t: 0.5 * t, gamma2=gamma2,
+                          omega=lambda t: 3)
+    assert profile.grid_rates is None
+    out = profile.rates_on([0.0, 1.0, 4.0])
+    np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0], [-0.5, math.nan, math.nan],
+                                        [0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
+    # one part without the array form leaves the sum without it too
+    assert combine_profiles(profile, constant_profile(1.0)).grid_rates is None
+
+
+def test_window_beyond_the_singular_reach_is_refused():
+    # R = 10 has an unlisted pole at 0.8242 when the list stops at 0.5
+    prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
+    assert prof.singular_reach == 0.5 and prof.singular_points == ()
+    for call in (lambda: integrate_profile(prof, [0.2, 2.0]),
+                 lambda: segment_coefficients(prof, 0.1, 2.0),
+                 lambda: weak_coupling_integrals(prof, 2.0)):
+        with pytest.raises(ValueError, match="singular points only up to t = 0.5"):
+            call()
+    assert integrate_profile(prof, [0.5])[0].Gamma > 0.0
+    # the combined profile keeps the shortest reach
+    both = combine_profiles(prof, thermal_profile(ThermalParams(R=0.25)))
+    assert both.singular_reach == 0.5
+    assert thermal_profile(ThermalParams(R=0.25), t_max=0.5).singular_reach == math.inf

@@ -71,6 +71,14 @@ def test_refuses_singular_window():
     assert np.isfinite(out).all()
 
 
+def test_refuses_window_beyond_the_singular_reach():
+    # the pole at 0.8242 lies past the list's reach of 0.5; integrating
+    # through it gave P1 = -974.6 where the closed form has 0.9573
+    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=0.5)
+    with pytest.raises(ValueError, match="only up to t = 0.5"):
+        integrate_me(prof, QubitState(0.0).density_matrix, 2.0)
+
+
 def test_frequency_shift_changes_phase_not_magnitude():
     prof = constant_profile(gamma2=0.5, omega=1.3)
     ref = constant_profile(gamma2=0.5)

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from phasecov import (OhmicParams, ThermalParams, Verdict, cp_choi,
@@ -91,6 +94,39 @@ def test_window_validation():
         negative_intervals(prof, (-1.0, 1.0))
     with pytest.raises(ValueError):
         negative_intervals(prof, (0.0, 1.0), resolution=-0.1)
+
+
+def test_window_beyond_the_singular_reach_is_refused():
+    prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
+    with pytest.raises(ValueError, match="only up to t = 0.5"):
+        negative_intervals(prof, (0.0, 2.0))
+    assert negative_intervals(prof, (0.0, 0.5)).verdict is Verdict.MARKOVIAN
+
+
+_THERMAL = st.builds(
+    lambda R, N, t_max: (thermal_profile(ThermalParams(R, N), t_max=t_max), t_max),
+    st.one_of(st.floats(0.02, 0.49), st.floats(0.51, 20.0)),
+    st.floats(0.0, 3.0), st.floats(0.5, 20.0))
+_OHMIC = st.builds(
+    lambda s, kernel, T, t_max: (ohmic_profile(OhmicParams(0.1, s, 1.0, T, kernel)),
+                                 t_max),
+    st.floats(0.5, 4.0), st.sampled_from(["paper", "literature"]),
+    st.one_of(st.just(0.0), st.floats(0.2, 3.0)), st.floats(0.5, 20.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_THERMAL, _OHMIC))
+def test_grid_and_per_point_sampling_give_the_same_report(case):
+    profile, t_max = case
+    fast = negative_intervals(profile, (0.0, t_max))
+    slow = negative_intervals(dataclasses.replace(profile, grid_rates=None),
+                              (0.0, t_max))
+    assert fast.verdict is slow.verdict
+    for name in ("gamma1", "gamma2", "gamma3"):
+        assert len(fast.intervals[name]) == len(slow.intervals[name])
+        np.testing.assert_allclose(fast.intervals[name], slow.intervals[name],
+                                   rtol=0.0, atol=1e-9)
+    assert fast.singular_times == slow.singular_times
 
 
 class TestCrossover:
