@@ -21,11 +21,12 @@ minus this value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,7 +180,21 @@ def _tabulated_profile(cfg: RunConfig):
                          f"which does not contain [0, t-max = {cfg.t_max!r}]")
 
     def interp(col):
-        return lambda x, _t=t, _v=data[:, col]: float(np.interp(x, _t, _v))
+        # np.interp's formula on Python lists: one call costs a fifth of
+        # np.interp's on a single point, and it runs inside the integrators
+        ts, vs = t.tolist(), data[:, col].tolist()
+        last = len(ts) - 1
+
+        def rate(x):
+            j = bisect_right(ts, x) - 1
+            if j < 0:
+                return vs[0]
+            if j >= last:
+                return vs[last]
+            if ts[j] == x:
+                return vs[j]
+            return (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + vs[j]
+        return rate
 
     from .coeffs import RateProfile
     return RateProfile(gamma1=interp(1), gamma2=interp(2),
@@ -206,48 +221,54 @@ def _profile_for(cfg: RunConfig):
     return combine_profiles(*parts)
 
 
-def _coefficient_grid(cfg: RunConfig) -> list[CoefficientSet]:
-    """CoefficientSets over the time grid.
+def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
+    """The coefficients on the whole time grid, as a CoefficientSet of arrays.
 
     The thermal part uses its closed form (exact also across rate
     singularities at R > 1/2); the Ohmic part uses the zero-T closed
-    form or, at T > 0, the exact series on the whole grid at once;
-    constant rates use the GKSL expressions; tabulated rates are
-    integrated numerically.
+    form or, at T > 0, the exact series; constant rates use the GKSL
+    expressions; tabulated rates are integrated numerically.
     """
     times = cfg.times
     if cfg.model == "constant":
-        return [markovian_coefficients(cfg.g1, cfg.g2, cfg.g3, cfg.w, float(t))
-                for t in times]
+        return markovian_coefficients(cfg.g1, cfg.g2, cfg.g3, cfg.w, times)
     if cfg.model == "tabulated":
-        profile = _tabulated_profile(cfg)
-        ts = times if times[0] > 0 else times[1:]
-        out = integrate_profile(profile, ts, cfg.quad_cfg)
-        if times[0] == 0.0:
-            out = [CoefficientSet.identity(0.0)] + out
-        return out
+        # the grid starts at t = 0, where every coefficient vanishes
+        sets = integrate_profile(_tabulated_profile(cfg), times[1:], cfg.quad_cfg)
+        rows = [(0.0,) * 5] + [(c.t, c.Gamma, c.GammaTilde, c.Omega, c.g) for c in sets]
+        return CoefficientSet(*np.array(rows).T)
 
-    gamma = np.zeros_like(times)
-    g = np.zeros_like(times)
-    tilde = np.zeros_like(times)
+    zeros = np.zeros_like(times)
+    gamma = tilde = g = zeros
     if cfg.model in ("thermal", "both"):
-        tp = models.ThermalParams(cfg.R, cfg.N)
-        closed = [models.thermal_closed_form(tp, t) for t in times]
-        gamma = np.array([c[0] for c in closed])
-        g = np.array([c[1] for c in closed])
+        gamma, g = models.thermal_closed_form(models.ThermalParams(cfg.R, cfg.N), times)
     if cfg.model in ("ohmic", "both"):
         op = models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel)
         if op.T == 0:
-            tilde = np.array([models.ohmic_closed_form(op, t)[1] for t in times])
+            tilde = models.ohmic_closed_form(op, times)[1]
         else:
             tilde = models.OhmicSeries(op).gamma_tilde(times)
-    return [CoefficientSet(t=float(t), Gamma=float(gm), GammaTilde=float(td),
-                           Omega=0.0, g=float(gg))
-            for t, gm, td, gg in zip(times, gamma, tilde, g)]
+    return CoefficientSet(t=times, Gamma=gamma, GammaTilde=tilde, Omega=zeros, g=g)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv_rows(header: str, columns) -> str:
+    """CSV text: the header, then one row per index of the columns."""
+    cells = [map(repr, col.tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json_cells(values: np.ndarray) -> list[str]:
+    """Each value as json.dumps writes it (NaN, Infinity, true, ...)."""
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist()
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        cells[i] = json.dumps(float(values[i]))
+    return cells
 
 
 def _write_text(path: str, text: str) -> None:
@@ -261,63 +282,58 @@ def _write_text(path: str, text: str) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _evolve(state0: QubitState, c: CoefficientSet) -> QubitState:
-    """evolve_state, with a map that leaves the state space as a usage error."""
+def _evolve(state0: QubitState, c: CoefficientSet):
+    """evolve_state on a grid, with a map that leaves the state space as a
+    usage error at the first such time."""
     try:
         return evolve_state(state0, c)
     except ValueError as exc:
         raise UsageError(f"the generator maps the initial state outside the "
-                         f"state space at t = {c.t!r}: {exc}") from exc
+                         f"state space {exc}") from exc
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    state0 = cfg.initial_state
-    rows = [EVOLVE_HEADER]
-    for c in _coefficient_grid(cfg):
-        s = _evolve(state0, c)
-        rows.append(",".join([
-            _fmt(c.t), _fmt(s.P1), _fmt(s.alpha.real), _fmt(s.alpha.imag),
-            _fmt(c.Gamma), _fmt(c.GammaTilde), _fmt(c.Omega), _fmt(c.g),
-        ]))
-    _write_text(cfg.out, "\n".join(rows) + "\n")
+    c = _coefficient_grid(cfg)
+    p1, alpha = _evolve(cfg.initial_state, c)
+    _write_text(cfg.out, _csv_rows(EVOLVE_HEADER, (
+        c.t, p1, alpha.real, alpha.imag, c.Gamma, c.GammaTilde, c.Omega, c.g)))
     return EXIT_OK
 
 
 def cmd_cp_check(cfg: RunConfig, method: str) -> int:
-    results = []
-    all_cp = True
-    first_violation = None
-    for c in _coefficient_grid(cfg):
-        entry: dict = {"t": float(c.t)}
-        verdicts = []
-        if method in ("paper", "both"):
-            conds = cptp.cp_paper(c, cfg.tol)
-            entry.update(
-                margin_i=float(conds.margin_i), margin_ii=float(conds.margin_ii),
-                margin_iii=float(conds.margin_iii), margin_iv=float(conds.margin_iv),
-                paper_verdict=bool(conds.verdict),
-            )
-            verdicts.append(conds.verdict)
-        if method in ("choi", "both"):
-            choi = cptp.cp_choi(c, cfg.tol)
-            entry.update(choi_min_eig=float(choi.min_eigenvalue),
-                         choi_verdict=bool(choi.is_cp))
-            verdicts.append(choi.is_cp)
-        if method == "both":
-            entry["agreement"] = entry["paper_verdict"] == entry["choi_verdict"]
-        ok = bool(all(verdicts))
-        if not ok and first_violation is None:
-            first_violation = float(c.t)
-        all_cp = all_cp and ok
-        results.append(entry)
+    c = _coefficient_grid(cfg)
+    columns = {"t": c.t}
+    ok = np.ones(c.t.shape, dtype=bool)
+    if method in ("paper", "both"):
+        conds = cptp.cp_paper(c, cfg.tol)
+        columns.update(margin_i=conds.margin_i, margin_ii=conds.margin_ii,
+                       margin_iii=conds.margin_iii, margin_iv=conds.margin_iv,
+                       paper_verdict=conds.verdict)
+        ok &= conds.verdict
+    if method in ("choi", "both"):
+        choi = cptp.cp_choi(c, cfg.tol)
+        columns.update(choi_min_eig=choi.min_eigenvalue, choi_verdict=choi.is_cp)
+        ok &= choi.is_cp
+    if method == "both":
+        columns["agreement"] = columns["paper_verdict"] == columns["choi_verdict"]
+    all_cp = bool(ok.all())
     report = {
         "model": cfg.model,
         "method": method,
         "tol": cfg.tol,
-        "results": results,
-        "summary": {"all_cp": all_cp, "first_violation_t": first_violation},
+        "results": [],
+        "summary": {"all_cp": all_cp,
+                    "first_violation_t": None if all_cp else float(c.t[np.argmin(ok)])},
     }
-    _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
+    # the layout of json.dumps(report, indent=2), whose pure-Python
+    # encoder (the one an indent selects) would cost more than the check:
+    # the rows are formatted column by column and put in its empty list
+    entry = ("    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in columns)
+             + "\n    }")
+    rows = ",\n".join(entry % cells for cells in zip(*map(_json_cells, columns.values())))
+    text = json.dumps(report, indent=2).replace(
+        '"results": []', '"results": [\n' + rows + "\n  ]", 1)
+    _write_text(cfg.out, text + "\n")
     return EXIT_OK if all_cp else EXIT_VIOLATION
 
 
@@ -326,20 +342,17 @@ def cmd_rates(cfg: RunConfig) -> int:
     times = cfg.times
     dt = times[1] - times[0]
     singular = [s for s in profile.singular_points if s <= cfg.t_max]
+    near_pole = np.zeros(times.shape, dtype=bool)
+    for s in singular:
+        near_pole |= np.abs(times - s) <= dt / 2
+    rates = profile.rates_on(times)
+    blank = near_pole | ~np.isfinite(rates)
     rows = [RATES_HEADER]
-    suppressed = []
-    for i, (t, values) in enumerate(zip(times, profile.rates_on(times).T)):
-        cells = [_fmt(t)]
-        near_pole = any(abs(t - s) <= dt / 2 for s in singular)
-        for v in values:
-            if near_pole or not math.isfinite(v):
-                cells.append("")
-                if i not in suppressed:
-                    suppressed.append(i)
-            else:
-                cells.append(_fmt(v))
-        rows.append(",".join(cells))
+    for t, values, skip in zip(times.tolist(), rates.T.tolist(), blank.T.tolist()):
+        rows.append(",".join([repr(t)] + ["" if b else repr(v)
+                                          for v, b in zip(values, skip)]))
     _write_text(cfg.out, "\n".join(rows) + "\n")
+    suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
     sidecar = json.dumps({"singular_times": singular,
                           "suppressed_rows": suppressed}, indent=2) + "\n"
     if cfg.out == "-":
@@ -362,8 +375,7 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     for value in values:
         sub = _with_param(cfg, param, value)
         sub.validate()
-        state0 = sub.initial_state
-        p1 = np.array([_evolve(state0, c).P1 for c in _coefficient_grid(sub)])
+        p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub))
         stationary = p1[-1]
         report = nonmarkov.negative_intervals(
             _profile_for(sub), (0.0, sub.t_max), tol=sub.tol)
@@ -443,6 +455,12 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """build_parser() without config defaults, built once per process."""
+    return build_parser()
+
+
 def _load_config(argv) -> dict:
     """The option defaults in the --config JSON file named in argv, if any."""
     probe = _Parser(add_help=False)
@@ -477,7 +495,9 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     argv = _join_negative_numbers(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(_load_config(argv)).parse_args(argv)
+        config = _load_config(argv)
+        parser = build_parser(config) if config else _default_parser()
+        args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         if args.command == "evolve":
             return cmd_evolve(cfg)

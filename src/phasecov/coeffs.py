@@ -72,6 +72,23 @@ def _safe_eval(fn, t):
         return math.nan
 
 
+def _xp(x):
+    """numpy for an ndarray, the math module for a single number.
+
+    Scalar callers, the integrators' rate callbacks among them, stay on
+    math, which is several times faster per call than numpy.
+    """
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _backend(t):
+    """``_xp(t)`` after checking that the time or times t are non-negative."""
+    xp = _xp(t)
+    if (t.min(initial=0.0) if xp is np else t) < 0:
+        raise ValueError("t must be non-negative")
+    return xp
+
+
 def _rate_rows(t, gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> np.ndarray:
     """Stack four rates, arrays on the grid t or constants, as (4, len(t))."""
     rows = np.zeros((4, len(t)))
@@ -85,11 +102,17 @@ class RateProfile:
 
     Each callable must accept a single time t >= 0 and return a float.
     Evaluation has to be deterministic.  ``singular_points`` lists times
-    where a rate may diverge (isolated, integrable singularities); they
-    are used as mandatory quadrature panel boundaries and are excluded
-    from pointwise scans.  The list is complete up to
-    ``singular_reach``: integrators and scans refuse a window that ends
-    beyond it.
+    where a rate may diverge; they are used as mandatory quadrature
+    panel boundaries and are excluded from pointwise scans.  The list is
+    complete up to ``singular_reach``: integrators and scans refuse a
+    window that ends beyond it.
+
+    Only an integrable divergence can be integrated across.  The poles
+    of the thermal rate f are simple poles, so ``integrate_profile``
+    raises :class:`ToleranceError` on a window that contains one (for
+    R = 10, a window to t = 2 fails on [0.8242, 0.8609]); across such
+    poles the model's closed form (``thermal_closed_form``) is the
+    authority.
 
     ``grid_rates``, when set, maps a 1-D ndarray of times to the
     (4, n) float array of (gamma1, gamma2, gamma3, omega) on them.  It
@@ -182,11 +205,17 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Accumulated generator coefficients at one time point.
+    """Accumulated generator coefficients at one time point, or on a grid.
 
     ``Gamma`` may be +inf (total loss of the population memory, x = 0 in
     the thermal model); all consumers go through exp(-Gamma) which is
     then exactly 0.
+
+    Every field is either a float or a 1-D ndarray over one time grid.
+    In the second form the set holds the whole grid, row i being the
+    coefficients at t[i]; the properties below, ``evolve_state``,
+    ``bloch_map``, ``cp_paper``, ``choi_spectrum`` and ``cp_choi`` then
+    work row by row on arrays.
     """
 
     t: float
@@ -198,17 +227,22 @@ class CoefficientSet:
     @property
     def decay(self) -> float:
         """exp(-Gamma), the population memory factor."""
-        return math.exp(-self.Gamma)
+        return _xp(self.Gamma).exp(-self.Gamma)
 
     @property
     def attenuation(self) -> float:
         """exp(-Gamma/2 - GammaTilde), the coherence damping factor."""
-        return math.exp(-0.5 * self.Gamma - self.GammaTilde)
+        return _xp(self.Gamma).exp(-0.5 * self.Gamma - self.GammaTilde)
 
     @property
     def kappa(self) -> complex:
         """Coherence multiplier exp(i Omega - Gamma/2 - GammaTilde)."""
         a = self.attenuation
+        if isinstance(a, np.ndarray):
+            kappa = np.empty(a.shape, dtype=complex)
+            kappa.real = a * np.cos(self.Omega)
+            kappa.imag = a * np.sin(self.Omega)
+            return kappa
         return complex(a * math.cos(self.Omega), a * math.sin(self.Omega))
 
     @classmethod
@@ -220,7 +254,9 @@ def _quad(func, a, b, cfg, points=None, **weight):
     """scipy adaptive Gauss-Kronrod wrapper that converts failures.
 
     ``points`` are interior singular locations; QUADPACK then never
-    samples them and extrapolates through the integrable divergence.
+    samples them and extrapolates through an integrable divergence.  A
+    non-integrable one, such as a simple pole of the thermal rate, fails
+    the error control and raises :class:`ToleranceError`.
     ``weight`` passes QUADPACK's ``weight`` and ``wvar`` through, for
     oscillatory integrands.
     """
@@ -361,17 +397,17 @@ def markovian_coefficients(
     Gamma = (gamma1+gamma2) t / 2, GammaTilde = gamma3 t, Omega = omega t
     and g = [gamma2/(gamma1+gamma2)] (1 - exp(-(gamma1+gamma2) t/2)).
     The gamma1 + gamma2 = 0 case is the removable limit g = gamma2 t / 2.
+    For an ndarray of times every field is an array over them.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    xp = _backend(t)
     if gamma1 + gamma2 < 0:
         raise ValueError("gamma1 + gamma2 must be non-negative")
-    a = 0.5 * (gamma1 + gamma2)
-    at = a * t
-    if at == 0.0:
+    at = 0.5 * (gamma1 + gamma2) * t
+    if gamma1 + gamma2 == 0.0:
         g = 0.5 * gamma2 * t
     else:
-        g = (gamma2 / (gamma1 + gamma2)) * (-math.expm1(-at))
+        # at t = 0 this is (gamma2/(gamma1+gamma2)) * 0 = gamma2 t / 2 as well
+        g = (gamma2 / (gamma1 + gamma2)) * (-xp.expm1(-at))
     return CoefficientSet(t=t, Gamma=at, GammaTilde=gamma3 * t, Omega=omega * t, g=g)
 
 

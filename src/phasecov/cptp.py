@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, RateProfile
+from .coeffs import CoefficientSet, RateProfile, _xp
 from .dynamics import AffineBlochMap, bloch_map
 
 __all__ = [
@@ -114,29 +114,33 @@ class CpConditions:
 
     @property
     def verdict(self) -> bool:
-        return self.holds_i and self.holds_ii and self.holds_iii and self.holds_iv
+        # & rather than `and`: margins may be arrays over a grid
+        return self.holds_i & self.holds_ii & self.holds_iii & self.holds_iv
 
 
 def cp_paper(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CpConditions:
     """Evaluate the inequality conditions i)-iv) with signed margins.
 
     When GammaTilde is exactly zero the simplified pure-damping recast of
-    condition iv) is reported as well.
+    condition iv) is reported as well.  On a coefficient grid the margins
+    and the verdict are arrays over it, and the recast is not reported.
     """
     if tol <= 0:
         raise ValueError("tol must be strictly positive")
+    xp = _xp(c.Omega)
+    lesser = min if xp is math else np.minimum
     pbar, qbar = _pq_bar(c)
     k2 = c.attenuation ** 2
-    sin2 = math.sin(c.Omega) ** 2
-    cos2 = math.cos(c.Omega) ** 2
+    sin2 = xp.sin(c.Omega) ** 2
+    cos2 = xp.cos(c.Omega) ** 2
     recast = None
-    if c.GammaTilde == 0.0:
+    if xp is math and c.GammaTilde == 0.0:
         decay = c.decay
         recast = decay * (1.0 - cos2) + qbar * (1.0 - pbar)
     return CpConditions(
         tol=tol,
-        margin_i=min(pbar, 1.0 - pbar),
-        margin_ii=min(qbar, 1.0 - qbar),
+        margin_i=lesser(pbar, 1.0 - pbar),
+        margin_ii=lesser(qbar, 1.0 - qbar),
         margin_iii=qbar * (1.0 - pbar) + k2 * sin2,
         margin_iv=pbar * (1.0 - qbar) - k2 * cos2,
         recast_iv=recast,
@@ -166,14 +170,15 @@ def choi_spectrum(m: AffineBlochMap | CoefficientSet) -> np.ndarray:
     """Closed-form Choi eigenvalues [1-pbar, qbar, pair+, pair-].
 
     The order is fixed; the four values always sum to 2 (the Choi
-    operator has trace 2 in this normalization).
+    operator has trace 2 in this normalization).  On a coefficient grid
+    the result has shape (4, n), one column per row of the grid.
     """
     m = _as_map(m)
     pbar = (1.0 + m.t3 + m.lambda3) / 2.0
     qbar = (1.0 + m.t3 - m.lambda3) / 2.0
     k2 = abs(m.kappa) ** 2
     half_sum = (pbar + 1.0 - qbar) / 2.0
-    half_disc = 0.5 * math.sqrt((pbar - 1.0 + qbar) ** 2 + 4.0 * k2)
+    half_disc = 0.5 * _xp(k2).sqrt((pbar - 1.0 + qbar) ** 2 + 4.0 * k2)
     return np.array([1.0 - pbar, qbar, half_sum + half_disc, half_sum - half_disc])
 
 
@@ -184,9 +189,13 @@ class ChoiResult:
 
 
 def cp_choi(m: AffineBlochMap | CoefficientSet, tol: float = DEFAULT_TOL) -> ChoiResult:
-    """Complete positivity from the Choi spectrum (CP iff min eig >= -tol)."""
-    eigs = choi_spectrum(m)
-    min_eig = float(eigs.min())
+    """Complete positivity from the Choi spectrum (CP iff min eig >= -tol).
+
+    On a coefficient grid both fields are arrays over it.
+    """
+    min_eig = choi_spectrum(m).min(axis=0)
+    if min_eig.ndim == 0:
+        min_eig = float(min_eig)
     return ChoiResult(is_cp=min_eig >= -tol, min_eigenvalue=min_eig)
 
 

@@ -50,7 +50,7 @@ class QubitState:
     def __post_init__(self):
         if not -_STATE_TOL <= self.P1 <= 1.0 + _STATE_TOL:
             raise ValueError(f"P1 = {self.P1} outside [0, 1]")
-        if abs(self.alpha) ** 2 > self.P1 * (1.0 - self.P1) + _STATE_TOL:
+        if not abs(self.alpha) ** 2 <= self.P1 * (1.0 - self.P1) + _STATE_TOL:
             raise ValueError("coherence violates |alpha|^2 <= P1 (1 - P1)")
 
     @property
@@ -105,11 +105,28 @@ class AffineBlochMap:
 
 
 def evolve_state(state: QubitState, c: CoefficientSet) -> QubitState:
-    """Apply the closed-form solution to a state."""
+    """Apply the closed-form solution to a state.
+
+    On a coefficient grid (a CoefficientSet of arrays) it returns the
+    arrays (P1, alpha) over the grid instead, and raises ValueError,
+    naming the time, at the first row whose state is not a QubitState.
+    """
     if not isinstance(state, QubitState):
         raise ValueError("state must be a QubitState")
-    decay = c.decay
-    return QubitState(P1=decay * state.P1 + c.g, alpha=state.alpha * c.kappa)
+    P1 = c.decay * state.P1 + c.g
+    alpha = state.alpha * c.kappa
+    if not isinstance(P1, np.ndarray):
+        return QubitState(P1=P1, alpha=alpha)
+    # the inequalities of QubitState, which then words the first failure
+    outside = ~((-_STATE_TOL <= P1) & (P1 <= 1.0 + _STATE_TOL)
+                & (np.abs(alpha) ** 2 <= P1 * (1.0 - P1) + _STATE_TOL))
+    if outside.any():
+        i = int(np.argmax(outside))
+        try:
+            QubitState(float(P1[i]), complex(alpha[i]))
+        except ValueError as exc:
+            raise ValueError(f"at t = {float(c.t[i])!r}: {exc}") from None
+    return P1, alpha
 
 
 def bloch_map(c: CoefficientSet) -> AffineBlochMap:

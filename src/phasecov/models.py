@@ -62,8 +62,8 @@ import numpy as np
 from scipy.special import exprel, poch
 from scipy.special import gamma as _gamma_fn
 
-from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _quad,
-                     _rate_rows, _zero)
+from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _backend,
+                     _quad, _rate_rows, _zero)
 
 __all__ = [
     "ThermalParams",
@@ -157,13 +157,12 @@ def amplitude_memory(R: float, tau: float) -> MemorySample:
 
     if disc > 0:
         d = math.sqrt(disc)
-        # 2 e^{-z} cosh z = 1 + e^{-2z} etc. keeps every exponent <= 0
-        e = math.exp(-d * tau)
-        c = 0.5 * (math.exp(-(1 - d) * tau / 2) * (1 + 1 / d)
-                   + math.exp(-(1 + d) * tau / 2) * (1 - 1 / d))
-        # (1 + 1/d) + e (1 - 1/d) = 1 + e + (1 - e)/d, with 1 - e from
+        # 2 e^{-z} cosh z = 1 + e^{-2z} etc. keeps every exponent <= 0,
+        # and (1 + 1/d) + e (1 - 1/d) = 1 + e + (1 - e)/d, with 1 - e from
         # expm1: no cancellation at small d tau nor at d -> 0
+        e = math.exp(-d * tau)
         em = -math.expm1(-d * tau)
+        c = 0.5 * math.exp(-(1 - d) * tau / 2) * (1 + e + em / d)
         f = (2 * R / d) * em / (1 + e + em / d)
         return MemorySample(tau=tau, c_ratio=c, x=c * c, f=f)
 
@@ -198,26 +197,31 @@ def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
     return tuple(zeros)
 
 
-def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:
-    """amplitude_memory(R, tau).f on an ndarray of times.
+def _memory_rate_on(R: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """amplitude_memory(R, tau).x and .f on an ndarray of times.
 
     The same branch, picked once for the whole grid, and the same
-    formulas as the scalar function, with f = +inf at the zeros of c.
+    formulas as the scalar function, with x = 0 and f = +inf at the
+    zeros of c.
     """
     disc = 1.0 - 2.0 * R
     if abs(disc) <= _DEGENERATE_BAND:
-        return (tau / 2) / (1.0 + tau / 2)
+        c = np.exp(-tau / 2) * (1.0 + tau / 2)
+        return c * c, (tau / 2) / (1.0 + tau / 2)
     if disc > 0:
         d = math.sqrt(disc)
         em = -np.expm1(-d * tau)
-        return (2 * R / d) * em / (1 + np.exp(-d * tau) + em / d)
+        bracket = 1 + np.exp(-d * tau) + em / d
+        c = 0.5 * np.exp(-(1 - d) * tau / 2) * bracket
+        return c * c, (2 * R / d) * em / bracket
     delta = math.sqrt(-disc)
     w = delta * tau / 2
     bracket = np.cos(w) + np.sin(w) / delta
+    zero = np.abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
+    c = np.exp(-tau / 2) * bracket
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (2 * R / delta) * np.sin(w) / bracket
-    return np.where(np.abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta),
-                    np.inf, f)
+    return np.where(zero, 0.0, c * c), np.where(zero, np.inf, f)
 
 
 def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
@@ -232,7 +236,7 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
         return amplitude_memory(p.R, t).f
 
     def grid_rates(t):
-        f = _memory_rate_on(p.R, t)
+        _, f = _memory_rate_on(p.R, t)
         # at N = 0, gamma1 is 0 also at the poles, where 0 * f is NaN
         return _rate_rows(t, 0.0 if p.N == 0 else 2.0 * p.N * f, 2.0 * (p.N + 1.0) * f)
 
@@ -253,16 +257,21 @@ def thermal_closed_form(p: ThermalParams, t: float) -> tuple[float, float]:
 
     Gamma = -(2N+1) ln x(t), reported as +inf where x = 0, and
     g = (N+1)/(2N+1) [1 - x^(2N+1)].  Valid for every R and t, also
-    across the singularities of the rates.
+    across the singularities of the rates.  For an ndarray of times both
+    are arrays over them.
     """
-    m = amplitude_memory(p.R, t)
     two_n1 = 2.0 * p.N + 1.0
     mu = (p.N + 1.0) / two_n1
+    if isinstance(t, np.ndarray):
+        _backend(t)
+        x, _ = _memory_rate_on(p.R, t)
+        with np.errstate(divide="ignore"):   # log(0) = -inf gives Gamma = +inf
+            return -two_n1 * np.log(x) + 0.0, mu * (1.0 - x ** two_n1)
+    m = amplitude_memory(p.R, t)
     if m.x <= 0.0:
         return math.inf, mu
-    xp = m.x ** two_n1
     # + 0.0 normalizes the -0.0 produced by log(1) at t = 0
-    return -two_n1 * math.log(m.x) + 0.0, mu * (1.0 - xp)
+    return -two_n1 * math.log(m.x) + 0.0, mu * (1.0 - m.x ** two_n1)
 
 
 def thermal_coefficients(p: ThermalParams, t: float) -> CoefficientSet:
@@ -383,32 +392,32 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
         GammaTilde = (2 a G(s-1)/w_c) [1 - (1+u^2)^(-(s-1)/2) cos((s-1) atan u)]
 
     with u = w_c t and the s -> 1 literature limit
-    (a/w_c) ln(1 + u^2).  Raises ValueError for T != 0.
+    (a/w_c) ln(1 + u^2).  For an ndarray of times both are arrays over
+    them.  Raises ValueError for T != 0.
     """
     if p.T != 0:
         raise ValueError("closed form is only valid at T = 0")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    xp = _backend(t)
     u = p.omega_c * t
-    theta = math.atan(u)
+    theta = math.atan(u) if xp is math else np.arctan(u)
     one_u2 = 1.0 + u * u
 
     if p.kernel == "paper":
         gs1 = _gamma_fn(p.s + 1.0)
         rate = (2.0 * p.alpha * gs1 * p.omega_c
-                * one_u2 ** (-(p.s + 1.0) / 2.0) * math.sin((p.s + 1.0) * theta))
+                * one_u2 ** (-(p.s + 1.0) / 2.0) * xp.sin((p.s + 1.0) * theta))
         tilde = (2.0 * p.alpha * gs1 / p.s) * (
-            1.0 - one_u2 ** (-p.s / 2.0) * math.cos(p.s * theta))
+            1.0 - one_u2 ** (-p.s / 2.0) * xp.cos(p.s * theta))
         return rate, tilde
 
     gs = _gamma_fn(p.s)
-    rate = 2.0 * p.alpha * gs * one_u2 ** (-p.s / 2.0) * math.sin(p.s * theta)
+    rate = 2.0 * p.alpha * gs * one_u2 ** (-p.s / 2.0) * xp.sin(p.s * theta)
     nu = p.s - 1.0
     if abs(nu) < 1e-9:
-        tilde = (p.alpha / p.omega_c) * math.log(one_u2)
+        tilde = (p.alpha / p.omega_c) * xp.log(one_u2)
     else:
         tilde = (2.0 * p.alpha * _gamma_fn(nu) / p.omega_c) * (
-            1.0 - one_u2 ** (-nu / 2.0) * math.cos(nu * theta))
+            1.0 - one_u2 ** (-nu / 2.0) * xp.cos(nu * theta))
     return rate, tilde
 
 
@@ -510,17 +519,6 @@ class OhmicSeries:
         return self._finish(direct, self._tail * t, lr, th)
 
 
-def _zero_temperature_rate_on(p: OhmicParams, t: np.ndarray) -> np.ndarray:
-    """gamma3 of ``ohmic_closed_form`` on an ndarray of times."""
-    u = p.omega_c * t
-    theta = np.arctan(u)
-    one_u2 = 1.0 + u * u
-    if p.kernel == "paper":
-        return (2.0 * p.alpha * _gamma_fn(p.s + 1.0) * p.omega_c
-                * one_u2 ** (-(p.s + 1.0) / 2.0) * np.sin((p.s + 1.0) * theta))
-    return 2.0 * p.alpha * _gamma_fn(p.s) * one_u2 ** (-p.s / 2.0) * np.sin(p.s * theta)
-
-
 def ohmic_profile(p: OhmicParams) -> RateProfile:
     """Pure-dephasing rate profile for the Ohmic model.
 
@@ -529,11 +527,10 @@ def ohmic_profile(p: OhmicParams) -> RateProfile:
     """
     if p.T == 0:
         gamma3 = lambda t: ohmic_closed_form(p, t)[0]
-        gamma3_on = lambda t: _zero_temperature_rate_on(p, t)
     else:
-        gamma3 = gamma3_on = OhmicSeries(p).rate
+        gamma3 = OhmicSeries(p).rate
     return RateProfile(gamma3=gamma3,
-                       grid_rates=lambda t: _rate_rows(t, gamma3=gamma3_on(t)))
+                       grid_rates=lambda t: _rate_rows(t, gamma3=gamma3(t)))
 
 
 def markov_rate_limit(R: float) -> float:

@@ -117,6 +117,27 @@ class TestCpCheck:
         assert "margin_i" not in rep["results"][0]
 
 
+    @pytest.mark.parametrize("method", ["paper", "choi", "both"])
+    @pytest.mark.parametrize("model_args,code", [
+        (["--model", "thermal", "--R", "10", "--N", "1", "--t-max", "6"], EXIT_OK),
+        (["--model", "constant", "--g3=-0.1", "--w", "0.7", "--t-max", "1"],
+         EXIT_VIOLATION),
+    ])
+    def test_report_has_the_json_dumps_layout(self, tmp_path, method, model_args, code):
+        out = tmp_path / "cp.json"
+        assert main(["cp-check", *model_args, "--method", method, "--steps", "25",
+                     "--out", str(out)]) == code
+        text = out.read_text()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+def test_json_cells_are_spelled_as_json_dumps_spells_them():
+    from phasecov.cli import _json_cells
+    values = np.array([0.1, -0.0, 1e-300, math.nan, math.inf, -math.inf])
+    assert _json_cells(values) == [json.dumps(v) for v in values.tolist()]
+    assert _json_cells(np.array([True, False])) == ["true", "false"]
+
+
 class TestRates:
     def test_weak_coupling_rates_nonnegative(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -243,6 +264,18 @@ class TestPlumbing:
                      "--steps", "7", "--out", str(out2)]) == EXIT_OK
         _, rows2 = _read_csv(out2)
         assert len(rows2) == 7
+
+    def test_config_defaults_do_not_leak_between_calls(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 4, "t_max": 2.0}))
+        plain = ["evolve", "--model", "thermal", "--out"]
+        for use_config in (False, True, False, True):
+            out = tmp_path / f"{use_config}.csv"
+            extra = ["--config", str(cfg)] if use_config else []
+            assert main([*plain, str(out), *extra]) == EXIT_OK
+            _, rows = _read_csv(out)
+            assert len(rows) == (4 if use_config else 200)
+            assert float(rows[-1][0]) == (2.0 if use_config else 10.0)
 
     def test_env_var_overrides_default_tolerance(self, tmp_path, monkeypatch):
         # a huge tolerance makes the clearly violating map pass

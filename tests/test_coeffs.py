@@ -127,11 +127,27 @@ def test_markovian_removable_singularity():
     assert m.Gamma == 0.0
 
 
+@pytest.mark.parametrize("gamma1,gamma2", [
+    (0.3, 0.7), (0.0, 1e-3), (2.0, -1.0), (-0.4, 0.4), (0.0, 0.0)])
+def test_markovian_coefficients_on_a_grid_equal_scalar_calls(gamma1, gamma2):
+    # (-0.4, 0.4) and (0, 0) are the removable limit gamma1 + gamma2 = 0
+    t = np.linspace(0.0, 50.0, 1001)
+    grid = markovian_coefficients(gamma1, gamma2, 0.2, -0.3, t)
+    fields = ("t", "Gamma", "GammaTilde", "Omega", "g")
+    scalar = np.array([[getattr(markovian_coefficients(gamma1, gamma2, 0.2, -0.3, x), f)
+                        for f in fields] for x in t.tolist()]).T
+    for name, column in zip(fields, scalar):
+        np.testing.assert_allclose(getattr(grid, name), column, rtol=1e-14, atol=0.0)
+    assert type(markovian_coefficients(gamma1, gamma2, 0.2, -0.3, 1.0).g) is float
+
+
 def test_markovian_argument_errors():
     with pytest.raises(ValueError):
         markovian_coefficients(0.1, 0.1, 0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
         markovian_coefficients(-1.0, 0.5, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        markovian_coefficients(0.1, 0.1, 0.0, 0.0, np.array([0.0, -1.0]))
 
 
 def test_weak_coupling_integrals():
@@ -208,6 +224,17 @@ def test_rates_on_equals_per_point_evaluation(tmp_path):
         np.testing.assert_array_equal(np.isfinite(grid), finite)
         np.testing.assert_array_equal(grid[~finite], points[~finite])
         np.testing.assert_allclose(grid[finite], points[finite], rtol=1e-14, atol=0.0)
+
+
+def test_tabulated_callables_equal_the_grid_form_bit_for_bit(tmp_path):
+    profile = _tabulated(tmp_path)
+    nodes = np.linspace(0.0, 12.0, 97)
+    # the nodes, points between them, and both ends and beyond
+    t = np.concatenate([nodes, np.linspace(0.0, 12.0, 1001), [-1.0, 13.0, 1e-300]])
+    grid = profile.rates_on(t)
+    fns = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
+    scalar = np.array([[fn(x) for x in t.tolist()] for fn in fns])
+    np.testing.assert_array_equal(scalar, grid)
 
 
 def test_rates_on_falls_back_to_the_callables():

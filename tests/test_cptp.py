@@ -132,6 +132,33 @@ def test_choi_cp_implies_paper_cp(c):
         assert cp_paper(c, tol=1e-9).verdict
 
 
+_grid_rows = st.lists(st.tuples(
+    st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),    # Gamma
+    st.floats(-5.0, 100.0),                                # GammaTilde
+    st.floats(-1e3, 1e3),                                  # Omega
+    st.floats(-3.0, 3.0),                                  # g
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_rows)
+def test_grid_checks_equal_scalar_checks_row_by_row(rows):
+    grid = CoefficientSet(*np.array([(float(i), *row) for i, row in enumerate(rows)]).T)
+    conds, choi = cp_paper(grid, tol=1e-9), cp_choi(grid, tol=1e-9)
+    margins = ("margin_i", "margin_ii", "margin_iii", "margin_iv")
+    for i, row in enumerate(rows):
+        c = _coeffs(*row, t=float(i))
+        one, one_choi = cp_paper(c, tol=1e-9), cp_choi(c, tol=1e-9)
+        # numpy's and libm's exp may differ in the last bit, which the
+        # margins carry at the scale of the terms they are made of
+        scale = 1e-14 * (1.0 + abs(c.g) + c.attenuation ** 2)
+        for name in margins:
+            assert abs(getattr(conds, name)[i] - getattr(one, name)) <= scale
+        assert abs(choi.min_eigenvalue[i] - one_choi.min_eigenvalue) <= scale
+        assert conds.verdict[i] == one.verdict
+        assert choi.is_cp[i] == one_choi.is_cp
+
+
 def test_sufficiency_positive_dephasing():
     # i), ii) plus GammaTilde >= 0 guarantee complete positivity
     for _ in range(10_000):

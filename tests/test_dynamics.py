@@ -58,6 +58,8 @@ class TestEvolveState:
         with pytest.raises(ValueError):
             QubitState(0.5, 0.9)
         with pytest.raises(ValueError):
+            QubitState(0.5, complex(math.nan, 0.0))
+        with pytest.raises(ValueError):
             evolve_state("not a state", CoefficientSet.identity())
 
     def test_phase_decouples_from_magnitude(self):
@@ -196,3 +198,27 @@ def test_state_bloch_round_trip():
     rho = s.density_matrix
     assert np.trace(rho) == pytest.approx(1.0)
     assert QubitState.from_density_matrix(rho) == s
+
+
+def test_evolve_state_on_a_grid_equals_scalar_calls():
+    sets = [_random_cp_coefficients(RNG) for _ in range(50)]
+    grid = CoefficientSet(*np.array([(float(i), c.Gamma, c.GammaTilde, c.Omega, c.g)
+                                     for i, c in enumerate(sets)]).T)
+    s0 = _random_state(RNG)
+    p1, alpha = evolve_state(s0, grid)
+    for i, c in enumerate(sets):
+        one = evolve_state(s0, c)
+        assert p1[i] == pytest.approx(one.P1, rel=1e-14, abs=1e-15)
+        assert alpha[i] == pytest.approx(one.alpha, rel=1e-14, abs=1e-15)
+
+
+def test_evolve_state_on_a_grid_names_the_first_time_outside():
+    # gamma1 = 2, gamma2 = -1 from P1(0) = 1: P1 = 2 exp(-t/2) - 1 < 0 after 2 ln 2
+    t = np.linspace(0.0, 10.0, 200)
+    grid = markovian_coefficients(2.0, -1.0, 0.0, 0.0, t)
+    first = float(t[np.argmax(2.0 * np.exp(-t / 2.0) - 1.0 < 0.0)])
+    with pytest.raises(ValueError, match=rf"^at t = {first!r}: P1 = .* outside \[0, 1\]"):
+        evolve_state(QubitState(1.0), grid)
+    # the coherence bound, from a state on the Bloch sphere
+    with pytest.raises(ValueError, match=r"^at t = .*: coherence violates"):
+        evolve_state(QubitState(0.5, 0.5), markovian_coefficients(2.0, -1.0, 0.0, 0.0, t))

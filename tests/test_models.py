@@ -156,6 +156,55 @@ class TestThermalClosedForm:
                     assert g + decay <= 1.0 + 1e-12
 
 
+def _assert_same_cells(array, scalar):
+    """Array results against per-point scalar calls.
+
+    The non-finite cells are the same and equal; the rest agree to rtol
+    1e-14.  Near x = 1, -ln x is accurate in absolute rather than
+    relative terms, so the last-bit difference between numpy's and
+    libm's exp needs the absolute floor of 1e-14.
+    """
+    finite = np.isfinite(scalar)
+    np.testing.assert_array_equal(np.isfinite(array), finite)
+    np.testing.assert_array_equal(array[~finite], scalar[~finite])
+    np.testing.assert_allclose(array[finite], scalar[finite], rtol=1e-14, atol=1e-14)
+
+
+class TestArrayClosedForms:
+    @pytest.mark.parametrize("R", [0.02, 0.25, 0.4999999, 0.5, 0.5000001, 2.0, 20.0])
+    @pytest.mark.parametrize("N", [0.0, 1.3])
+    def test_thermal_equals_scalar_calls(self, R, N):
+        p = ThermalParams(R=R, N=N)
+        # the listed poles are on the grid, where x = 0 and Gamma = +inf
+        zeros = thermal_zeros(R, 12.0)
+        t = np.union1d(np.linspace(0.0, 12.0, 1025), zeros)
+        gamma, g = thermal_closed_form(p, t)
+        scalar = np.array([thermal_closed_form(p, x) for x in t.tolist()]).T
+        _assert_same_cells(gamma, scalar[0])
+        _assert_same_cells(g, scalar[1])
+        assert np.isinf(gamma).any() == bool(zeros)
+        assert gamma[0] == 0.0 and math.copysign(1.0, gamma[0]) == 1.0
+        assert type(thermal_closed_form(p, 1.0)[0]) is float
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.0 + 1e-10, 2.0, 3.5])
+    def test_ohmic_equals_scalar_calls(self, kernel, s):
+        # s = 1 and 1 + 1e-10 take the literature kernel's ln(1 + u^2) limit
+        p = OhmicParams(alpha=0.1, s=s, omega_c=1.3, T=0.0, kernel=kernel)
+        t = np.linspace(0.0, 40.0, 1025)
+        rate, tilde = ohmic_closed_form(p, t)
+        scalar = np.array([ohmic_closed_form(p, x) for x in t.tolist()]).T
+        _assert_same_cells(rate, scalar[0])
+        _assert_same_cells(tilde, scalar[1])
+        assert not isinstance(ohmic_closed_form(p, 1.0)[1], np.ndarray)
+
+    def test_negative_time_in_an_array_is_refused(self):
+        with pytest.raises(ValueError):
+            thermal_closed_form(ThermalParams(R=0.25), np.array([0.0, -1e-3]))
+        with pytest.raises(ValueError):
+            ohmic_closed_form(OhmicParams(alpha=0.1, s=1.0), np.array([1.0, -1.0]))
+
+
 class TestOhmicRate:
     def test_zero_time(self):
         p = OhmicParams(alpha=0.2, s=2.0)
