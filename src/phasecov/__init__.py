@@ -11,7 +11,8 @@ integrator for cross-checks.
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile,
                      ToleranceError, combine_profiles, constant_profile,
                      integrate_profile, markovian_coefficients,
-                     segment_coefficients, weak_coupling_integrals)
+                     piecewise_linear_coefficients, segment_coefficients,
+                     weak_coupling_integrals)
 from .cptp import (ChoiResult, CpConditions, CpReport, ShortTimeReport,
                    choi_matrix, choi_spectrum, cp_choi, cp_paper, cp_report, pqwy,
                    short_time_check, weak_coupling_check)
@@ -41,7 +42,8 @@ __all__ = [
     "integrate_profile", "liouvillian", "markov_rate_limit",
     "markovian_coefficients", "negative_intervals", "ohmic_closed_form",
     "ohmic_gamma_tilde", "ohmic_profile", "ohmic_rate",
-    "segment_coefficients", "short_time_check", "thermal_closed_form",
+    "piecewise_linear_coefficients", "segment_coefficients", "short_time_check",
+    "thermal_closed_form",
     "thermal_coefficients", "thermal_profile", "thermal_zeros",
     "weak_coupling_check", "weak_coupling_integrals",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -32,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cptp, models, nonmarkov
-from .coeffs import (CoefficientSet, QuadratureConfig, ToleranceError,
-                     integrate_profile, markovian_coefficients)
+from .coeffs import (CoefficientSet, RateProfile, combine_profiles, constant_profile,
+                     markovian_coefficients, piecewise_linear_coefficients)
 from .dynamics import QubitState, evolve_state
 
 __all__ = ["main", "build_parser", "TOL_ENV_VAR"]
@@ -121,8 +122,6 @@ class RunConfig:
     p1_0: float = 1.0
     re_alpha_0: float = 0.0
     im_alpha_0: float = 0.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     tol: float = cptp.DEFAULT_TOL
     out: str = "-"
 
@@ -142,7 +141,6 @@ class RunConfig:
             if self.model in ("ohmic", "both"):
                 models.OhmicParams(self.alpha, self.s, self.omega_c,
                                    self.T, self.kernel)
-            QuadratureConfig(self.rel_tol, self.abs_tol)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -151,16 +149,12 @@ class RunConfig:
         return np.linspace(0.0, self.t_max, self.steps)
 
     @property
-    def quad_cfg(self) -> QuadratureConfig:
-        return QuadratureConfig(self.rel_tol, self.abs_tol)
-
-    @property
     def initial_state(self) -> QubitState:
         return QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
 
 
-def _tabulated_profile(cfg: RunConfig):
-    """Linear interpolation of a rates table that covers [0, t_max]."""
+def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and the (4, n) rates of a table that covers [0, t_max]."""
     try:
         data = np.loadtxt(cfg.rates_file, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -178,11 +172,17 @@ def _tabulated_profile(cfg: RunConfig):
     if not t[0] <= 0.0 < cfg.t_max <= t[-1]:
         raise UsageError(f"rates file covers t in [{t[0]!r}, {t[-1]!r}], "
                          f"which does not contain [0, t-max = {cfg.t_max!r}]")
+    return t, data[:, 1:].T
 
-    def interp(col):
+
+def _tabulated_profile(cfg: RunConfig) -> RateProfile:
+    """Linear interpolation of a rates table that covers [0, t_max]."""
+    t, rates = _rates_table(cfg)
+
+    def interp(values):
         # np.interp's formula on Python lists: one call costs a fifth of
         # np.interp's on a single point, and it runs inside the integrators
-        ts, vs = t.tolist(), data[:, col].tolist()
+        ts, vs = t.tolist(), values.tolist()
         last = len(ts) - 1
 
         def rate(x):
@@ -196,11 +196,8 @@ def _tabulated_profile(cfg: RunConfig):
             return (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + vs[j]
         return rate
 
-    from .coeffs import RateProfile
-    return RateProfile(gamma1=interp(1), gamma2=interp(2),
-                       gamma3=interp(3), omega=interp(4),
-                       grid_rates=lambda x: np.array(
-                           [np.interp(x, t, data[:, col]) for col in range(1, 5)]))
+    return RateProfile(*map(interp, rates), grid_rates=lambda x: np.array(
+        [np.interp(x, t, values) for values in rates]))
 
 
 def _profile_for(cfg: RunConfig):
@@ -213,12 +210,14 @@ def _profile_for(cfg: RunConfig):
         parts.append(models.ohmic_profile(
             models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel)))
     if cfg.model == "constant":
-        from .coeffs import constant_profile
         parts.append(constant_profile(cfg.g1, cfg.g2, cfg.g3, cfg.w))
     if cfg.model == "tabulated":
         parts.append(_tabulated_profile(cfg))
-    from .coeffs import combine_profiles
     return combine_profiles(*parts)
+
+
+# the largest x with a finite exp(x)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
@@ -227,17 +226,24 @@ def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
     The thermal part uses its closed form (exact also across rate
     singularities at R > 1/2); the Ohmic part uses the zero-T closed
     form or, at T > 0, the exact series; constant rates use the GKSL
-    expressions; tabulated rates are integrated numerically.
+    expressions; tabulated rates the exact piecewise-linear route.  A
+    generator whose coefficients cannot be represented is refused
+    (see ``_check_finite``).
     """
     times = cfg.times
-    if cfg.model == "constant":
-        return markovian_coefficients(cfg.g1, cfg.g2, cfg.g3, cfg.w, times)
-    if cfg.model == "tabulated":
-        # the grid starts at t = 0, where every coefficient vanishes
-        sets = integrate_profile(_tabulated_profile(cfg), times[1:], cfg.quad_cfg)
-        rows = [(0.0,) * 5] + [(c.t, c.Gamma, c.GammaTilde, c.Omega, c.g) for c in sets]
-        return CoefficientSet(*np.array(rows).T)
+    # an overflow leaves a non-finite coefficient, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.model == "constant":
+            c = markovian_coefficients(cfg.g1, cfg.g2, cfg.g3, cfg.w, times)
+        elif cfg.model == "tabulated":
+            c = piecewise_linear_coefficients(*_rates_table(cfg), times)
+        else:
+            c = _model_coefficients(cfg, times)
+    _check_finite(c)
+    return c
 
+
+def _model_coefficients(cfg: RunConfig, times: np.ndarray) -> CoefficientSet:
     zeros = np.zeros_like(times)
     gamma = tilde = g = zeros
     if cfg.model in ("thermal", "both"):
@@ -249,6 +255,28 @@ def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
         else:
             tilde = models.OhmicSeries(op).gamma_tilde(times)
     return CoefficientSet(t=times, Gamma=gamma, GammaTilde=tilde, Omega=zeros, g=g)
+
+
+def _check_finite(c: CoefficientSet) -> None:
+    """Refuse, at the first such time, a grid on which GammaTilde, Omega or
+    g is not finite, or exp(-Gamma) or exp(-Gamma/2 - GammaTilde)
+    overflows.  Gamma = +inf (total loss of the population memory, at
+    the zeros of the thermal model's c) is allowed."""
+    with np.errstate(invalid="ignore"):
+        checks = (
+            ("GammaTilde is not finite", ~np.isfinite(c.GammaTilde)),
+            ("Omega is not finite", ~np.isfinite(c.Omega)),
+            ("g is not finite", ~np.isfinite(c.g)),
+            ("exp(-Gamma) overflows", ~(-c.Gamma <= _LOG_MAX)),
+            ("exp(-Gamma/2 - GammaTilde) overflows",
+             ~(-0.5 * c.Gamma - c.GammaTilde <= _LOG_MAX)),
+        )
+    bad = np.logical_or.reduce([mask for _, mask in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = next(name for name, mask in checks if mask[i])
+        raise UsageError(f"the generator's coefficients cannot be represented: "
+                         f"{what} at t = {float(c.t[i])!r}")
 
 
 def _fmt(x: float) -> str:
@@ -419,10 +447,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> set[str]:
     add("--p1-0", type=float, default=1.0)
     add("--re-alpha-0", type=float, default=0.0)
     add("--im-alpha-0", type=float, default=0.0)
-    add("--rel-tol", type=float, default=1e-10,
-        help="relative tolerance of the quadrature of tabulated rates")
-    add("--abs-tol", type=float, default=1e-12,
-        help="absolute tolerance of the quadrature of tabulated rates")
     add("--tol", type=float, default=None,
         help=f"verdict tolerance (default {cptp.DEFAULT_TOL:g}, "
              f"override with {TOL_ENV_VAR})")
@@ -486,7 +510,7 @@ def _config_from_args(args) -> RunConfig:
         g1=args.g1, g2=args.g2, g3=args.g3, w=args.w,
         rates_file=args.rates_file, t_max=args.t_max, steps=args.steps,
         p1_0=args.p1_0, re_alpha_0=args.re_alpha_0, im_alpha_0=args.im_alpha_0,
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, tol=tol, out=args.out,
+        tol=tol, out=args.out,
     )
     cfg.validate()
     return cfg
@@ -515,9 +539,6 @@ def main(argv=None) -> int:
             return cmd_scan(cfg, args.param, values)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IOError as exc:

@@ -17,12 +17,24 @@ as Gamma is a few hundred; instead it solves the equivalent linear ODE
 
     dg/dt = gamma2/2 - [(gamma1 + gamma2)/2] g,   g(0) = 0,
 
-which is unconditionally stable.
+which is unconditionally stable.  ``integrate_profile`` and
+``segment_coefficients`` accumulate Gamma, GammaTilde and Omega by
+adaptive quadrature from grid time to grid time, then solve the g ODE
+in one DOP853 pass per singular-free segment, which reports every grid
+time through its dense output and restarts only at the profile's
+singular points.
+
+Rates that are linear between table nodes have coefficients in closed
+form up to one smooth integral per piece, which
+``piecewise_linear_coefficients`` evaluates without any quadrature
+routine or ODE solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +51,7 @@ __all__ = [
     "integrate_profile",
     "segment_coefficients",
     "markovian_coefficients",
+    "piecewise_linear_coefficients",
     "weak_coupling_integrals",
 ]
 
@@ -290,29 +303,70 @@ def _interior_points(sing, a, b):
     return pts or None
 
 
-def _advance_g(profile, a, b, g0, cfg):
-    """Propagate dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g from a to b."""
+def _g_pass(profile, start, times, cfg):
+    """g at each of the sorted times (all >= start), grown from g(start) = 0.
+
+    dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one DOP853
+    pass per singular-free segment: each pass reports the requested
+    times through ``t_eval`` (the solver's dense output) and the next
+    restarts at a singular point with the value reached there.
+    """
 
     def rhs(t, y):
         g1 = profile.gamma1(t)
         g2 = profile.gamma2(t)
         return [0.5 * g2 - 0.5 * (g1 + g2) * y[0]]
 
-    g = g0
-    cuts = [a] + (_interior_points(profile.singular_points, a, b) or []) + [b]
+    end = times[-1]
+    if end == start:
+        return [0.0] * len(times)
+    sing = sorted(profile.singular_points)
+    cuts = [start] + (_interior_points(sing, start, end) or []) + [end]
+    out = []
+    g = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
+        wanted = times[len(out):bisect_right(times, hi)]
+        # the pass always reports hi, the start of the next one
+        t_eval = wanted if wanted and wanted[-1] == hi else wanted + [hi]
         sol = solve_ivp(
             rhs,
             (lo, hi),
             [g],
             method="DOP853",
+            t_eval=t_eval,
             rtol=max(cfg.rel_tol * 1e-2, 1e-13),
             atol=max(cfg.abs_tol * 1e-2, 1e-15),
         )
         if not sol.success:
             raise ToleranceError("population ODE failed", (lo, hi))
-        g = float(sol.y[0, -1])
-    return g
+        values = sol.y[0].tolist()
+        out += values[:len(wanted)]
+        g = values[-1]
+    return out
+
+
+def _accumulate(profile, start, times, cfg):
+    """Coefficients from ``start`` to each of the sorted times, g from 0 at start.
+
+    Each quadrature reuses the integrals up to the previous time; the g
+    pass runs after them, so a pole that the quadrature cannot cross
+    raises its :class:`ToleranceError` before the ODE meets it.
+    """
+    sing = sorted(profile.singular_points)
+    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
+    rows = []
+    prev = start
+    gamma = tilde = omega = 0.0
+    for t in times:
+        if t > prev:
+            pts = _interior_points(sing, prev, t)
+            gamma += _quad(half_sum, prev, t, cfg, pts)
+            tilde += _quad(profile.gamma3, prev, t, cfg, pts)
+            omega += _quad(profile.omega, prev, t, cfg, pts)
+            prev = t
+        rows.append((t, gamma, tilde, omega))
+    return [CoefficientSet(*row, g=g)
+            for row, g in zip(rows, _g_pass(profile, start, times, cfg))]
 
 
 def _validate_times(times):
@@ -334,32 +388,17 @@ def integrate_profile(
     """Accumulate (Gamma, GammaTilde, Omega, g) along a sorted time grid.
 
     Each requested time reuses the integrals accumulated up to the
-    previous one, so a dense grid costs one pass.  Raises ValueError for
-    a non-monotone grid or one that ends beyond the profile's
-    ``singular_reach``, and :class:`ToleranceError` when the error
-    control cannot be met (for example across a non-integrable rate
-    divergence).
+    previous one, and g comes from one ODE pass per singular-free
+    segment of the grid, so a dense grid costs one pass.  Raises
+    ValueError for a non-monotone grid or one that ends beyond the
+    profile's ``singular_reach``, and :class:`ToleranceError` when the
+    error control cannot be met (for example across a non-integrable
+    rate divergence).
     """
     cfg = cfg or QuadratureConfig()
     ts = _validate_times(times)
     profile.check_reach(ts[-1])
-    sing = sorted(profile.singular_points)
-
-    out = []
-    prev = 0.0
-    gamma = tilde = omega = 0.0
-    g = 0.0
-    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
-    for t in ts:
-        if t > prev:
-            pts = _interior_points(sing, prev, t)
-            gamma += _quad(half_sum, prev, t, cfg, pts)
-            tilde += _quad(profile.gamma3, prev, t, cfg, pts)
-            omega += _quad(profile.omega, prev, t, cfg, pts)
-            g = _advance_g(profile, prev, t, g, cfg)
-            prev = t
-        out.append(CoefficientSet(t=t, Gamma=gamma, GammaTilde=tilde, Omega=omega, g=g))
-    return out
+    return _accumulate(profile, 0.0, ts, cfg)
 
 
 def segment_coefficients(
@@ -377,16 +416,7 @@ def segment_coefficients(
     if t_end < t_start or t_start < 0:
         raise ValueError("need 0 <= t_start <= t_end")
     profile.check_reach(t_end)
-    cfg = cfg or QuadratureConfig()
-    if t_end == t_start:
-        return CoefficientSet.identity(t_end)
-    pts = _interior_points(sorted(profile.singular_points), t_start, t_end)
-    gamma = _quad(lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s)),
-                  t_start, t_end, cfg, pts)
-    tilde = _quad(profile.gamma3, t_start, t_end, cfg, pts)
-    omega = _quad(profile.omega, t_start, t_end, cfg, pts)
-    g = _advance_g(profile, t_start, t_end, 0.0, cfg)
-    return CoefficientSet(t=t_end, Gamma=gamma, GammaTilde=tilde, Omega=omega, g=g)
+    return _accumulate(profile, t_start, [t_end], cfg or QuadratureConfig())[0]
 
 
 def markovian_coefficients(
@@ -409,6 +439,101 @@ def markovian_coefficients(
         # at t = 0 this is (gamma2/(gamma1+gamma2)) * 0 = gamma2 t / 2 as well
         g = (gamma2 / (gamma1 + gamma2)) * (-xp.expm1(-at))
     return CoefficientSet(t=t, Gamma=at, GammaTilde=gamma3 * t, Omega=omega * t, g=g)
+
+
+# Gauss-Legendre nodes per panel of the piecewise-linear route, and the
+# damping e^-50 = 2e-22 past which the route drops the rest of a piece
+_GL_NODES = 16
+_DAMPING_REACH = 50.0
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def piecewise_linear_coefficients(nodes, rates, times) -> CoefficientSet:
+    """Exact coefficients of rates that are linear between table nodes.
+
+    ``rates`` holds (gamma1, gamma2, gamma3, omega) at the ``nodes``,
+    shape (4, len(nodes)), interpolated as ``np.interp`` does; ``times``
+    is a strictly increasing grid from t >= 0.  Returns the
+    CoefficientSet of arrays over ``times``.  No quadrature routine is
+    called: on the union of the nodes, the grid and the zeros of
+    a = (gamma1 + gamma2)/2 every rate is linear, so
+
+    * Gamma, GammaTilde and Omega are cumulative trapezoid sums, exact
+      up to rounding;
+    * on each piece [t0, t1], g(t1) = g(t0) e^-(Gamma(t1) - Gamma(t0))
+      + int_t0^t1 e^-D(s) gamma2(s)/2 ds with D(s) = int_s^t1 a, a
+      quadratic in s known exactly.  The integral is a 16-node
+      Gauss-Legendre sum over panels across which D moves by at most 1,
+      so that the rule is at roundoff.  Since a keeps its sign, the
+      damping e^-D is largest at one end of the piece; where it has
+      fallen below e^-50 of that, the rest of the piece is left out, so
+      that a stiff piece costs at most 101 panels.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    t = np.asarray(_validate_times(times))
+    inner = nodes[(nodes > 0.0) & (nodes < t[-1])]
+    u = np.union1d(np.append(t, 0.0), inner)
+    a = 0.5 * (np.interp(u, nodes, rates[0]) + np.interp(u, nodes, rates[1]))
+    # split at the zeros of a, so that a keeps one sign on every piece
+    cross = np.flatnonzero(a[:-1] * a[1:] < 0.0)
+    u = np.union1d(u, u[cross] + (u[cross + 1] - u[cross]) * a[cross]
+                   / (a[cross] - a[cross + 1]))
+    gamma1, gamma2, gamma3, omega = (np.interp(u, nodes, col) for col in rates)
+    a = 0.5 * (gamma1 + gamma2)
+    h = np.diff(u)
+
+    def cumulative(r):
+        return np.concatenate([[0.0], np.cumsum(0.5 * h * (r[:-1] + r[1:]))])
+
+    big_gamma = cumulative(a)
+    rise = np.diff(big_gamma)
+    # each piece in the fraction rho of its length h from its dominant
+    # end, t1 where a >= 0 and t0 where a <= 0: there |a| h = E + (F - E) rho,
+    # gamma2/2 = B + (B_far - B) rho, and the damping from that end is
+    # exp(-(E rho + (F - E) rho^2/2))
+    grows = a[:-1] + a[1:] < 0.0
+    E = np.abs(np.where(grows, a[:-1], a[1:])) * h
+    F = np.abs(np.where(grows, a[1:], a[:-1])) * h
+    B = 0.5 * np.where(grows, gamma2[:-1], gamma2[1:])
+    B_far = 0.5 * np.where(grows, gamma2[1:], gamma2[:-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # rho up to phi, where the damping reaches e^-_DAMPING_REACH; the
+        # root of E phi + (F - E) phi^2/2 = L is taken in units of
+        # S >= L, so that nothing overflows
+        L = _DAMPING_REACH
+        S = np.maximum(np.maximum(E, F), L)
+        phi = (2.0 * L / S) / (E / S + np.sqrt(np.maximum(
+            (E / S) ** 2 + 2.0 * ((F - E) / S) * (L / S), 0.0)))
+        phi = np.where(np.abs(rise) <= L, 1.0, np.minimum(phi, 1.0))
+        # panels on which |a| h rho moves by at most 1: at most 2 L + 1
+        count = np.ceil(np.maximum(E, E + (F - E) * phi) * phi)
+        decay = np.exp(-rise).tolist()
+    # a non-finite count (E or F overflowed) leaves one panel of NaN
+    panels = np.where(np.isfinite(count), np.maximum(count, 1.0), 1.0).astype(int)
+    piece = np.repeat(np.arange(h.size), panels)
+    width = (phi / panels)[piece]
+    x, w = _gauss_legendre()
+    first = np.cumsum(panels) - panels
+    rho = width[:, None] * ((np.arange(piece.size) - first[piece])[:, None] + x)
+    damp = np.exp(-rho * (E[piece, None] + 0.5 * (F - E)[piece, None] * rho))
+    density = damp * (B[piece, None] + (B_far - B)[piece, None] * rho)
+    gain = h * np.bincount(piece, weights=width * (density @ w), minlength=h.size)
+    g = [0.0]
+    for d, q, up in zip(decay, gain.tolist(), grows.tolist()):
+        # g(t1) = g(t0) e^-rise + int e^-D gamma2/2; where a <= 0 the
+        # factor e^-rise is taken out of the integral, whose damping then
+        # stays at most 1
+        g.append((g[-1] + q) * d if up else g[-1] * d + q)
+    at = np.searchsorted(u, t)
+    return CoefficientSet(t=t, Gamma=big_gamma[at], GammaTilde=cumulative(gamma3)[at],
+                          Omega=cumulative(omega)[at], g=np.array(g)[at])
 
 
 def weak_coupling_integrals(

@@ -2,7 +2,7 @@
 
 Integrates
 
-    drho/dt = -i w(t) [sigma_z, rho]
+    drho/dt = i w(t)/2 [sigma_z, rho]
               + gamma1(t)/2 (S+ rho S- - {S- S+, rho}/2)
               + gamma2(t)/2 (S- rho S+ - {S+ S-, rho}/2)
               + gamma3(t)/2 (sigma_z rho sigma_z - rho)
@@ -10,19 +10,29 @@ Integrates
 in the basis where the ground state |1> comes first, with the inversion
 operators S+ = |2><1| (heating pumps ground to excited) and
 S- = |1><2| (dissipation relaxes excited to ground), and
-sigma_z = |1><1| - |2><2| so that <sigma_z> = 2 P1 - 1.  This route
+sigma_z = |1><1| - |2><2| so that <sigma_z> = 2 P1 - 1.  The first term
+is -i [H, rho] with H = -(w/2) sigma_z, which puts the excited state w
+above the ground state; the coherence alpha = <1|rho|2> then turns as
+exp(i Omega), Omega = int w, the phase of the closed form.  This route
 never touches the closed-form solution and serves as its independent
 check.
 
-The state is advanced in the three real parameters (P1, Re alpha,
+The state is advanced in the three real parameters y = (P1, Re alpha,
 Im alpha); the trace and Hermiticity are therefore preserved
-structurally, not up to solver error.  Profiles with a rate singularity
-inside the integration window are refused: the generator diverges there
-even though the map stays finite, and the closed-form route is the
-authority across such points.
+structurally, not up to solver error.  In these parameters each term of
+the generator is affine, rate_k(t) (A_k y + c_k).  A_k and c_k are
+found once, by applying the dissipators and the commutator to the basis
+states (superoperator form: Breuer and Petruccione, *The Theory of Open
+Quantum Systems*, 2002), and the right-hand side is their rate-weighted
+sum in float arithmetic; ``liouvillian`` stays as the 2x2 form.
+Profiles with a rate singularity inside the integration window are
+refused: the generator diverges there even though the map stays finite,
+and the closed-form route is the authority across such points.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -69,15 +79,48 @@ def _dissipator(jump: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return jump @ rho @ jd - 0.5 * anticom
 
 
+# the generator's terms in the order of profile.rates: gamma1, gamma2,
+# gamma3, omega, each as the superoperator it multiplies
+_TERMS = (
+    lambda rho: 0.5 * _dissipator(SIGMA_PLUS, rho),
+    lambda rho: 0.5 * _dissipator(SIGMA_MINUS, rho),
+    lambda rho: 0.5 * (SIGMA_Z @ rho @ SIGMA_Z - rho),
+    lambda rho: 0.5j * (SIGMA_Z @ rho - rho @ SIGMA_Z),
+)
+
+
 def liouvillian(profile: RateProfile, t: float, rho) -> np.ndarray:
     """Right-hand side of the master equation at time t."""
     rho = np.asarray(rho, dtype=complex)
-    g1, g2, g3, w = profile.rates(t)
-    out = -1j * w * (SIGMA_Z @ rho - rho @ SIGMA_Z)
-    out = out + 0.5 * g1 * _dissipator(SIGMA_PLUS, rho)
-    out = out + 0.5 * g2 * _dissipator(SIGMA_MINUS, rho)
-    out = out + 0.5 * g3 * (SIGMA_Z @ rho @ SIGMA_Z - rho)
-    return out
+    return sum(r * term(rho) for r, term in zip(profile.rates(t), _TERMS))
+
+
+@functools.cache
+def _affine_terms() -> tuple:
+    """The nonzero entries of the affine generator on y = (P1, Re alpha, Im alpha).
+
+    For each component i of dy/dt, a tuple of (k, j, a) meaning
+    rate_k * a * y_j, where j = 3 stands for the constant 1.  Found by
+    applying each term of ``_TERMS`` to the state at y = 0, which gives
+    c_k, and to the basis directions of P1, Re alpha and Im alpha, which
+    give the columns of A_k.
+    """
+    base = _unpack(np.zeros(3))
+    rows = ([], [], [])
+    for k, term in enumerate(_TERMS):
+        const = _pack(term(base))
+        for j in range(4):
+            col = const if j == 3 else _pack(term(_unpack(np.eye(3)[j]))) - const
+            for i, a in enumerate(col.tolist()):
+                if a != 0.0:
+                    rows[i].append((k, j, a))
+    return tuple(map(tuple, rows))
+
+
+def _drift(rates, y) -> list[float]:
+    """dy/dt = sum_k rate_k (A_k y + c_k) for y = (P1, Re alpha, Im alpha)."""
+    z = (y[0], y[1], y[2], 1.0)
+    return [sum(rates[k] * a * z[j] for k, j, a in row) for row in _affine_terms()]
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:
@@ -136,8 +179,7 @@ def integrate_me(
         return np.array([rho0.copy() for _ in t_eval])
 
     def rhs(t, y):
-        drho = liouvillian(profile, t, _unpack(y))
-        return [drho[0, 0].real, drho[0, 1].real, drho[0, 1].imag]
+        return _drift(profile.rates(t), y.tolist())
 
     sol = solve_ivp(
         rhs,

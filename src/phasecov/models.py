@@ -55,6 +55,7 @@ the combined dynamics non-Markovian at weak dissipative coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +64,7 @@ from scipy.special import exprel, poch
 from scipy.special import gamma as _gamma_fn
 
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _backend,
-                     _quad, _rate_rows, _zero)
+                     _quad, _rate_rows, _xp, _zero)
 
 __all__ = [
     "ThermalParams",
@@ -197,31 +198,92 @@ def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
     return tuple(zeros)
 
 
-def _memory_rate_on(R: float, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """amplitude_memory(R, tau).x and .f on an ndarray of times.
+def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:
+    """amplitude_memory(R, tau).f on an ndarray of times.
 
     The same branch, picked once for the whole grid, and the same
-    formulas as the scalar function, with x = 0 and f = +inf at the
-    zeros of c.
+    formulas as the scalar function, with f = +inf at the zeros of c.
     """
     disc = 1.0 - 2.0 * R
     if abs(disc) <= _DEGENERATE_BAND:
-        c = np.exp(-tau / 2) * (1.0 + tau / 2)
-        return c * c, (tau / 2) / (1.0 + tau / 2)
+        return (tau / 2) / (1.0 + tau / 2)
     if disc > 0:
         d = math.sqrt(disc)
         em = -np.expm1(-d * tau)
-        bracket = 1 + np.exp(-d * tau) + em / d
-        c = 0.5 * np.exp(-(1 - d) * tau / 2) * bracket
-        return c * c, (2 * R / d) * em / bracket
+        return (2 * R / d) * em / (1 + np.exp(-d * tau) + em / d)
     delta = math.sqrt(-disc)
     w = delta * tau / 2
     bracket = np.cos(w) + np.sin(w) / delta
     zero = np.abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
-    c = np.exp(-tau / 2) * bracket
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (2 * R / delta) * np.sin(w) / bracket
-    return np.where(zero, 0.0, c * c), np.where(zero, np.inf, f)
+    return np.where(zero, np.inf, f)
+
+
+# Taylor coefficients of c(tau) kept; where the series is used, the
+# first neglected term is below 1e-20 of the sum
+_SERIES_ORDER = 26
+
+
+@functools.lru_cache(maxsize=64)
+def _memory_series(R: float) -> tuple[tuple[float, ...], float]:
+    """Taylor coefficients a_2 ... a_K of c(tau) - 1, highest first, and
+    the largest tau at which ``_log_memory`` uses them.
+
+    c solves c'' + c' + (R/2) c = 0 with c(0) = 1 and c'(0) = 0, so
+    a_(n+2) = -[(n+1) a_(n+1) + (R/2) a_n] / ((n+1)(n+2)).  The roots of
+    the characteristic polynomial have modulus at most max(1, sqrt(R/2)),
+    so up to tau = 1/max(1, sqrt(R/2)) the terms fall like 1/n!.
+    """
+    a = [1.0, 0.0]
+    for n in range(_SERIES_ORDER - 2):
+        a.append(-((n + 1) * a[n + 1] + 0.5 * R * a[n]) / ((n + 1) * (n + 2)))
+    return tuple(reversed(a[2:])), 1.0 / max(1.0, math.sqrt(0.5 * R))
+
+
+def _log_memory(R: float, tau):
+    """ln |c(tau)/c(0)| for a float or an ndarray of times, -inf at the zeros of c.
+
+    The closed forms add terms of order tau into a sum of order R tau^2,
+    which costs about 6 eps/tau of relative accuracy at small tau; there
+    c - 1 comes from its Taylor series (``_memory_series``) and
+    ln c = log1p(c - 1) is good to a few ulps.  Past that, the closed
+    forms keep the cancellation-free parts in log1p:
+
+        R < 1/2:  -k tau + log1p(k em / d),  k = (1 - d)/2 = R/(1 + d),
+                  em = 1 - e^(-d tau)
+        R = 1/2:  -tau/2 + log1p(tau/2)
+        R > 1/2:  -tau/2 + ln |cos w + sin w / delta|,  w = delta tau/2
+    """
+    coeffs, series_reach = _memory_series(R)
+    xp = _xp(tau)
+    if xp is math and tau <= series_reach:
+        acc = 0.0
+        for a in coeffs:
+            acc = acc * tau + a
+        return math.log1p(tau * tau * acc)
+    disc = 1.0 - 2.0 * R
+    if abs(disc) <= _DEGENERATE_BAND:
+        out = -tau / 2 + xp.log1p(tau / 2)
+    elif disc > 0:
+        d = math.sqrt(disc)
+        k = R / (1.0 + d)   # (1 - d)/2 without the cancellation at small R
+        out = -k * tau + xp.log1p(-xp.expm1(-d * tau) * k / d)
+    else:
+        delta = math.sqrt(-disc)
+        bracket = xp.cos(delta * tau / 2) + xp.sin(delta * tau / 2) / delta
+        zero = abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
+        if xp is math:
+            return -math.inf if zero else -tau / 2 + math.log(abs(bracket))
+        with np.errstate(divide="ignore"):
+            out = np.where(zero, -np.inf, -tau / 2 + np.log(np.abs(bracket)))
+    if xp is np:
+        small = tau <= series_reach
+        x = tau[small]
+        # one matrix product in place of a Horner loop of array operations
+        powers = x[:, None] ** np.arange(len(coeffs))[::-1]
+        out[small] = np.log1p(x * x * (powers @ coeffs))
+    return out
 
 
 def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
@@ -236,7 +298,7 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
         return amplitude_memory(p.R, t).f
 
     def grid_rates(t):
-        _, f = _memory_rate_on(p.R, t)
+        f = _memory_rate_on(p.R, t)
         # at N = 0, gamma1 is 0 also at the poles, where 0 * f is NaN
         return _rate_rows(t, 0.0 if p.N == 0 else 2.0 * p.N * f, 2.0 * (p.N + 1.0) * f)
 
@@ -255,23 +317,18 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
 def thermal_closed_form(p: ThermalParams, t: float) -> tuple[float, float]:
     """(Gamma, g) of the thermal model in closed form.
 
-    Gamma = -(2N+1) ln x(t), reported as +inf where x = 0, and
-    g = (N+1)/(2N+1) [1 - x^(2N+1)].  Valid for every R and t, also
-    across the singularities of the rates.  For an ndarray of times both
+    Gamma = -(2N+1) ln x(t) = -2 (2N+1) ln |c(t)/c(0)|, reported as +inf
+    where x = 0, and g = (N+1)/(2N+1) [1 - x^(2N+1)], computed as
+    -(N+1)/(2N+1) expm1(-Gamma).  Valid for every R and t, also across
+    the singularities of the rates, and accurate to a few ulps relative
+    also as t -> 0 (see ``_log_memory``).  For an ndarray of times both
     are arrays over them.
     """
+    xp = _backend(t)
     two_n1 = 2.0 * p.N + 1.0
-    mu = (p.N + 1.0) / two_n1
-    if isinstance(t, np.ndarray):
-        _backend(t)
-        x, _ = _memory_rate_on(p.R, t)
-        with np.errstate(divide="ignore"):   # log(0) = -inf gives Gamma = +inf
-            return -two_n1 * np.log(x) + 0.0, mu * (1.0 - x ** two_n1)
-    m = amplitude_memory(p.R, t)
-    if m.x <= 0.0:
-        return math.inf, mu
-    # + 0.0 normalizes the -0.0 produced by log(1) at t = 0
-    return -two_n1 * math.log(m.x) + 0.0, mu * (1.0 - m.x ** two_n1)
+    # + 0.0 normalizes the -0.0 produced by log1p(0) at t = 0
+    gamma = -2.0 * two_n1 * _log_memory(p.R, t) + 0.0
+    return gamma, -((p.N + 1.0) / two_n1) * xp.expm1(-gamma)
 
 
 def thermal_coefficients(p: ThermalParams, t: float) -> CoefficientSet:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phasecov import coeffs
 from phasecov.cli import (EVOLVE_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VIOLATION, RATES_HEADER, SCAN_HEADER,
                           TOL_ENV_VAR, main)
@@ -105,6 +106,24 @@ class TestCpCheck:
         assert first["paper_verdict"] and first["margin_i"] == 0.0
         assert first["margin_iv"] == 0.0
         assert rep["summary"]["first_violation_t"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("command", ["cp-check", "evolve"])
+    @pytest.mark.parametrize("rate,first_bad,what", [
+        # GammaTilde = -100 t: exp(-GammaTilde) overflows past t = 7.0978
+        ("--g3=-100", 7.0978, "exp(-Gamma/2 - GammaTilde) overflows"),
+        # Omega = 1e308 t overflows past t = 1.7977
+        ("--w=1e308", 1.7977, "Omega is not finite"),
+    ], ids=["GammaTilde", "Omega"])
+    def test_overflowing_generator_is_refused(self, tmp_path, capsys, command,
+                                              rate, first_bad, what):
+        out = tmp_path / "out"
+        t = np.linspace(0.0, 10.0, 200)
+        first = float(t[np.argmax(t > first_bad)])
+        assert main([command, "--model", "constant", rate, "--t-max", "10",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{what} at t = {first!r}" in err
+        assert not out.exists()
 
     def test_method_selection(self, tmp_path):
         out = tmp_path / "cp.json"
@@ -311,6 +330,25 @@ class TestPlumbing:
             err = capsys.readouterr().err
             assert err.startswith("error:") and message in err
             assert not out.exists()
+
+    def test_tabulated_model_calls_no_integrator(self, tmp_path, monkeypatch):
+        # the piecewise-linear route is exact: no quadrature, no ODE
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrator called")
+
+        monkeypatch.setattr(coeffs, "quad", refuse)
+        monkeypatch.setattr(coeffs, "solve_ivp", refuse)
+        t = np.linspace(0.0, 4.0, 41)
+        table = np.column_stack([t, 0.1 * t, 0.5 + 0.0 * t, np.cos(t), 0.2 + 0.0 * t])
+        path = tmp_path / "rates.csv"
+        np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
+        for command in ("evolve", "cp-check"):
+            assert main([command, "--model", "tabulated", "--rates-file", str(path),
+                         "--t-max", "3.3", "--out", str(tmp_path / command)]) \
+                in (EXIT_OK, EXIT_VIOLATION)
+        _, rows = _read_csv(tmp_path / "evolve")
+        # Omega = 0.2 t, exact
+        np.testing.assert_allclose(_col(rows, 6), 0.2 * _col(rows, 0), rtol=1e-14)
 
     def test_tabulated_model_round_trip(self, tmp_path):
         table = tmp_path / "rates.csv"

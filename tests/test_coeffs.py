@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
-                      ThermalParams, ToleranceError, combine_profiles,
+                      ThermalParams, ToleranceError, coeffs, combine_profiles,
                       constant_profile, integrate_profile, markovian_coefficients,
-                      segment_coefficients, thermal_closed_form,
-                      thermal_profile, weak_coupling_integrals)
+                      piecewise_linear_coefficients, segment_coefficients,
+                      thermal_closed_form, thermal_profile, weak_coupling_integrals)
 from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
 from phasecov.models import OhmicParams, ohmic_closed_form, ohmic_profile
 
@@ -267,3 +267,122 @@ def test_window_beyond_the_singular_reach_is_refused():
     both = combine_profiles(prof, thermal_profile(ThermalParams(R=0.25)))
     assert both.singular_reach == 0.5
     assert thermal_profile(ThermalParams(R=0.25), t_max=0.5).singular_reach == math.inf
+
+
+def test_g_pass_restarts_only_at_singular_points(monkeypatch):
+    # gamma2 jumps from 0.4 to 1.2 at t = 1, listed as a singular point:
+    # Gamma = 0.2 t, then 0.2 + 0.6 (t - 1), and g = 1 - exp(-Gamma)
+    prof = RateProfile(gamma2=lambda t: 0.4 if t < 1.0 else 1.2, singular_points=(1.0,))
+    spans = []
+
+    def recording(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(coeffs, "solve_ivp", recording)
+
+    def big_gamma(t):
+        return 0.2 * t if t <= 1.0 else 0.2 + 0.6 * (t - 1.0)
+
+    # the cut between two grid times, and on one
+    for times in ([0.5, 1.5, 2.0, 2.5, 3.0], [0.0, 0.5, 1.0, 2.0]):
+        spans.clear()
+        for c in integrate_profile(prof, times):
+            assert c.Gamma == pytest.approx(big_gamma(c.t), rel=1e-12, abs=1e-15)
+            assert c.g == pytest.approx(-math.expm1(-big_gamma(c.t)),
+                                        rel=1e-10, abs=1e-15)
+        # one ODE pass per singular-free segment, however many grid times
+        assert spans == [(0.0, 1.0), (1.0, times[-1])]
+    spans.clear()
+    seg = segment_coefficients(prof, 0.5, 2.0)
+    expected = -math.expm1(big_gamma(0.5) - big_gamma(2.0))
+    assert seg.g == pytest.approx(expected, rel=1e-10)
+    assert spans == [(0.5, 1.0), (1.0, 2.0)]
+
+
+def _random_table(seed, nodes=41, t_end=10.0, lo=-0.6, hi=2.0):
+    """Sorted random nodes on [0, t_end] and random rates, some negative."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(np.concatenate([[0.0, t_end], rng.uniform(0.0, t_end, nodes - 2)]))
+    return t, rng.uniform(lo, hi, (4, nodes))
+
+
+def _interpolating_profile(nodes, rates):
+    return RateProfile(*(lambda x, v=v: float(np.interp(x, nodes, v)) for v in rates))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_piecewise_linear_route_matches_quadrature_on_the_nodes(seed):
+    nodes, rates = _random_table(seed)
+    exact = piecewise_linear_coefficients(nodes, rates, nodes)
+    # on a grid of the nodes every quadrature panel sees a linear integrand
+    quad_route = integrate_profile(_interpolating_profile(nodes, rates), nodes[1:])
+    for name, tol in (("Gamma", 1e-12), ("GammaTilde", 1e-12), ("Omega", 1e-12),
+                      ("g", 1e-8)):
+        ref = np.array([0.0] + [getattr(c, name) for c in quad_route])
+        np.testing.assert_allclose(getattr(exact, name), ref, rtol=0.0, atol=tol)
+    np.testing.assert_array_equal(exact.t, nodes)
+
+
+def test_piecewise_linear_g_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        _check_g_against_mpmath(mpmath)
+
+
+def _check_g_against_mpmath(mpmath):
+    nodes, rates = _random_table(7)
+    ts = [mpmath.mpf(float(x)) for x in nodes]
+    a = [(mpmath.mpf(g1) + g2) / 2
+         for g1, g2 in zip(rates[0].tolist(), rates[1].tolist())]
+    b = [mpmath.mpf(g2) / 2 for g2 in rates[1].tolist()]
+    # Gamma at the nodes, then exactly quadratic on each piece
+    at_node = [mpmath.mpf(0)]
+    for i in range(len(ts) - 1):
+        at_node.append(at_node[-1] + (ts[i + 1] - ts[i]) * (a[i] + a[i + 1]) / 2)
+
+    def on_piece(values, i, s):
+        lam = (s - ts[i]) / (ts[i + 1] - ts[i])
+        return values[i] + (values[i + 1] - values[i]) * lam
+
+    def gamma_at(i, s):
+        return at_node[i] + (s - ts[i]) * (a[i] + on_piece(a, i, s)) / 2
+
+    times = np.array([0.0, 0.37, 2.5, 6.1, 10.0])
+    got = piecewise_linear_coefficients(nodes, rates, times).g
+    for t, g in zip(times[1:].tolist(), got[1:].tolist()):
+        end = mpmath.mpf(t)
+        last = max(i for i in range(len(ts) - 1) if ts[i] < end)
+        total = gamma_at(last, end)
+        ref = mpmath.fsum(
+            mpmath.quad(lambda s, i=i: mpmath.exp(gamma_at(i, s) - total)
+                        * on_piece(b, i, s), [ts[i], min(ts[i + 1], end)])
+            for i in range(last + 1))
+        assert abs(g - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
+
+
+@pytest.mark.parametrize("gamma2", [1e4, 1e12])
+def test_piecewise_linear_route_on_a_stiff_table(gamma2):
+    nodes = np.linspace(0.0, 10.0, 11)
+    rates = np.zeros((4, 11))
+    rates[1] = gamma2
+    t = np.linspace(0.0, 10.0, 201)
+    c = piecewise_linear_coefficients(nodes, rates, t)
+    np.testing.assert_allclose(c.g, -np.expm1(-0.5 * gamma2 * t), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(c.Gamma, 0.5 * gamma2 * t, rtol=1e-14)
+
+
+def test_piecewise_linear_route_between_and_beyond_the_nodes():
+    # a grid that starts after 0, ends between two nodes and misses most
+    # of them; a table that starts before 0
+    nodes, rates = _random_table(4, nodes=21, t_end=6.0)
+    nodes = nodes - 1.0
+    times = np.array([0.25, 1.0, 3.3, 4.9])
+    got = piecewise_linear_coefficients(nodes, rates, times)
+    fine = np.union1d(np.linspace(0.0, 4.9, 50), nodes[(nodes > 0) & (nodes < 4.9)])
+    fine = np.union1d(fine, times)
+    ref = piecewise_linear_coefficients(nodes, rates, fine)
+    at = np.searchsorted(fine, times)
+    for name in ("Gamma", "GammaTilde", "Omega", "g"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name)[at],
+                                   rtol=1e-13, atol=1e-15)

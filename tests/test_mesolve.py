@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from phasecov import (IntegrationError, OhmicParams, QubitState, RateProfile,
                       ThermalParams, combine_profiles, constant_profile,
                       evolve_state, integrate_me, integrate_profile, liouvillian,
                       ohmic_profile, thermal_profile)
-from phasecov.mesolve import validate_density_matrix
+from phasecov.mesolve import _drift, _pack, _unpack, validate_density_matrix
 
 RHO0 = QubitState(0.3, 0.2 - 0.1j).density_matrix
 
@@ -87,6 +88,8 @@ def test_frequency_shift_changes_phase_not_magnitude():
     assert abs(out_w[0, 1]) == pytest.approx(abs(out_0[0, 1]), rel=1e-8)
     assert out_w[0, 0].real == pytest.approx(out_0[0, 0].real, abs=1e-10)
     assert abs(out_w[0, 1] - out_0[0, 1]) > 1e-3  # the phase did move
+    # by Omega = 1.3 t, as in the closed form alpha(0) exp(i Omega - ...)
+    assert out_w[0, 1] == pytest.approx(out_0[0, 1] * cmath.exp(1.3j * 2.0), abs=1e-9)
 
 
 def test_liouvillian_is_traceless_and_hermiticity_preserving():
@@ -114,3 +117,14 @@ def test_input_validation():
 
 def test_zero_time_returns_input():
     assert np.array_equal(integrate_me(RateProfile(), RHO0, 0.0), RHO0)
+
+
+def test_affine_right_hand_side_equals_the_liouvillian():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rates = tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-2, 2, 4)).tolist())
+        y = rng.uniform(-1.0, 1.0, 3)
+        rho = _unpack(y)
+        ref = _pack(liouvillian(constant_profile(*rates), 0.3, rho))
+        scale = max(1.0, max(map(abs, rates)))
+        assert np.abs(np.array(_drift(rates, y.tolist())) - ref).max() <= 1e-14 * scale

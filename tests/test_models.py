@@ -155,6 +155,30 @@ class TestThermalClosedForm:
                     assert -1e-12 <= g <= 1.0 + 1e-12
                     assert g + decay <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("R", [0.02, 0.25, 0.5, 2.0, 10.0])
+    def test_small_times_match_mpmath(self, R):
+        # Gamma = -(2N+1) ln c^2 is of order R tau^2 while the closed
+        # forms add terms of order tau: relative accuracy at small tau
+        mpmath = pytest.importorskip("mpmath")
+        N = 1.0
+        p = ThermalParams(R=R, N=N)
+        taus = np.geomspace(1e-8, 1.0, 33)
+        arrays = thermal_closed_form(p, taus)
+        for i, tau in enumerate(taus.tolist()):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(tau)
+                if R == 0.5:
+                    c = mpmath.exp(-x / 2) * (1 + x / 2)
+                else:
+                    d = mpmath.sqrt(mpmath.mpc(1 - 2 * mpmath.mpf(R)))
+                    c = mpmath.re(mpmath.exp(-x / 2) * (mpmath.cosh(d * x / 2)
+                                                        + mpmath.sinh(d * x / 2) / d))
+                gamma = -(2 * N + 1) * mpmath.log(c * c)
+                g = (N + 1) / (2 * N + 1) * -mpmath.expm1(-gamma)
+            for got in (thermal_closed_form(p, tau), (arrays[0][i], arrays[1][i])):
+                assert got[0] == pytest.approx(float(gamma), rel=1e-14, abs=0.0)
+                assert got[1] == pytest.approx(float(g), rel=1e-14, abs=0.0)
+
 
 def _assert_same_cells(array, scalar):
     """Array results against per-point scalar calls.

@@ -1,0 +1,77 @@
+"""The three routes to the coefficients agree on random smooth generators.
+
+A generator is drawn as the sum of a thermal part at R < 1/2, Ohmic
+dephasing at T = 0 and at T > 0, and constant dephasing and frequency
+shift.  The constant part has gamma1 = gamma2 = 0 because g is not
+additive across population channels, so the closed form of the sum is
+the thermal (Gamma, g) with the dephasing parts' GammaTilde and Omega
+added.  The closed form must match adaptive quadrature
+(``integrate_profile``) within criterion 8's 1e-8 and direct
+integration of the master equation (``integrate_me``) within
+criterion 1's 1e-6; wherever the Choi spectrum says the map is CP, the
+conditions i)-iv) must hold too.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QubitState,
+                      ThermalParams, combine_profiles, constant_profile, cp_choi,
+                      cp_paper, integrate_me, integrate_profile,
+                      ohmic_closed_form, ohmic_profile, thermal_closed_form,
+                      thermal_profile)
+
+KERNELS = st.sampled_from(["paper", "literature"])
+
+
+@st.composite
+def generators(draw):
+    thermal = ThermalParams(R=draw(st.floats(0.02, 0.45)), N=draw(st.floats(0.0, 3.0)))
+    cold = OhmicParams(alpha=draw(st.floats(0.01, 0.2)), s=draw(st.floats(0.5, 4.0)),
+                       omega_c=draw(st.floats(0.5, 2.0)), T=0.0, kernel=draw(KERNELS))
+    warm = OhmicParams(alpha=draw(st.floats(0.01, 0.2)), s=draw(st.floats(0.5, 4.0)),
+                       omega_c=draw(st.floats(0.5, 2.0)), T=draw(st.floats(0.05, 3.0)),
+                       kernel=draw(KERNELS))
+    gamma3, omega = draw(st.floats(-0.2, 0.5)), draw(st.floats(-1.0, 1.0))
+    return thermal, cold, warm, gamma3, omega
+
+
+def _closed_form(thermal, cold, warm, gamma3, omega, times):
+    gamma, g = thermal_closed_form(thermal, times)
+    tilde = (ohmic_closed_form(cold, times)[1] + OhmicSeries(warm).gamma_tilde(times)
+             + gamma3 * times)
+    return CoefficientSet(t=times, Gamma=gamma, GammaTilde=tilde, Omega=omega * times,
+                          g=g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(generators(), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
+       st.complex_numbers(max_magnitude=1.0))
+def test_closed_form_quadrature_and_ode_agree(gen, t_max, p1, alpha):
+    thermal, cold, warm, gamma3, omega = gen
+    # |alpha|^2 <= P1 (1 - P1) keeps the initial state positive
+    alpha *= (p1 * (1.0 - p1)) ** 0.5
+    state0 = QubitState(p1, alpha)
+    profile = combine_profiles(thermal_profile(thermal), ohmic_profile(cold),
+                               ohmic_profile(warm), constant_profile(gamma3=gamma3,
+                                                                     omega=omega))
+    times = np.linspace(0.0, t_max, 9)
+    closed = _closed_form(thermal, cold, warm, gamma3, omega, times)
+
+    quad_route = integrate_profile(profile, times[1:])
+    for name in ("Gamma", "GammaTilde", "Omega", "g"):
+        np.testing.assert_allclose([getattr(c, name) for c in quad_route],
+                                   getattr(closed, name)[1:], rtol=1e-8, atol=1e-12)
+
+    ode = integrate_me(profile, state0.density_matrix, t_max, t_eval=times)
+    # the closed-form map, applied without evolve_state's state check: a
+    # negative gamma3 may take the state out of the state space
+    p1_cf = closed.decay * p1 + closed.g
+    alpha_cf = alpha * closed.kappa
+    assert np.abs(ode[:, 0, 0].real - p1_cf).max() <= 1e-6
+    assert np.abs(ode[:, 0, 1] - alpha_cf).max() <= 1e-6
+
+    choi_cp = cp_choi(closed).is_cp
+    assert np.all(cp_paper(closed).verdict[choi_cp])
