@@ -485,11 +485,17 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_config(argv) -> dict:
-    """The option defaults in the --config JSON file named in argv, if any."""
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
+    """A parser that reads only --config, built once per process."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    return probe
+
+
+def _load_config(argv) -> dict:
+    """The option defaults in the --config JSON file named in argv, if any."""
+    known, _ = _config_probe().parse_known_args(argv)
     if not known.config:
         return {}
     try:

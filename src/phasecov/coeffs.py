@@ -20,9 +20,10 @@ as Gamma is a few hundred; instead it solves the equivalent linear ODE
 which is unconditionally stable.  ``integrate_profile`` and
 ``segment_coefficients`` accumulate Gamma, GammaTilde and Omega by
 adaptive quadrature from grid time to grid time, then solve the g ODE
-in one DOP853 pass per singular-free segment, which reports every grid
+in one LSODA pass per singular-free segment, which reports every grid
 time through its dense output and restarts only at the profile's
-singular points.
+singular points.  LSODA switches between Adams and BDF formulas as the
+rates make the ODE stiff or not, so a large rate costs few steps.
 
 Rates that are linear between table nodes have coefficients in closed
 form up to one smooth integral per piece, which
@@ -184,7 +185,10 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
         raise ValueError("need at least one profile")
 
     def _sum(getter):
-        funcs = [getter(p) for p in profiles]
+        # a lone nonzero part is used as it is, without the fsum wrapper
+        funcs = [f for f in map(getter, profiles) if f is not _zero]
+        if len(funcs) <= 1:
+            return funcs[0] if funcs else _zero
         return lambda t: math.fsum(f(t) for f in funcs)
 
     grids = [p.grid_rates for p in profiles]
@@ -306,10 +310,12 @@ def _interior_points(sing, a, b):
 def _g_pass(profile, start, times, cfg):
     """g at each of the sorted times (all >= start), grown from g(start) = 0.
 
-    dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one DOP853
+    dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one LSODA
     pass per singular-free segment: each pass reports the requested
     times through ``t_eval`` (the solver's dense output) and the next
-    restarts at a singular point with the value reached there.
+    restarts at a singular point with the value reached there.  LSODA
+    picks non-stiff Adams or stiff BDF steps by itself, and never
+    samples a rate past the end of its segment.
     """
 
     def rhs(t, y):
@@ -332,7 +338,7 @@ def _g_pass(profile, start, times, cfg):
             rhs,
             (lo, hi),
             [g],
-            method="DOP853",
+            method="LSODA",
             t_eval=t_eval,
             rtol=max(cfg.rel_tol * 1e-2, 1e-13),
             atol=max(cfg.abs_tol * 1e-2, 1e-15),

@@ -140,7 +140,6 @@ def integrate_me(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval=None,
-    method: str = "RK45",
 ) -> np.ndarray:
     """Integrate the master equation from rho0 to t_end.
 
@@ -154,7 +153,8 @@ def integrate_me(
     t_end : float
         Final time.
     rtol, atol : float
-        Local error control of the embedded Runge-Kutta pair.
+        Local error control of LSODA, which switches between non-stiff
+        Adams and stiff BDF steps as the rates require.
     t_eval : sequence of float, optional
         Report the state at these times instead of only at t_end.
 
@@ -185,7 +185,7 @@ def integrate_me(
         rhs,
         (0.0, float(t_end)),
         _pack(rho0),
-        method=method,
+        method="LSODA",
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,

@@ -220,6 +220,37 @@ def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:
     return np.where(zero, np.inf, f)
 
 
+def _memory_rate(R: float):
+    """tau -> amplitude_memory(R, tau).f for one float tau >= 0, bit for bit.
+
+    The scalar twin of ``_memory_rate_on``: the branch and its constants
+    are fixed once per R, and no MemorySample is built, so that the
+    integrators' rate callbacks do only the arithmetic of f.  The caller
+    checks the sign of tau.
+    """
+    disc = 1.0 - 2.0 * R
+    if abs(disc) <= _DEGENERATE_BAND:
+        return lambda tau: (tau / 2) / (1.0 + tau / 2)
+    if disc > 0:
+        d = math.sqrt(disc)
+        scale = 2 * R / d
+
+        def rate(tau):
+            em = -math.expm1(-d * tau)
+            return scale * em / (1 + math.exp(-d * tau) + em / d)
+        return rate
+    delta = math.sqrt(-disc)
+    scale = 2 * R / delta
+    zero_band = _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
+
+    def rate(tau):
+        w = delta * tau / 2
+        sin_w = math.sin(w)
+        bracket = math.cos(w) + sin_w / delta
+        return math.inf if abs(bracket) <= zero_band else scale * sin_w / bracket
+    return rate
+
+
 # Taylor coefficients of c(tau) kept; where the series is used, the
 # first neglected term is below 1e-20 of the sum
 _SERIES_ORDER = 26
@@ -292,20 +323,33 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
     ``singular_points`` holds the zeros of c up to t_max, which is then
     the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
     list is empty and the reach unbounded.
+
+    gamma1 and gamma2 share f through a one-entry memo of the last
+    (t, f), so that the two rates at one t cost one evaluation.
     """
+    rate = _memory_rate(p.R)
+    heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
+    last = (math.nan, math.nan)
 
     def _f(t: float) -> float:
-        return amplitude_memory(p.R, t).f
+        nonlocal last
+        t_last, f = last
+        if t != t_last:
+            if t < 0:
+                raise ValueError("tau must be non-negative")
+            f = rate(t)
+            # one tuple, so that a reader never pairs a t with another t's f
+            last = (t, f)
+        return f
 
     def grid_rates(t):
         f = _memory_rate_on(p.R, t)
         # at N = 0, gamma1 is 0 also at the poles, where 0 * f is NaN
-        return _rate_rows(t, 0.0 if p.N == 0 else 2.0 * p.N * f, 2.0 * (p.N + 1.0) * f)
+        return _rate_rows(t, 0.0 if p.N == 0 else heat * f, loss * f)
 
-    gamma1 = _zero if p.N == 0 else (lambda t: 2.0 * p.N * _f(t))
     return RateProfile(
-        gamma1=gamma1,
-        gamma2=lambda t: 2.0 * (p.N + 1.0) * _f(t),
+        gamma1=_zero if p.N == 0 else (lambda t: heat * _f(t)),
+        gamma2=lambda t: loss * _f(t),
         gamma3=_zero,
         omega=_zero,
         singular_points=thermal_zeros(p.R, t_max),
@@ -435,6 +479,20 @@ def ohmic_gamma_tilde(p: OhmicParams, t: float, cfg: QuadratureConfig | None = N
     return math.fsum(parts)
 
 
+def _cold_rate_factors(p: OhmicParams) -> tuple[float, float, float]:
+    """(G(e), P, e) with gamma3 = P (1+u^2)^(-e/2) sin(e atan u) at T = 0.
+
+    e = s + 1 and P = 2 a G(e) w_c for the paper kernel, e = s and
+    P = 2 a G(e) for the literature kernel, multiplied in this order.
+    """
+    if p.kernel == "paper":
+        e = p.s + 1.0
+        gamma_e = float(_gamma_fn(e))
+        return gamma_e, 2.0 * p.alpha * gamma_e * p.omega_c, e
+    gamma_e = float(_gamma_fn(p.s))
+    return gamma_e, 2.0 * p.alpha * gamma_e, p.s
+
+
 def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     """(gamma3, GammaTilde) at T = 0 in closed form.
 
@@ -459,16 +517,13 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     theta = math.atan(u) if xp is math else np.arctan(u)
     one_u2 = 1.0 + u * u
 
+    gamma_e, scale, e = _cold_rate_factors(p)
+    rate = scale * one_u2 ** (-e / 2.0) * xp.sin(e * theta)
     if p.kernel == "paper":
-        gs1 = _gamma_fn(p.s + 1.0)
-        rate = (2.0 * p.alpha * gs1 * p.omega_c
-                * one_u2 ** (-(p.s + 1.0) / 2.0) * xp.sin((p.s + 1.0) * theta))
-        tilde = (2.0 * p.alpha * gs1 / p.s) * (
+        tilde = (2.0 * p.alpha * gamma_e / p.s) * (
             1.0 - one_u2 ** (-p.s / 2.0) * xp.cos(p.s * theta))
         return rate, tilde
 
-    gs = _gamma_fn(p.s)
-    rate = 2.0 * p.alpha * gs * one_u2 ** (-p.s / 2.0) * xp.sin(p.s * theta)
     nu = p.s - 1.0
     if abs(nu) < 1e-9:
         tilde = (p.alpha / p.omega_c) * xp.log(one_u2)
@@ -583,11 +638,21 @@ def ohmic_profile(p: OhmicParams) -> RateProfile:
     series (``OhmicSeries``) otherwise; gamma1, gamma2 and omega vanish.
     """
     if p.T == 0:
-        gamma3 = lambda t: ohmic_closed_form(p, t)[0]
+        scale, e = _cold_rate_factors(p)[1:]
+        power, w_c = -e / 2.0, p.omega_c
+
+        def gamma3(t: float) -> float:
+            # ohmic_closed_form(p, t)[0], bit for bit, without the GammaTilde
+            if t < 0:
+                raise ValueError("t must be non-negative")
+            u = w_c * t
+            return scale * (1.0 + u * u) ** power * math.sin(e * math.atan(u))
+
+        on_grid = lambda t: ohmic_closed_form(p, t)[0]
     else:
-        gamma3 = OhmicSeries(p).rate
+        gamma3 = on_grid = OhmicSeries(p).rate
     return RateProfile(gamma3=gamma3,
-                       grid_rates=lambda t: _rate_rows(t, gamma3=gamma3(t)))
+                       grid_rates=lambda t: _rate_rows(t, gamma3=on_grid(t)))
 
 
 def markov_rate_limit(R: float) -> float:

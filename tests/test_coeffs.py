@@ -253,6 +253,19 @@ def test_rates_on_falls_back_to_the_callables():
     assert combine_profiles(profile, constant_profile(1.0)).grid_rates is None
 
 
+def test_combined_profile_sums_only_the_nonzero_parts():
+    thermal = thermal_profile(ThermalParams(R=0.3, N=1.0))
+    ohmic = ohmic_profile(OhmicParams(alpha=0.1, s=2.0))
+    both = combine_profiles(thermal, ohmic)
+    # a lone nonzero part is the combined rate itself, no part gives _zero
+    assert both.gamma1 is thermal.gamma1 and both.gamma2 is thermal.gamma2
+    assert both.gamma3 is ohmic.gamma3 and both.omega is coeffs._zero
+    twice = combine_profiles(thermal, ohmic, thermal)
+    for t in (0.0, 0.7, 4.0):
+        assert twice.gamma2(t) == math.fsum([thermal.gamma2(t)] * 2)
+        assert twice.rates(t)[2] == ohmic.gamma3(t)
+
+
 def test_window_beyond_the_singular_reach_is_refused():
     # R = 10 has an unlisted pole at 0.8242 when the list stops at 0.5
     prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
@@ -272,12 +285,25 @@ def test_window_beyond_the_singular_reach_is_refused():
 def test_g_pass_restarts_only_at_singular_points(monkeypatch):
     # gamma2 jumps from 0.4 to 1.2 at t = 1, listed as a singular point:
     # Gamma = 0.2 t, then 0.2 + 0.6 (t - 1), and g = 1 - exp(-Gamma)
-    prof = RateProfile(gamma2=lambda t: 0.4 if t < 1.0 else 1.2, singular_points=(1.0,))
-    spans = []
+    spans, late = [], []
+    pass_end = [math.inf]
+
+    def gamma2(t):
+        # each pass may sample the rate only up to the end of its segment
+        if t > pass_end[0]:
+            late.append((t, pass_end[0]))
+            raise ValueError(f"rate sampled at t = {t!r}, past {pass_end[0]!r}")
+        return 0.4 if t < 1.0 else 1.2
+
+    prof = RateProfile(gamma2=gamma2, singular_points=(1.0,))
 
     def recording(fun, t_span, *args, **kwargs):
         spans.append(tuple(t_span))
-        return solve_ivp(fun, t_span, *args, **kwargs)
+        pass_end[0] = t_span[1]
+        try:
+            return solve_ivp(fun, t_span, *args, **kwargs)
+        finally:
+            pass_end[0] = math.inf
 
     monkeypatch.setattr(coeffs, "solve_ivp", recording)
 
@@ -298,6 +324,12 @@ def test_g_pass_restarts_only_at_singular_points(monkeypatch):
     expected = -math.expm1(big_gamma(0.5) - big_gamma(2.0))
     assert seg.g == pytest.approx(expected, rel=1e-10)
     assert spans == [(0.5, 1.0), (1.0, 2.0)]
+    # and a window that ends on the singular point
+    spans.clear()
+    seg = segment_coefficients(prof, 0.2, 1.0)
+    assert seg.g == pytest.approx(-math.expm1(big_gamma(0.2) - big_gamma(1.0)), rel=1e-10)
+    assert spans == [(0.2, 1.0)]
+    assert late == []
 
 
 def _random_table(seed, nodes=41, t_end=10.0, lo=-0.6, hi=2.0):

@@ -7,7 +7,7 @@ import pytest
 from phasecov import (IntegrationError, OhmicParams, QubitState, RateProfile,
                       ThermalParams, combine_profiles, constant_profile,
                       evolve_state, integrate_me, integrate_profile, liouvillian,
-                      ohmic_profile, thermal_profile)
+                      markovian_coefficients, ohmic_profile, thermal_profile)
 from phasecov.mesolve import _drift, _pack, _unpack, validate_density_matrix
 
 RHO0 = QubitState(0.3, 0.2 - 0.1j).density_matrix
@@ -128,3 +128,59 @@ def test_affine_right_hand_side_equals_the_liouvillian():
         ref = _pack(liouvillian(constant_profile(*rates), 0.3, rho))
         scale = max(1.0, max(map(abs, rates)))
         assert np.abs(np.array(_drift(rates, y.tolist())) - ref).max() <= 1e-14 * scale
+
+
+def _counted(value):
+    """A constant rate that counts its calls in ``rate.calls``."""
+    def rate(t):
+        rate.calls += 1
+        return value
+    rate.calls = 0
+    return rate
+
+
+def test_stiff_constant_rate_costs_few_rate_calls():
+    # gamma2 = 1e4 on [0, 10]: explicit Runge-Kutta pays for the largest
+    # rate with about 1e5 calls; both routes must stay under 5000
+    gamma2 = 1e4
+    times = np.linspace(0.0, 10.0, 31)
+    exact = markovian_coefficients(0.0, gamma2, 0.0, 0.0, times)
+    s0 = QubitState.from_density_matrix(RHO0)
+
+    rate = _counted(gamma2)
+    quad_route = integrate_profile(RateProfile(gamma2=rate), times[1:])
+    np.testing.assert_allclose([c.g for c in quad_route], exact.g[1:], rtol=0.0,
+                               atol=1e-10)
+    assert rate.calls < 5000
+
+    rate = _counted(gamma2)
+    states = integrate_me(RateProfile(gamma2=rate), RHO0, 10.0, t_eval=times)
+    p1 = exact.decay * s0.P1 + exact.g
+    alpha = s0.alpha * exact.kappa
+    assert np.abs(states[:, 0, 0].real - p1).max() <= 1e-8
+    assert np.abs(states[:, 0, 1] - alpha).max() <= 1e-8
+    assert rate.calls < 5000
+
+
+def test_master_equation_never_samples_past_its_window():
+    late = []
+
+    def guard(fn):
+        def rate(t):
+            if t > 3.0:
+                late.append(t)
+                raise ValueError(f"rate sampled at t = {t!r}, past t_end = 3")
+            return fn(t)
+        return rate
+
+    prof = RateProfile(gamma1=guard(lambda t: 0.1 * t),
+                       gamma2=guard(lambda t: 0.4 + 0.3 * math.sin(t)),
+                       gamma3=guard(math.cos), omega=guard(lambda t: 0.5))
+    t_eval = np.linspace(0.0, 2.5, 6)
+    states = integrate_me(prof, RHO0, 3.0, t_eval=t_eval)
+    assert states.shape == (6, 2, 2) and np.isfinite(states).all()
+    # the states reported before t_end are those of the closed form
+    s0 = QubitState.from_density_matrix(RHO0)
+    for rho, c in zip(states[1:], integrate_profile(prof, t_eval[1:])):
+        assert np.abs(rho - evolve_state(s0, c).density_matrix).max() <= 1e-6
+    assert late == []

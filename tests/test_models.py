@@ -122,6 +122,52 @@ class TestThermalProfile:
         assert thermal_zeros(0.3, 100.0) == ()
 
 
+class TestLeanRateCallbacks:
+    """The profiles' scalar rates equal the public functions bit for bit."""
+
+    @pytest.mark.parametrize("R", [0.02, 0.25, 0.5, 0.7, 2.0, 10.0])
+    @pytest.mark.parametrize("N", [0.0, 1.3])
+    def test_thermal_rates_equal_amplitude_memory(self, R, N):
+        p = ThermalParams(R=R, N=N)
+        prof = thermal_profile(p, t_max=12.0)
+        zeros = thermal_zeros(R, 12.0)
+        times = [0.0, 1e-9, 0.3, 1.7, 6.0, 12.0, *zeros]
+        for t in times:
+            f = amplitude_memory(R, t).f
+            assert prof.gamma2(t) == 2.0 * (N + 1.0) * f
+            assert prof.gamma1(t) == (0.0 if N == 0 else 2.0 * N * f)
+        if R > 0.5:
+            # c vanishes exactly at the listed zeros, where f is +inf
+            assert any(math.isinf(amplitude_memory(R, z).f) for z in zeros)
+            assert math.isinf(prof.gamma2(zeros[0]))
+
+    def test_interleaved_times_never_reuse_a_stale_value(self):
+        p = ThermalParams(R=0.3, N=2.0)
+        prof = thermal_profile(p)
+        rng = np.random.default_rng(11)
+        times = rng.choice([0.0, 0.4, 0.4 + 1e-13, 2.5, 9.0], size=200).tolist()
+        rates = rng.choice(["gamma1", "gamma2"], size=200).tolist()
+        for t, name in zip(times, rates):
+            factor = 2.0 * p.N if name == "gamma1" else 2.0 * (p.N + 1.0)
+            assert getattr(prof, name)(t) == factor * amplitude_memory(p.R, t).f
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.5])
+    def test_zero_temperature_ohmic_rate_equals_the_closed_form(self, kernel, s):
+        p = OhmicParams(alpha=0.13, s=s, omega_c=1.7, T=0.0, kernel=kernel)
+        gamma3 = ohmic_profile(p).gamma3
+        for t in (0.0, 1e-9, 0.3, 1.0, 4.2, 40.0):
+            assert gamma3(t) == ohmic_closed_form(p, t)[0]
+
+    def test_negative_time_is_refused(self):
+        thermal = thermal_profile(ThermalParams(R=0.3, N=1.0))
+        thermal.gamma2(1.0)
+        for rate in (thermal.gamma1, thermal.gamma2,
+                     ohmic_profile(OhmicParams(alpha=0.1, s=2.0)).gamma3):
+            with pytest.raises(ValueError):
+                rate(-1e-3)
+
+
 class TestThermalClosedForm:
     def test_initial_values(self):
         assert thermal_closed_form(ThermalParams(R=0.7, N=2.0), 0.0) == (0.0, 0.0)

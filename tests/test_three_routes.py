@@ -10,11 +10,14 @@ added.  The closed form must match adaptive quadrature
 integration of the master equation (``integrate_me``) within
 criterion 1's 1e-6; wherever the Choi spectrum says the map is CP, the
 conditions i)-iv) must hold too.
+
+The example count comes from the hypothesis profile (tests/conftest.py):
+15 by default, 150 with ``--hypothesis-profile=deep``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QubitState,
@@ -46,7 +49,6 @@ def _closed_form(thermal, cold, warm, gamma3, omega, times):
                           g=g)
 
 
-@settings(max_examples=15, deadline=None)
 @given(generators(), st.floats(1.0, 8.0), st.floats(0.0, 1.0),
        st.complex_numbers(max_magnitude=1.0))
 def test_closed_form_quadrature_and_ode_agree(gen, t_max, p1, alpha):
