@@ -130,8 +130,11 @@ class RunConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.steps < 2:
             raise UsageError("steps must be at least 2")
-        if self.t_max <= 0:
-            raise UsageError("t-max must be positive")
+        # written so that NaN fails each comparison
+        if not 0 < self.t_max < math.inf:
+            raise UsageError("t-max must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise UsageError("tol must be positive and finite")
         if self.model == "tabulated" and not self.rates_file:
             raise UsageError("tabulated model requires --rates-file")
         try:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 __all__ = [
     "RateProfile",
@@ -265,6 +264,18 @@ class CoefficientSet:
     @classmethod
     def identity(cls, t: float = 0.0) -> "CoefficientSet":
         return cls(t=t, Gamma=0.0, GammaTilde=0.0, Omega=0.0, g=0.0)
+
+
+# scipy.integrate loads on the first quadrature or ODE call, not on import;
+# the routes call these module globals, so a test or tracer can rebind them
+def quad(*args, **kwargs):
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _quad(func, a, b, cfg, points=None, **weight):

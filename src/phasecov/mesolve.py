@@ -35,9 +35,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .coeffs import RateProfile
+from .coeffs import RateProfile, solve_ivp
 
 __all__ = [
     "IntegrationError",

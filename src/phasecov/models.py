@@ -60,8 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exprel, poch
-from scipy.special import gamma as _gamma_fn
 
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _backend,
                      _quad, _rate_rows, _xp, _zero)
@@ -94,10 +92,11 @@ class ThermalParams:
     N: float = 0.0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError("R must be strictly positive")
-        if self.N < 0:
-            raise ValueError("N must be non-negative")
+        # written so that NaN fails each comparison
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be strictly positive and finite")
+        if not 0 <= self.N < math.inf:
+            raise ValueError("N must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,11 @@ class OhmicParams:
     kernel: str = "literature"
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.s > 0 and self.omega_c > 0):
-            raise ValueError("alpha, s and omega_c must be strictly positive")
-        if self.T < 0:
-            raise ValueError("T must be non-negative")
+        # written so that NaN fails each comparison
+        if not all(0 < x < math.inf for x in (self.alpha, self.s, self.omega_c)):
+            raise ValueError("alpha, s and omega_c must be strictly positive and finite")
+        if not 0 <= self.T < math.inf:
+            raise ValueError("T must be non-negative and finite")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
 
@@ -479,6 +479,21 @@ def ohmic_gamma_tilde(p: OhmicParams, t: float, cfg: QuadratureConfig | None = N
     return math.fsum(parts)
 
 
+def _gamma(x: float) -> float:
+    """Euler's gamma function G(x), +inf where it overflows and NaN at a pole.
+
+    It overflows for x > 171.62 or 0 < x < 5.6e-309, and the pole x = -1
+    is the literature nu = s - 1 for s < 1.1e-16.  As with scipy's gamma,
+    the CLI then refuses the non-finite coefficients.
+    """
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
 def _cold_rate_factors(p: OhmicParams) -> tuple[float, float, float]:
     """(G(e), P, e) with gamma3 = P (1+u^2)^(-e/2) sin(e atan u) at T = 0.
 
@@ -487,9 +502,9 @@ def _cold_rate_factors(p: OhmicParams) -> tuple[float, float, float]:
     """
     if p.kernel == "paper":
         e = p.s + 1.0
-        gamma_e = float(_gamma_fn(e))
+        gamma_e = _gamma(e)
         return gamma_e, 2.0 * p.alpha * gamma_e * p.omega_c, e
-    gamma_e = float(_gamma_fn(p.s))
+    gamma_e = _gamma(p.s)
     return gamma_e, 2.0 * p.alpha * gamma_e, p.s
 
 
@@ -528,7 +543,7 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     if abs(nu) < 1e-9:
         tilde = (p.alpha / p.omega_c) * xp.log(one_u2)
     else:
-        tilde = (2.0 * p.alpha * _gamma_fn(nu) / p.omega_c) * (
+        tilde = (2.0 * p.alpha * _gamma(nu) / p.omega_c) * (
             1.0 - one_u2 ** (-nu / 2.0) * xp.cos(nu * theta))
     return rate, tilde
 
@@ -549,9 +564,19 @@ def _angles(a, t):
     return 0.5 * np.log1p(tau * tau), np.arctan(tau)
 
 
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1)/x elementwise, with its x = 0 limit 1."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _rising_factorials(e: float, n: int) -> np.ndarray:
+    """(e)_1 ... (e)_n, with (e)_m = e (e+1) ... (e+m-1), as a running product."""
+    return np.cumprod(e + np.arange(n))
+
+
 def _flat_minus_re(x, lr, th):
     """[1 - Re exp(-x L)] / x for L = lr - i th, regular at x = 0."""
-    return (lr * exprel(-x * lr) * np.cos(x * th)
+    return (lr * _exprel(-x * lr) * np.cos(x * th)
             + 0.5 * x * th * th * np.sinc(x * th / (2.0 * np.pi)) ** 2)
 
 
@@ -571,7 +596,8 @@ class OhmicSeries:
     the tail is again a power of (a_K - i t).  With log(1 - i t/a) =
     lr - i th, lr = log1p(tau^2)/2, th = atan(tau), tau = t/a, every
     removable singularity (e = 1, 2 in GammaTilde, e = 1 in the tail of
-    gamma3) is carried by ``exprel`` and ``sinc``, without a branch on s.
+    gamma3) is carried by (e^x - 1)/x (``_exprel``) and ``sinc``,
+    without a branch on s.
 
     Built once per parameter set; ``rate`` and ``gamma_tilde`` take a
     float (and return one) or an ndarray of times.
@@ -587,14 +613,14 @@ class OhmicSeries:
         m = 2 * np.arange(1, len(_BERNOULLI) + 1) - 1
         # Euler-Maclaurin adds -B_2j/(2j)! f^(m)(K), m = 2j - 1; for
         # f(k) = (a_k - i t)^-e, f^(m)(K) = -b^m (e)_m (a_K - i t)^-(e+m)
-        em = (np.array(_BERNOULLI) * b ** m * poch(e, m)
+        em = (np.array(_BERNOULLI) * b ** m * _rising_factorials(e, m[-1])[m - 1]
               / np.array([math.factorial(n + 1) for n in m]))
         # terms (a, exponent, weight): direct sum, f(K)/2, derivatives
         a = np.concatenate([1.0 / p.omega_c + b * k, np.full(1 + len(m), a_tail)])
         c = np.concatenate([np.where(k == 0, 1.0, 2.0), [1.0], 2.0 * em])
         x = np.concatenate([np.full(_SERIES_TERMS + 1, e), e + m])
         self._rate_terms = (a, x, c * a ** -x)
-        # GammaTilde adds the tail integral's two exprel/sinc parts at a_K
+        # GammaTilde adds the tail integral's two _exprel/sinc parts at a_K
         a = np.append(a, [a_tail, a_tail])
         x = np.append(x - 1.0, [e - 2.0, e - 1.0])
         c = np.append(c, [2.0 / b, -2.0 * a_tail / b])
@@ -602,7 +628,7 @@ class OhmicSeries:
         self._e1 = e - 1.0
         self._tail = 2.0 / b * a_tail ** (1.0 - e)
         # G(e-1) [..] = G(e) [..] / (e-1): the same scale for both
-        self._scale = 2.0 * p.alpha * p.omega_c ** -p.s * _gamma_fn(e)
+        self._scale = 2.0 * p.alpha * p.omega_c ** -p.s * _gamma(e)
 
     def _finish(self, direct, tail, lr, th):
         # adds tail * Im (a_K - i t)^(1-e) / ((e-1) a_K^(1-e)), regular at e = 1

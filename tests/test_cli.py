@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasecov import coeffs
+import phasecov
+from phasecov import coeffs, markovian_coefficients
 from phasecov.cli import (EVOLVE_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VIOLATION, RATES_HEADER, SCAN_HEADER,
                           TOL_ENV_VAR, main)
@@ -123,6 +128,19 @@ class TestCpCheck:
                      "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{what} at t = {first!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        # G(s) or G(s + 1) overflows, or G(nu) meets its pole nu = -1
+        ["--s", "200"], ["--s", "200", "--kernel", "paper", "--T", "1"],
+        ["--s", "1e-310"], ["--s", "1e-310", "--T", "1"],
+    ], ids=["G-overflow", "G-overflow-T", "G-pole", "G-overflow-tiny-s-T"])
+    def test_unrepresentable_gamma_function_is_refused(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main(["evolve", "--model", "ohmic", *args, "--steps", "5",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GammaTilde is not finite at t = 0.0" in err
         assert not out.exists()
 
     def test_method_selection(self, tmp_path):
@@ -255,6 +273,24 @@ class TestPlumbing:
         assert main(["evolve", "--model", "tabulated"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args,message", [
+        (["rates", "--model", "thermal", "--t-max", "nan"], "t-max must be"),
+        (["rates", "--model", "thermal", "--t-max", "inf"], "t-max must be"),
+        (["cp-check", "--model", "thermal", "--tol", "nan"], "tol must be"),
+        (["cp-check", "--model", "thermal", "--tol", "inf"], "tol must be"),
+        (["cp-check", "--model", "thermal", "--tol=-1"], "tol must be"),
+        (["evolve", "--model", "ohmic", "--T", "nan"], "T must be"),
+        (["evolve", "--model", "thermal", "--N", "nan"], "N must be"),
+    ], ids=["t-max-nan", "t-max-inf", "tol-nan", "tol-inf", "tol-negative",
+            "T-nan", "N-nan"])
+    def test_non_finite_or_non_positive_input_is_usage_error(self, tmp_path, capsys,
+                                                             args, message):
+        out = tmp_path / "out"
+        assert main([*args, "--steps", "5", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_io_error(self, capsys):
         code = main(["evolve", "--model", "constant",
                      "--out", "/no/such/dir/x.csv"])
@@ -365,3 +401,89 @@ class TestPlumbing:
         for r in out_rows:
             t, p1 = float(r[0]), float(r[1])
             assert p1 == pytest.approx(1.0 - math.exp(-0.25 * t), abs=1e-8)
+
+
+# Each probe runs in a new interpreter, where nothing is imported yet, with
+# this checkout's phasecov first on the path; its last line of stdout is JSON.
+_PACKAGE_ROOT = str(Path(phasecov.__file__).resolve().parents[1])
+
+
+def _fresh_python(code, *args):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                           *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_CLI_PROBE = """
+import json, sys
+import phasecov.cli
+phasecov.cli.build_parser()
+codes = [phasecov.cli.main(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+_SEAMS_PROBE = """
+import json, sys
+import numpy as np
+from phasecov import constant_profile, integrate_me, integrate_profile
+loaded = [("scipy.integrate" in sys.modules)]
+profile = constant_profile(0.2, 0.6, 0.1, 0.5)
+rho = integrate_me(profile, np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]]), 1.0)
+loaded.append("scipy.integrate" in sys.modules)
+c = integrate_profile(profile, [0.0, 0.5, 1.0])[-1]
+print(json.dumps({"loaded": loaded, "p1": rho[0, 0].real,
+                  "alpha": [rho[0, 1].real, rho[0, 1].imag],
+                  "coefficients": [c.Gamma, c.GammaTilde, c.Omega, c.g]}))
+"""
+
+
+class TestColdStart:
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # every subcommand on every model, the sign scans and the T > 0
+        # series included, needs only numpy
+        t = np.linspace(0.0, 4.0, 41)
+        table = tmp_path / "rates.csv"
+        np.savetxt(table, np.column_stack([t, 0.1 * t, 0.5 + 0.0 * t, np.cos(t),
+                                           0.2 + 0.0 * t]),
+                   delimiter=",", header=RATES_HEADER, comments="")
+        models = [
+            (["--model", "thermal", "--R", "10", "--N", "0.5", "--t-max", "3"],
+             ["--param", "R", "--values", "0.25,10"]),
+            (["--model", "ohmic", "--s", "3", "--kernel", "paper"],
+             ["--param", "s", "--values", "1,3"]),
+            (["--model", "ohmic", "--s", "0.5", "--T", "0.5"],
+             ["--param", "T", "--values", "0.5,2"]),
+            (["--model", "both", "--R", "0.3", "--N", "0.5", "--s", "3", "--T", "1"],
+             ["--param", "N", "--values", "0,1"]),
+            (["--model", "constant", "--g1", "0.1", "--g2", "0.5", "--g3", "0.2",
+              "--w", "1"], None),
+            (["--model", "tabulated", "--rates-file", str(table), "--t-max", "3"], None),
+        ]
+        runs, expected = [], []
+        for model_args, scan_args in models:
+            for command in ("evolve", "cp-check", "rates", "scan"):
+                extra = []
+                if command == "scan":
+                    # constant and tabulated have no scan parameter: refused
+                    extra = scan_args or ["--param", "R", "--values", "1"]
+                out = str(tmp_path / f"{len(runs)}.out")
+                runs.append([command, *model_args, *extra, "--steps", "50", "--out", out])
+                expected.append(EXIT_USAGE if extra and not scan_args else EXIT_OK)
+        probe = _fresh_python(_CLI_PROBE, json.dumps(runs))
+        assert probe["codes"] == expected
+        assert probe["scipy"] == []
+
+    def test_first_integrator_calls_load_scipy_integrate(self):
+        probe = _fresh_python(_SEAMS_PROBE)
+        # integrate_me's solve_ivp is the first call to load it
+        assert probe["loaded"] == [False, True]
+        c = markovian_coefficients(0.2, 0.6, 0.1, 0.5, 1.0)
+        expected = [c.Gamma, c.GammaTilde, c.Omega, c.g]
+        np.testing.assert_allclose(probe["coefficients"], expected, rtol=1e-9)
+        assert probe["p1"] == pytest.approx(c.decay * 0.3 + c.g, abs=1e-8)
+        alpha = complex(0.2, 0.1) * c.kappa
+        np.testing.assert_allclose(probe["alpha"], [alpha.real, alpha.imag], atol=1e-8)

@@ -7,7 +7,8 @@ from scipy.integrate import quad, solve_ivp
 
 from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
                       ThermalParams, ToleranceError, coeffs, combine_profiles,
-                      constant_profile, integrate_profile, markovian_coefficients,
+                      constant_profile, integrate_me, integrate_profile,
+                      markovian_coefficients, mesolve,
                       piecewise_linear_coefficients, segment_coefficients,
                       thermal_closed_form, thermal_profile, weak_coupling_integrals)
 from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
@@ -330,6 +331,34 @@ def test_g_pass_restarts_only_at_singular_points(monkeypatch):
     assert seg.g == pytest.approx(-math.expm1(big_gamma(0.2) - big_gamma(1.0)), rel=1e-10)
     assert spans == [(0.2, 1.0)]
     assert late == []
+
+
+def test_integrator_seams_stay_rebindable(monkeypatch):
+    # the routes call coeffs.quad, coeffs.solve_ivp and mesolve.solve_ivp
+    # as module globals, so that a wrapper put there sees every call
+    calls = {}
+
+    def count(module, name):
+        key, fn = f"{module.__name__.rsplit('.', 1)[1]}.{name}", getattr(module, name)
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((coeffs, "quad"), (coeffs, "solve_ivp"), (mesolve, "solve_ivp")):
+        count(module, name)
+    profile = constant_profile(0.2, 0.6, 0.1, 0.5)
+    n = 7
+    times = np.linspace(0.0, 3.0, n)
+    integrate_profile(profile, times)
+    # three quadratures per grid step and one g pass
+    assert calls == {"coeffs.quad": 3 * (n - 1), "coeffs.solve_ivp": 1,
+                     "mesolve.solve_ivp": 0}
+    integrate_me(profile, np.diag([0.3, 0.7]), 3.0, t_eval=times)
+    assert calls == {"coeffs.quad": 3 * (n - 1), "coeffs.solve_ivp": 1,
+                     "mesolve.solve_ivp": 1}
 
 
 def _random_table(seed, nodes=41, t_end=10.0, lo=-0.6, hi=2.0):

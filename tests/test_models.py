@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from phasecov import models
 from phasecov import (ThermalParams, amplitude_memory,
                       integrate_profile, markov_rate_limit,
                       thermal_closed_form, thermal_profile, thermal_zeros)
@@ -424,6 +425,89 @@ class TestOhmicSeries:
             assert profile.gamma3(t) == series.rate(t)
 
 
+def _ohmic_series_mpmath(mpmath, kernel, s, T, t, alpha, omega_c):
+    """(gamma3, GammaTilde) at T > 0 from the sums in the OhmicSeries docstring.
+
+    gamma3 = P G(e) sum_k c_k Im (a_k - i t)^-e and GammaTilde =
+    P G(e-1) sum_k c_k [a_k^(1-e) - Re (a_k - i t)^(1-e)], with
+    a_k = 1/w_c + k b, c_0 = 1, c_k = 2.  The terms k >= 1 sum to the
+    Hurwitz zeta b^-x zeta(x, 1 + (1/w_c - i t)/b).  G(e-1) and zeta(x, .)
+    at x = 1 have poles that cancel at e = 1 and 2; the sums are continuous
+    in s, so they are taken at s + 1e-30 in 60 digits, which moves the
+    result by about 1e-30 relative and keeps some 30 digits across the poles.
+    """
+    with mpmath.workdps(60):
+        s_ = mpmath.mpf(s) + mpmath.mpf("1e-30")
+        wc, z = mpmath.mpf(omega_c), 1 / mpmath.mpf(omega_c) - 1j * mpmath.mpf(t)
+        b = (2 if kernel == "paper" else 1) / mpmath.mpf(T)
+        e = s_ + 1 if kernel == "paper" else s_
+
+        def total(x, a):
+            return a ** -x + 2 * b ** -x * mpmath.zeta(x, 1 + a / b)
+
+        scale = 2 * mpmath.mpf(alpha) * wc ** -s_
+        rate = scale * mpmath.gamma(e) * mpmath.im(total(e, z))
+        tilde = scale * mpmath.gamma(e - 1) * (total(e - 1, 1 / wc)
+                                               - mpmath.re(total(e - 1, z)))
+        return float(rate), float(tilde)
+
+
+class TestOhmicSeriesAgainstMpmath:
+    """The T > 0 series and its special-function helpers at a few ulps."""
+
+    ULP = np.finfo(float).eps
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    # s = 1 and 2 are the series' removable singularities
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.0, 3.5])
+    def test_series_matches_the_hurwitz_zeta_sums(self, kernel, s):
+        # the worst error is about 5e-15, where gamma3 is near a zero; a
+        # 1e-13 relative error in the common scale fails the bound
+        mpmath = pytest.importorskip("mpmath")
+        for T in (0.05, 1.0, 10.0):
+            series = OhmicSeries(OhmicParams(alpha=0.1, s=s, omega_c=1.3, T=T,
+                                             kernel=kernel))
+            for t in (1e-3, 0.5, 5.0, 50.0):
+                rate, tilde = _ohmic_series_mpmath(mpmath, kernel, s, T, t, 0.1, 1.3)
+                assert series.rate(t) == pytest.approx(rate, rel=3e-14, abs=0.0)
+                assert series.gamma_tilde(t) == pytest.approx(tilde, rel=3e-14, abs=0.0)
+
+    def test_exprel(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = [0.0, 1e-300, -1e-300, 1e-17, -1e-17, 1e-8, -1e-8, 30.0, -30.0]
+        for value, got in zip(x, models._exprel(np.array(x)).tolist()):
+            with mpmath.workdps(40):
+                ref = 1 if value == 0 else mpmath.expm1(value) / mpmath.mpf(value)
+            assert got == pytest.approx(float(ref), rel=6 * self.ULP, abs=0.0)
+
+    def test_rising_factorials(self):
+        mpmath = pytest.importorskip("mpmath")
+        for e in (0.3, 1.0, 1.7, 2.0, 3.5, 6.0):
+            got = models._rising_factorials(e, 11).tolist()
+            for m in range(1, 12):
+                with mpmath.workdps(40):
+                    ref = mpmath.rf(e, m)
+                assert got[m - 1] == pytest.approx(float(ref), rel=6 * self.ULP, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_gamma_function(self, kernel):
+        mpmath = pytest.importorskip("mpmath")
+        for s in np.linspace(0.01, 5.0, 200).tolist():
+            e = s + 1.0 if kernel == "paper" else s
+            got = models._cold_rate_factors(OhmicParams(alpha=0.1, s=s, kernel=kernel))[0]
+            cases = [(got, e)]
+            if kernel == "literature" and s < 1.0:
+                # the T = 0 GammaTilde's G(nu), nu = s - 1 in (-1, 0)
+                cases.append((models._gamma(s - 1.0), s - 1.0))
+            for value, arg in cases:
+                with mpmath.workdps(40):
+                    ref = mpmath.gamma(arg)
+                assert value == pytest.approx(float(ref), rel=6 * self.ULP, abs=0.0)
+        # past the float range and at a pole, the values scipy's gamma gave
+        assert models._gamma(171.7) == models._gamma(1e-310) == math.inf
+        assert math.isnan(models._gamma(-1.0))
+
+
 class TestMarkovRateLimit:
     def test_weak_coupling_scaling(self):
         assert markov_rate_limit(1e-8) == pytest.approx(2e-8, rel=1e-6)
@@ -456,3 +540,10 @@ def test_params_validation():
         OhmicParams(alpha=0.1, s=1.0, kernel="nonsense")
     with pytest.raises(ValueError):
         OhmicParams(alpha=0.1, s=1.0, T=-1.0)
+    for bad in (math.nan, math.inf):
+        for kwargs in ({"R": bad}, {"R": 0.2, "N": bad}):
+            with pytest.raises(ValueError):
+                ThermalParams(**kwargs)
+        for name in ("alpha", "s", "omega_c", "T"):
+            with pytest.raises(ValueError):
+                OhmicParams(**{"alpha": 0.1, "s": 1.0, name: bad})
