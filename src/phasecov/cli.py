@@ -135,6 +135,9 @@ class RunConfig:
             raise UsageError("t-max must be positive and finite")
         if not 0 < self.tol < math.inf:
             raise UsageError("tol must be positive and finite")
+        for name in ("g1", "g2", "g3", "w"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise UsageError(f"{name} must be finite")
         if self.model == "tabulated" and not self.rates_file:
             raise UsageError("tabulated model requires --rates-file")
         try:
@@ -553,6 +556,10 @@ def main(argv=None) -> int:
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # a grid sized by --steps that does not fit
+        print(f"error: out of memory, try fewer --steps ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

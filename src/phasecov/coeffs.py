@@ -21,9 +21,12 @@ which is unconditionally stable.  ``integrate_profile`` and
 ``segment_coefficients`` accumulate Gamma, GammaTilde and Omega by
 adaptive quadrature from grid time to grid time, then solve the g ODE
 in one LSODA pass per singular-free segment, which reports every grid
-time through its dense output and restarts only at the profile's
-singular points.  LSODA switches between Adams and BDF formulas as the
-rates make the ODE stiff or not, so a large rate costs few steps.
+time and restarts only at the profile's singular points.  LSODA
+switches between Adams and BDF formulas as the rates make the ODE stiff
+or not, so a large rate costs few steps.  Each pass is one ODEPACK
+call (``solve_ivp`` below, through scipy's ``odeint``), with ``tcrit``
+at the segment's end so that no rate is sampled past it; unlike scipy's
+stepwise ``solve_ivp`` LSODA, it leaves no memory behind.
 
 Rates that are linear between table nodes have coefficients in closed
 form up to one smooth integral per piece, which
@@ -35,8 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -273,9 +278,57 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+# ODEPACK's largest step cap per output interval: as unbounded as one-step LSODA
+_MAX_STEPS = 2**31 - 1
+# odeint's full_output message for a call that reached every output time
+_ODEINT_SUCCESS = "Integration successful."
+
+
+def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None, rtol=1e-3, atol=1e-6):
+    """LSODA from t_span[0] to t_span[1] in one ODEPACK call (``odeint``).
+
+    Called like scipy's ``solve_ivp``, it reports the fields of that
+    result which phasecov reads: ``t``, ``y``, ``success``, ``message``
+    and ``nfev``.  ``fun(t, y)`` is sampled on t_span only (``tcrit`` at
+    its end), and ``.t`` holds the times of ``t_eval``, or the two ends
+    of t_span without it.  A failed pass has ``success`` False, and its
+    ``.t``/``.y`` run from t_span[0] to the time and state where it
+    stopped: ODEPACK's, with its message, or the first requested time at
+    which the state is not finite.  No solver warning is issued.
+    """
+    if method != "LSODA":
+        raise ValueError(f"only method='LSODA' is available, not {method!r}")
+    from scipy.integrate import ODEintWarning, odeint
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    t = np.array([t0, t1] if t_eval is None else t_eval, dtype=float)
+    if t[0] < t0 or t[-1] > t1:
+        raise ValueError("t_eval must lie within t_span")
+    # odeint reports the initial time first
+    lead = t[0] != t0
+    if lead:
+        t = np.insert(t, 0, t0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t1],
+                         mxstep=_MAX_STEPS, full_output=True, tfirst=True)
+    nfe, message = info["nfe"], info["message"]
+    failed = t.size > 1 and message != _ODEINT_SUCCESS
+    if failed:
+        # the call stopped in the first interval whose end it did not reach
+        # (the last one also when a snap to tcrit left its tn a hair short);
+        # that row holds where it stopped, and the rows after it are unset
+        short = np.flatnonzero(~(info["tcur"] >= t[1:]))
+        k = int(short[0]) if short.size else t.size - 2
+        t, y, nfe = np.append(t[:k + 1], info["tcur"][k]), y[:k + 2], nfe[:k + 1]
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        t, y, message = t[:k + 1], y[:k + 1], "the state is not finite"
+    success = not (failed or bad.size)
+    if lead and success:
+        t, y = t[1:], y[1:]
+    return SimpleNamespace(t=t, y=y.T, success=success, message=message,
+                           nfev=int(nfe[-1]) if nfe.size else 0)
 
 
 def _quad(func, a, b, cfg, points=None, **weight):
@@ -323,10 +376,11 @@ def _g_pass(profile, start, times, cfg):
 
     dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one LSODA
     pass per singular-free segment: each pass reports the requested
-    times through ``t_eval`` (the solver's dense output) and the next
-    restarts at a singular point with the value reached there.  LSODA
-    picks non-stiff Adams or stiff BDF steps by itself, and never
-    samples a rate past the end of its segment.
+    times through ``t_eval`` and the next restarts at a singular point
+    with the value reached there.  LSODA picks non-stiff Adams or stiff
+    BDF steps by itself, and never samples a rate past the end of its
+    segment.  A pass that fails, or whose g is not finite, raises
+    :class:`ToleranceError` naming the time it stopped at.
     """
 
     def rhs(t, y):
@@ -355,7 +409,8 @@ def _g_pass(profile, start, times, cfg):
             atol=max(cfg.abs_tol * 1e-2, 1e-15),
         )
         if not sol.success:
-            raise ToleranceError("population ODE failed", (lo, hi))
+            raise ToleranceError(
+                f"population ODE failed at t = {sol.t[-1]:g}: {sol.message}", (lo, hi))
         values = sol.y[0].tolist()
         out += values[:len(wanted)]
         g = values[-1]

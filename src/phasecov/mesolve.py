@@ -23,8 +23,13 @@ structurally, not up to solver error.  In these parameters each term of
 the generator is affine, rate_k(t) (A_k y + c_k).  A_k and c_k are
 found once, by applying the dissipators and the commutator to the basis
 states (superoperator form: Breuer and Petruccione, *The Theory of Open
-Quantum Systems*, 2002), and the right-hand side is their rate-weighted
-sum in float arithmetic; ``liouvillian`` stays as the 2x2 form.
+Quantum Systems*, 2002), and written out, on first use, as one
+straight-line function of the rates and y, their rate-weighted sum in
+float arithmetic; ``liouvillian`` stays as the 2x2 form.  The whole
+integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``), with
+``tcrit`` at t_end so that no rate is sampled past it; a solver failure,
+or a reported state that is not finite, raises :class:`IntegrationError`
+naming the time.
 Profiles with a rate singularity inside the integration window are
 refused: the generator diverges there even though the map stays finite,
 and the closed-form route is the authority across such points.
@@ -94,7 +99,6 @@ def liouvillian(profile: RateProfile, t: float, rho) -> np.ndarray:
     return sum(r * term(rho) for r, term in zip(profile.rates(t), _TERMS))
 
 
-@functools.cache
 def _affine_terms() -> tuple:
     """The nonzero entries of the affine generator on y = (P1, Re alpha, Im alpha).
 
@@ -116,10 +120,28 @@ def _affine_terms() -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _drift(rates, y) -> list[float]:
-    """dy/dt = sum_k rate_k (A_k y + c_k) for y = (P1, Re alpha, Im alpha)."""
-    z = (y[0], y[1], y[2], 1.0)
-    return [sum(rates[k] * a * z[j] for k, j, a in row) for row in _affine_terms()]
+@functools.cache
+def _compiled_drift():
+    """dy/dt = sum_k rate_k (A_k y + c_k) as one straight-line function.
+
+    Built on first use from the rows of ``_affine_terms``: the returned
+    ``drift(rates, y)`` adds the terms rate_k * a * y_j of each row in
+    their order from 0.0, with the coefficients a written out by their
+    exact repr, so a right-hand-side call is a few float operations.
+    """
+    def term(k, j, a):
+        # (rate * a) * 1.0 is rate * a exactly: the constant column needs no factor
+        return f"r{k} * {a!r}" + ("" if j == 3 else f" * y{j}")
+
+    body = ", ".join(" + ".join(["0.0", *(term(*t) for t in row)])
+                     for row in _affine_terms())
+    code = ("def drift(rates, y):\n"
+            "    r0, r1, r2, r3 = rates\n"
+            "    y0, y1, y2 = y\n"
+            f"    return [{body}]\n")
+    namespace = {}
+    exec(code, namespace)
+    return namespace["drift"]
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:
@@ -177,8 +199,10 @@ def integrate_me(
             return rho0.copy()
         return np.array([rho0.copy() for _ in t_eval])
 
+    rates, drift = profile.rates, _compiled_drift()
+
     def rhs(t, y):
-        return _drift(profile.rates(t), y.tolist())
+        return drift(rates(t), y.tolist())
 
     sol = solve_ivp(
         rhs,
@@ -188,12 +212,10 @@ def integrate_me(
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
-        dense_output=False,
     )
     if not sol.success:
-        reached = sol.t[-1] if sol.t.size else 0.0
         raise IntegrationError(
-            f"integration failed near t = {reached:g}: {sol.message}")
+            f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
     if t_eval is None:
         return _unpack(sol.y[:, -1])
     return np.array([_unpack(sol.y[:, i]) for i in range(sol.y.shape[1])])

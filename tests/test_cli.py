@@ -291,6 +291,33 @@ class TestPlumbing:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,value", [
+        ("g1", "nan"), ("g2", "inf"), ("g3", "-inf"), ("w", "nan")])
+    def test_non_finite_constant_rate_is_usage_error(self, tmp_path, capsys,
+                                                     option, value):
+        # rates used to exit 0 with blank cells for --g2 inf
+        out = tmp_path / "out"
+        assert main(["rates", "--model", "constant", f"--{option}={value}",
+                     "--steps", "5", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{option} must be finite" in err
+        assert not out.exists()
+
+    def test_grid_that_cannot_be_allocated_is_usage_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # numpy's own failure, without allocating anything for real
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array with "
+                              "shape (100000000000,) and data type float64")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        assert main(["evolve", "--model", "thermal", "--steps", "100000000000",
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--steps" in err and "745. GiB" in err
+        assert not out.exists()
+
     def test_io_error(self, capsys):
         code = main(["evolve", "--model", "constant",
                      "--out", "/no/such/dir/x.csv"])

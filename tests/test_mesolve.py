@@ -1,14 +1,21 @@
 import cmath
+import gc
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from phasecov import (IntegrationError, OhmicParams, QubitState, RateProfile,
-                      ThermalParams, combine_profiles, constant_profile,
-                      evolve_state, integrate_me, integrate_profile, liouvillian,
-                      markovian_coefficients, ohmic_profile, thermal_profile)
-from phasecov.mesolve import _drift, _pack, _unpack, validate_density_matrix
+from phasecov import (IntegrationError, OhmicParams, QuadratureConfig, QubitState,
+                      RateProfile, ThermalParams, ToleranceError, combine_profiles,
+                      constant_profile, evolve_state, integrate_me,
+                      integrate_profile, liouvillian, markovian_coefficients,
+                      ohmic_profile, thermal_profile)
+from phasecov.coeffs import _g_pass
+from phasecov.mesolve import (_affine_terms, _compiled_drift, _pack, _unpack,
+                              validate_density_matrix)
 
 RHO0 = QubitState(0.3, 0.2 - 0.1j).density_matrix
 
@@ -127,7 +134,26 @@ def test_affine_right_hand_side_equals_the_liouvillian():
         rho = _unpack(y)
         ref = _pack(liouvillian(constant_profile(*rates), 0.3, rho))
         scale = max(1.0, max(map(abs, rates)))
-        assert np.abs(np.array(_drift(rates, y.tolist())) - ref).max() <= 1e-14 * scale
+        drift = _compiled_drift()(rates, y.tolist())
+        assert np.abs(np.array(drift) - ref).max() <= 1e-14 * scale
+
+
+def test_compiled_drift_equals_the_affine_sum_bit_for_bit():
+    # the sum of rate_k * a * y_j over each row of _affine_terms, in order
+    def reference(rates, y):
+        z = (y[0], y[1], y[2], 1.0)
+        return [sum(rates[k] * a * z[j] for k, j, a in row) for row in _affine_terms()]
+
+    rng = np.random.default_rng(12)
+    cases = [((0.0, -0.0, 0.0, -0.0), [-0.0, 0.0, -0.0]),
+             ((math.inf, 1.0, math.nan, -2.0), [0.5, -0.25, 0.0])]
+    for _ in range(500):
+        rates = (rng.normal(size=4) * 10.0 ** rng.uniform(-8, 8, 4)).tolist()
+        cases.append((tuple(rates), rng.uniform(-1.0, 1.0, 3).tolist()))
+    drift = _compiled_drift()
+    for rates, y in cases:
+        assert [x.hex() for x in drift(rates, y)] == \
+            [x.hex() for x in reference(rates, y)]
 
 
 def _counted(value):
@@ -184,3 +210,57 @@ def test_master_equation_never_samples_past_its_window():
     for rho, c in zip(states[1:], integrate_profile(prof, t_eval[1:])):
         assert np.abs(rho - evolve_state(s0, c).density_matrix).max() <= 1e-6
     assert late == []
+
+
+def _time_in(message):
+    return float(re.search(r"at t = (\S+):", message).group(1))
+
+
+def test_solver_failure_raises_without_warnings():
+    # ODEPACK refuses tolerances this small; scipy's warnings must not escape
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="integration failed at t = 0: "):
+            integrate_me(prof, RHO0, 3.0, rtol=1e-300, atol=1e-300)
+
+
+def test_non_finite_state_is_an_error():
+    # gamma2 turns NaN after t = 1 on [0, 3]: both ODE routes raise at the
+    # first reported state that is not finite instead of returning NaN
+    prof = RateProfile(gamma1=lambda t: 0.1,
+                       gamma2=lambda t: 0.5 if t <= 1.0 else math.nan)
+    # the step that crosses t = 1 already carries the NaN, so the state
+    # reported at t = 1 may be the first one lost
+    times = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    with pytest.raises(IntegrationError, match="the state is not finite") as err:
+        integrate_me(prof, RHO0, 3.0, t_eval=[0.0, *times])
+    assert _time_in(str(err.value)) in (1.0, 1.5)
+    with pytest.raises(IntegrationError, match="at t = 3: the state is not finite"):
+        integrate_me(prof, RHO0, 3.0)
+    with pytest.raises(ToleranceError, match="the state is not finite") as err:
+        _g_pass(prof, 0.0, times, QuadratureConfig())
+    assert _time_in(str(err.value)) in (1.0, 1.5)
+
+
+def test_repeated_solves_retain_no_memory():
+    # scipy's solve_ivp LSODA kept about 1.5 KB per pair of solves for good
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+
+    def pair():
+        integrate_me(prof, RHO0, 3.0)
+        integrate_profile(prof, [1.0, 2.0, 3.0])
+
+    for _ in range(20):
+        pair()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            pair()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / 300 < 100
