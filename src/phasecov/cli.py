@@ -27,8 +27,9 @@ import math
 import os
 import re
 import sys
-from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,12 +51,6 @@ EVOLVE_HEADER = "t,P1,Re_alpha,Im_alpha,Gamma,GammaTilde,Omega,g"
 RATES_HEADER = "t,gamma1,gamma2,gamma3,omega"
 SCAN_HEADER = ("param,value,stationary_P1,max_P1,osc_amplitude,"
                "nm_verdict,first_negative_start")
-
-MODELS = ("thermal", "ohmic", "both", "constant", "tabulated")
-# the parameters each model reads, which are the ones scan can sweep
-SCAN_PARAMS = {"thermal": ("R", "N"), "ohmic": ("s", "alpha", "omega_c", "T"),
-               "both": ("R", "N", "s", "alpha", "omega_c", "T"),
-               "constant": (), "tabulated": ()}
 
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")
@@ -102,63 +97,6 @@ def default_tolerance() -> float:
     return val
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model: str
-    R: float = 0.25
-    N: float = 0.0
-    alpha: float = 0.1
-    s: float = 1.0
-    omega_c: float = 1.0
-    T: float = 0.0
-    kernel: str = "literature"
-    g1: float = 0.0
-    g2: float = 0.0
-    g3: float = 0.0
-    w: float = 0.0
-    rates_file: str | None = None
-    t_max: float = 10.0
-    steps: int = 200
-    p1_0: float = 1.0
-    re_alpha_0: float = 0.0
-    im_alpha_0: float = 0.0
-    tol: float = cptp.DEFAULT_TOL
-    out: str = "-"
-
-    def validate(self):
-        if self.model not in MODELS:
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.steps < 2:
-            raise UsageError("steps must be at least 2")
-        # written so that NaN fails each comparison
-        if not 0 < self.t_max < math.inf:
-            raise UsageError("t-max must be positive and finite")
-        if not 0 < self.tol < math.inf:
-            raise UsageError("tol must be positive and finite")
-        for name in ("g1", "g2", "g3", "w"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise UsageError(f"{name} must be finite")
-        if self.model == "tabulated" and not self.rates_file:
-            raise UsageError("tabulated model requires --rates-file")
-        try:
-            QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
-            if self.model in ("thermal", "both"):
-                models.ThermalParams(self.R, self.N)
-            if self.model in ("ohmic", "both"):
-                models.OhmicParams(self.alpha, self.s, self.omega_c,
-                                   self.T, self.kernel)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.steps)
-
-    @property
-    def initial_state(self) -> QubitState:
-        return QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
-
-
 def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """The nodes and the (4, n) rates of a table that covers [0, t_max]."""
     try:
@@ -184,42 +122,149 @@ def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 def _tabulated_profile(cfg: RunConfig) -> RateProfile:
     """Linear interpolation of a rates table that covers [0, t_max]."""
     t, rates = _rates_table(cfg)
-
-    def interp(values):
-        # np.interp's formula on Python lists: one call costs a fifth of
-        # np.interp's on a single point, and it runs inside the integrators
-        ts, vs = t.tolist(), values.tolist()
-        last = len(ts) - 1
-
-        def rate(x):
-            j = bisect_right(ts, x) - 1
-            if j < 0:
-                return vs[0]
-            if j >= last:
-                return vs[last]
-            if ts[j] == x:
-                return vs[j]
-            return (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + vs[j]
-        return rate
-
-    return RateProfile(*map(interp, rates), grid_rates=lambda x: np.array(
-        [np.interp(x, t, values) for values in rates]))
+    return RateProfile(
+        *(functools.partial(np.interp, xp=t, fp=values) for values in rates),
+        grid_rates=lambda x: np.array([np.interp(x, t, values) for values in rates]))
 
 
-def _profile_for(cfg: RunConfig):
+def _tabulated_run(cfg: RunConfig) -> RunConfig:
+    # the parameters are the run's table and window, read by the command
+    if not cfg.rates_file:
+        raise ValueError("tabulated model requires --rates-file")
+    return cfg
+
+
+def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
+    rates = (cfg.g1, cfg.g2, cfg.g3, cfg.w)
+    for name, value in zip(("g1", "g2", "g3", "w"), rates):
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite")
+    return rates
+
+
+def _ohmic_gamma_tilde(p: models.OhmicParams, times: np.ndarray) -> tuple[np.ndarray]:
+    # the zero-T closed form, or at T > 0 the exact series
+    if p.T == 0:
+        return (models.ohmic_closed_form(p, times)[1],)
+    return (models.OhmicSeries(p).gamma_tilde(times),)
+
+
+@dataclass(frozen=True)
+class _Environment:
+    """One environment of a model, as the commands build and run it.
+
+    ``sweep`` names the RunConfig fields of its parameters that ``scan``
+    may sweep (constant and tabulated rates have none).  ``params(cfg)``
+    builds its parameters p, raising ValueError for invalid ones;
+    ``profile(p, t_max)`` is its RateProfile for windows up to t_max;
+    ``grid(p, times)`` gives the CoefficientSet fields named in
+    ``supplies`` as arrays over the times.
+    """
+
+    sweep: tuple[str, ...]
+    params: Callable[[RunConfig], object]
+    profile: Callable[[object, float], RateProfile]
+    supplies: tuple[str, ...]
+    grid: Callable[[object, np.ndarray], tuple]
+
+
+_COEFFICIENTS = ("Gamma", "GammaTilde", "Omega", "g")
+_coefficients_of = attrgetter(*_COEFFICIENTS)
+
+# the closed form, exact also across the rate singularities at R > 1/2
+_THERMAL = _Environment(
+    ("R", "N"), lambda cfg: models.ThermalParams(cfg.R, cfg.N),
+    models.thermal_profile, ("Gamma", "g"), models.thermal_closed_form)
+_OHMIC = _Environment(
+    ("s", "alpha", "omega_c", "T"),
+    lambda cfg: models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),
+    lambda p, t_max: models.ohmic_profile(p), ("GammaTilde",), _ohmic_gamma_tilde)
+
+# each model by name, with the environments whose rates and coefficients it
+# adds up; their supplies do not overlap
+MODELS = {
+    "thermal": (_THERMAL,),
+    "ohmic": (_OHMIC,),
+    # thermalisation plus dephasing: the coherence exponents add
+    "both": (_THERMAL, _OHMIC),
+    # the GKSL expressions of constant rates
+    "constant": (_Environment(
+        (), _constant_rates, lambda rates, t_max: constant_profile(*rates), _COEFFICIENTS,
+        lambda rates, times: _coefficients_of(markovian_coefficients(*rates, times))),),
+    # the exact piecewise-linear route, with no quadrature and no ODE
+    "tabulated": (_Environment(
+        (), _tabulated_run, lambda run, t_max: _tabulated_profile(run), _COEFFICIENTS,
+        lambda run, times: _coefficients_of(
+            piecewise_linear_coefficients(*_rates_table(run), times))),),
+}
+
+
+def _option(default, help=None, **argparse_kwargs):
+    """A RunConfig field: its default, and the help and choices of its option."""
+    return field(default=default, metadata=dict(argparse_kwargs, help=help))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The options of a run.  Each field is the option --<name> (with - for
+    _), and its default here is the option's only default."""
+
+    model: str = field(metadata=dict(required=True, choices=MODELS))
+    R: float = _option(0.25, "thermal coupling (dimensionless, > 0)")
+    N: float = _option(0.0, "mean thermal occupation (>= 0)")
+    alpha: float = _option(0.1, "Ohmic coupling constant")
+    s: float = _option(1.0, "Ohmicity parameter")
+    omega_c: float = _option(1.0, "cutoff frequency")
+    T: float = _option(0.0, "dephasing bath temperature (hbar = k_B = 1)")
+    kernel: str = _option("literature", choices=models.KERNELS)
+    g1: float = _option(0.0, "constant heating rate")
+    g2: float = _option(0.0, "constant dissipation rate")
+    g3: float = _option(0.0, "constant dephasing rate")
+    w: float = _option(0.0, "constant frequency shift")
+    rates_file: str | None = _option(None, "CSV t,gamma1,gamma2,gamma3,omega")
+    t_max: float = _option(10.0)
+    steps: int = _option(200, "number of grid points including t = 0")
+    p1_0: float = _option(1.0)
+    re_alpha_0: float = _option(0.0)
+    im_alpha_0: float = _option(0.0)
+    tol: float = _option(cptp.DEFAULT_TOL, f"verdict tolerance (default "
+                         f"{cptp.DEFAULT_TOL:g}, override with {TOL_ENV_VAR})")
+    out: str = _option("-", "output path, - for stdout")
+
+    def validate(self):
+        if self.model not in MODELS:
+            raise UsageError(f"unknown model {self.model!r}")
+        if self.steps < 2:
+            raise UsageError("steps must be at least 2")
+        # written so that NaN fails each comparison
+        if not 0 < self.t_max < math.inf:
+            raise UsageError("t-max must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise UsageError("tol must be positive and finite")
+        try:
+            for env in MODELS[self.model]:
+                env.params(self)
+            QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.steps)
+
+    @property
+    def initial_state(self) -> QubitState:
+        return QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
+
+
+def _profile_for(cfg: RunConfig) -> RateProfile:
     """RateProfile of the configured model (for rates/NM scanning)."""
-    parts = []
-    if cfg.model in ("thermal", "both"):
-        parts.append(models.thermal_profile(
-            models.ThermalParams(cfg.R, cfg.N), t_max=cfg.t_max))
-    if cfg.model in ("ohmic", "both"):
-        parts.append(models.ohmic_profile(
-            models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel)))
-    if cfg.model == "constant":
-        parts.append(constant_profile(cfg.g1, cfg.g2, cfg.g3, cfg.w))
-    if cfg.model == "tabulated":
-        parts.append(_tabulated_profile(cfg))
-    return combine_profiles(*parts)
+    try:
+        return combine_profiles(*(env.profile(env.params(cfg), cfg.t_max)
+                                  for env in MODELS[cfg.model]))
+    except ValueError as exc:
+        # e.g. a thermal window with more poles than can be listed
+        raise UsageError(str(exc)) from exc
 
 
 # the largest x with a finite exp(x)
@@ -229,38 +274,19 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
     """The coefficients on the whole time grid, as a CoefficientSet of arrays.
 
-    The thermal part uses its closed form (exact also across rate
-    singularities at R > 1/2); the Ohmic part uses the zero-T closed
-    form or, at T > 0, the exact series; constant rates use the GKSL
-    expressions; tabulated rates the exact piecewise-linear route.  A
-    generator whose coefficients cannot be represented is refused
-    (see ``_check_finite``).
+    Each environment of the model supplies its fields, and the others
+    are 0.  A generator whose coefficients cannot be represented is
+    refused (see ``_check_finite``).
     """
     times = cfg.times
+    values = dict.fromkeys(_COEFFICIENTS, np.zeros_like(times))
     # an overflow leaves a non-finite coefficient, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.model == "constant":
-            c = markovian_coefficients(cfg.g1, cfg.g2, cfg.g3, cfg.w, times)
-        elif cfg.model == "tabulated":
-            c = piecewise_linear_coefficients(*_rates_table(cfg), times)
-        else:
-            c = _model_coefficients(cfg, times)
+        for env in MODELS[cfg.model]:
+            values.update(zip(env.supplies, env.grid(env.params(cfg), times)))
+    c = CoefficientSet(t=times, **values)
     _check_finite(c)
     return c
-
-
-def _model_coefficients(cfg: RunConfig, times: np.ndarray) -> CoefficientSet:
-    zeros = np.zeros_like(times)
-    gamma = tilde = g = zeros
-    if cfg.model in ("thermal", "both"):
-        gamma, g = models.thermal_closed_form(models.ThermalParams(cfg.R, cfg.N), times)
-    if cfg.model in ("ohmic", "both"):
-        op = models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel)
-        if op.T == 0:
-            tilde = models.ohmic_closed_form(op, times)[1]
-        else:
-            tilde = models.OhmicSeries(op).gamma_tilde(times)
-    return CoefficientSet(t=times, Gamma=gamma, GammaTilde=tilde, Omega=zeros, g=g)
 
 
 def _check_finite(c: CoefficientSet) -> None:
@@ -396,18 +422,14 @@ def cmd_rates(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _with_param(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    return replace(cfg, **{name: value})
-
-
 def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
-    used = SCAN_PARAMS[cfg.model]
+    used = [name for env in MODELS[cfg.model] for name in env.sweep]
     if param not in used:
         raise UsageError(f"model {cfg.model!r} does not use parameter {param!r}; "
                          f"it uses {', '.join(used) or 'no scan parameter'}")
     rows = [SCAN_HEADER]
     for value in values:
-        sub = _with_param(cfg, param, value)
+        sub = replace(cfg, **{param: value})
         sub.validate()
         p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub))
         stationary = p1[-1]
@@ -424,41 +446,16 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> set[str]:
-    """Add the options every subcommand takes; return their dests."""
-    dests = set()
-
-    def add(*flags, **kwargs):
-        dests.add(p.add_argument(*flags, **kwargs).dest)
-
-    add("--model", required=True, choices=MODELS)
-    add("--R", type=float, default=0.25,
-        help="thermal coupling (dimensionless, > 0)")
-    add("--N", type=float, default=0.0,
-        help="mean thermal occupation (>= 0)")
-    add("--alpha", type=float, default=0.1,
-        help="Ohmic coupling constant")
-    add("--s", type=float, default=1.0, help="Ohmicity parameter")
-    add("--omega-c", type=float, default=1.0, help="cutoff frequency")
-    add("--T", type=float, default=0.0,
-        help="dephasing bath temperature (hbar = k_B = 1)")
-    add("--kernel", choices=models.KERNELS, default="literature")
-    add("--g1", type=float, default=0.0, help="constant heating rate")
-    add("--g2", type=float, default=0.0, help="constant dissipation rate")
-    add("--g3", type=float, default=0.0, help="constant dephasing rate")
-    add("--w", type=float, default=0.0, help="constant frequency shift")
-    add("--rates-file", help="CSV t,gamma1,gamma2,gamma3,omega")
-    add("--t-max", type=float, default=10.0)
-    add("--steps", type=int, default=200,
-        help="number of grid points including t = 0")
-    add("--p1-0", type=float, default=1.0)
-    add("--re-alpha-0", type=float, default=0.0)
-    add("--im-alpha-0", type=float, default=0.0)
-    add("--tol", type=float, default=None,
-        help=f"verdict tolerance (default {cptp.DEFAULT_TOL:g}, "
-             f"override with {TOL_ENV_VAR})")
-    add("--out", default="-", help="output path, - for stdout")
-    add("--config", help="JSON file with defaults for any option")
-    return dests
+    """Add the options every subcommand takes, one per RunConfig field and
+    --config; return their dests.  They have no default of their own (see
+    build_parser), so an option left out keeps the RunConfig default."""
+    for f in fields(RunConfig):
+        kwargs = dict(f.metadata)
+        if isinstance(f.default, (int, float)):
+            kwargs["type"] = type(f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), **kwargs)
+    p.add_argument("--config", help="JSON file with defaults for any option")
+    return {f.name for f in fields(RunConfig)}
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -472,7 +469,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         ("rates", "decay rates over a time grid (CSV)"),
         ("scan", "summary per value of a swept parameter (CSV)"),
     ):
-        p = sub.add_parser(name, help=descr)
+        # no option has a default of its own: one left out is not in args
+        p = sub.add_parser(name, help=descr, argument_default=argparse.SUPPRESS)
         dests = _add_model_args(p)
         if name == "cp-check":
             dests.add(p.add_argument("--method", choices=("paper", "choi", "both"),
@@ -515,15 +513,13 @@ def _load_config(argv) -> dict:
 
 
 def _config_from_args(args) -> RunConfig:
-    tol = args.tol if args.tol is not None else default_tolerance()
-    cfg = RunConfig(
-        model=args.model, R=args.R, N=args.N, alpha=args.alpha, s=args.s,
-        omega_c=args.omega_c, T=args.T, kernel=args.kernel,
-        g1=args.g1, g2=args.g2, g3=args.g3, w=args.w,
-        rates_file=args.rates_file, t_max=args.t_max, steps=args.steps,
-        p1_0=args.p1_0, re_alpha_0=args.re_alpha_0, im_alpha_0=args.im_alpha_0,
-        tol=tol, out=args.out,
-    )
+    """The RunConfig of the options set by a flag or by --config; the
+    tolerance of neither comes from default_tolerance()."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    if given.get("tol") is None:
+        given["tol"] = default_tolerance()
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 

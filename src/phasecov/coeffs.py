@@ -215,13 +215,10 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be strictly positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -278,26 +275,28 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-# ODEPACK's largest step cap per output interval: as unbounded as one-step LSODA
-_MAX_STEPS = 2**31 - 1
+# QUADPACK's subinterval cap per quadrature, and ODEPACK's step cap per
+# output interval: passes that converge take a few hundred steps, and one
+# that meets an unlisted divergence fails instead of running on
+_MAX_SUBDIVISIONS = 200
+_MAX_STEPS = 10**5
 # odeint's full_output message for a call that reached every output time
 _ODEINT_SUCCESS = "Integration successful."
 
 
-def solve_ivp(fun, t_span, y0, method="LSODA", t_eval=None, rtol=1e-3, atol=1e-6):
+def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6):
     """LSODA from t_span[0] to t_span[1] in one ODEPACK call (``odeint``).
 
-    Called like scipy's ``solve_ivp``, it reports the fields of that
-    result which phasecov reads: ``t``, ``y``, ``success``, ``message``
-    and ``nfev``.  ``fun(t, y)`` is sampled on t_span only (``tcrit`` at
+    Called like scipy's ``solve_ivp`` with method="LSODA", it reports the
+    fields of that result which phasecov reads: ``t``, ``y``, ``success``,
+    ``message`` and ``nfev``.  ``fun(t, y)`` is sampled on t_span only (``tcrit`` at
     its end), and ``.t`` holds the times of ``t_eval``, or the two ends
     of t_span without it.  A failed pass has ``success`` False, and its
     ``.t``/``.y`` run from t_span[0] to the time and state where it
     stopped: ODEPACK's, with its message, or the first requested time at
-    which the state is not finite.  No solver warning is issued.
+    which the state is not finite, or after ``_MAX_STEPS`` steps in one
+    interval of t_eval.  No solver warning is issued.
     """
-    if method != "LSODA":
-        raise ValueError(f"only method='LSODA' is available, not {method!r}")
     from scipy.integrate import ODEintWarning, odeint
     t0, t1 = float(t_span[0]), float(t_span[1])
     t = np.array([t0, t1] if t_eval is None else t_eval, dtype=float)
@@ -344,7 +343,7 @@ def _quad(func, a, b, cfg, points=None, **weight):
     kwargs = dict(
         epsabs=cfg.abs_tol,
         epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
         **weight,
     )
@@ -403,7 +402,6 @@ def _g_pass(profile, start, times, cfg):
             rhs,
             (lo, hi),
             [g],
-            method="LSODA",
             t_eval=t_eval,
             rtol=max(cfg.rel_tol * 1e-2, 1e-13),
             atol=max(cfg.abs_tol * 1e-2, 1e-15),
@@ -417,28 +415,34 @@ def _g_pass(profile, start, times, cfg):
     return out
 
 
-def _accumulate(profile, start, times, cfg):
-    """Coefficients from ``start`` to each of the sorted times, g from 0 at start.
-
-    Each quadrature reuses the integrals up to the previous time; the g
-    pass runs after them, so a pole that the quadrature cannot cross
-    raises its :class:`ToleranceError` before the ODE meets it.
-    """
+def _running_integrals(profile, integrands, start, times, cfg):
+    """Per sorted time, the integrals of the integrands from ``start``: one
+    quadrature per integrand and grid interval, added to the previous row."""
     sing = sorted(profile.singular_points)
-    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
     rows = []
     prev = start
-    gamma = tilde = omega = 0.0
+    totals = [0.0] * len(integrands)
     for t in times:
         if t > prev:
             pts = _interior_points(sing, prev, t)
-            gamma += _quad(half_sum, prev, t, cfg, pts)
-            tilde += _quad(profile.gamma3, prev, t, cfg, pts)
-            omega += _quad(profile.omega, prev, t, cfg, pts)
+            totals = [total + _quad(fn, prev, t, cfg, pts)
+                      for total, fn in zip(totals, integrands)]
             prev = t
-        rows.append((t, gamma, tilde, omega))
-    return [CoefficientSet(*row, g=g)
-            for row, g in zip(rows, _g_pass(profile, start, times, cfg))]
+        rows.append(totals)
+    return rows
+
+
+def _accumulate(profile, start, times, cfg):
+    """Coefficients from ``start`` to each of the sorted times, g from 0 at start.
+
+    The g pass runs after the quadratures, so a pole that they cannot
+    cross raises its :class:`ToleranceError` before the ODE meets it.
+    """
+    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
+    rows = _running_integrals(profile, (half_sum, profile.gamma3, profile.omega),
+                              start, times, cfg)
+    return [CoefficientSet(t, *row, g=g)
+            for t, row, g in zip(times, rows, _g_pass(profile, start, times, cfg))]
 
 
 def _validate_times(times):
@@ -619,11 +623,6 @@ def weak_coupling_integrals(
     if t < 0:
         raise ValueError("t must be non-negative")
     profile.check_reach(t)
-    cfg = cfg or QuadratureConfig()
-    if t == 0:
-        return (0.0, 0.0, 0.0)
-    pts = _interior_points(sorted(profile.singular_points), 0.0, t)
-    i1 = _quad(profile.gamma1, 0.0, t, cfg, pts)
-    i2 = _quad(profile.gamma2, 0.0, t, cfg, pts)
-    i3 = _quad(profile.gamma3, 0.0, t, cfg, pts)
-    return (i1, i2, i3)
+    [row] = _running_integrals(profile, (profile.gamma1, profile.gamma2, profile.gamma3),
+                               0.0, [t], cfg or QuadratureConfig())
+    return tuple(row)

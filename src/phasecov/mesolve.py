@@ -208,7 +208,6 @@ def integrate_me(
         rhs,
         (0.0, float(t_end)),
         _pack(rho0),
-        method="LSODA",
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,

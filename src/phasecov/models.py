@@ -178,24 +178,27 @@ def amplitude_memory(R: float, tau: float) -> MemorySample:
     return MemorySample(tau=tau, c_ratio=c, x=c * c, f=f)
 
 
+_MAX_ZEROS = 10**5     # the CLI's windows list at most about 40
+
+
 def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
     """Times in (0, t_max] where c vanishes and f diverges.
 
     Zeros exist only for R > 1/2, at tau_k = (2/delta)(k pi - atan delta)
-    with delta = sqrt(2R - 1).
+    with delta = sqrt(2R - 1), for k up to (delta t_max/2 + atan delta)/pi.
+    A window with more than ``_MAX_ZEROS`` of them raises ValueError.
     """
     if R <= 0.5:
         return ()
     delta = math.sqrt(2 * R - 1)
-    zeros = []
-    k = 1
-    while True:
-        tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
-        if tau > t_max:
-            break
-        zeros.append(tau)
-        k += 1
-    return tuple(zeros)
+    count = (delta * t_max / 2 + math.atan(delta)) / math.pi
+    if not count <= _MAX_ZEROS:
+        raise ValueError(f"R = {R:g} gives about {count:.3g} rate poles up to t = "
+                         f"{t_max:g}, more than the {_MAX_ZEROS} that can be listed")
+    # one k past the count, in case its rounding differs from that of tau
+    k = np.arange(1, math.floor(count) + 2)
+    tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
+    return tuple(tau[tau <= t_max].tolist())
 
 
 def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ import pytest
 import phasecov
 from phasecov import coeffs, markovian_coefficients
 from phasecov.cli import (EVOLVE_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                          EXIT_VIOLATION, RATES_HEADER, SCAN_HEADER,
-                          TOL_ENV_VAR, main)
+                          EXIT_VIOLATION, MODELS, RATES_HEADER, SCAN_HEADER,
+                          TOL_ENV_VAR, RunConfig, main)
 from phasecov.models import OhmicParams, ohmic_closed_form
 
 
@@ -265,6 +265,37 @@ class TestScan:
         assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", list(MODELS))
+def test_every_model_runs_every_command(tmp_path, model):
+    t = np.linspace(0.0, 4.0, 41)
+    table = tmp_path / "rates.csv"
+    np.savetxt(table, np.column_stack([t, 0.1 * t, 0.5 + 0.0 * t, np.cos(t),
+                                       0.2 + 0.0 * t]),
+               delimiter=",", header=RATES_HEADER, comments="")
+    # each model ignores the options that it does not read
+    args = ["--model", model, "--rates-file", str(table), "--g1", "0.2", "--g2", "0.3",
+            "--g3", "0.1", "--w", "1", "--t-max", "3", "--steps", "20"]
+    for command, header in (("evolve", EVOLVE_HEADER), ("rates", RATES_HEADER)):
+        out = tmp_path / command
+        assert main([command, *args, "--out", str(out)]) == EXIT_OK
+        assert out.read_text().split("\n")[0] == header
+    out = tmp_path / "cp-check"
+    assert main(["cp-check", *args, "--out", str(out)]) in (EXIT_OK, EXIT_VIOLATION)
+    assert json.loads(out.read_text())["model"] == model
+    envs = MODELS[model]
+    # the environments supply disjoint coefficients
+    supplied = [name for env in envs for name in env.supplies]
+    assert len(supplied) == len(set(supplied))
+    # a one-value scan of each field that the model reads, off its default
+    for param in (name for env in envs for name in env.sweep):
+        value = getattr(RunConfig(model), param) + 0.5
+        out = tmp_path / f"scan-{param}"
+        assert main(["scan", *args, "--param", param, "--values", repr(value),
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert [row[:2] for row in rows] == [[param, repr(value)]]
+
+
 class TestPlumbing:
     def test_usage_errors(self, capsys):
         assert main(["evolve", "--model", "nope"]) == EXIT_USAGE
@@ -281,8 +312,12 @@ class TestPlumbing:
         (["cp-check", "--model", "thermal", "--tol=-1"], "tol must be"),
         (["evolve", "--model", "ohmic", "--T", "nan"], "T must be"),
         (["evolve", "--model", "thermal", "--N", "nan"], "N must be"),
+        # R = 10 has about 7e299 rate poles up to t = 1e300
+        (["rates", "--model", "thermal", "--R", "10", "--t-max", "1e300"], "poles"),
+        (["scan", "--model", "thermal", "--R", "10", "--t-max", "1e300",
+          "--param", "N", "--values", "0"], "poles"),
     ], ids=["t-max-nan", "t-max-inf", "tol-nan", "tol-inf", "tol-negative",
-            "T-nan", "N-nan"])
+            "T-nan", "N-nan", "rates-too-many-poles", "scan-too-many-poles"])
     def test_non_finite_or_non_positive_input_is_usage_error(self, tmp_path, capsys,
                                                              args, message):
         out = tmp_path / "out"

@@ -225,6 +225,15 @@ def test_solver_failure_raises_without_warnings():
             integrate_me(prof, RHO0, 3.0, rtol=1e-300, atol=1e-300)
 
 
+def test_unlisted_divergence_ends_the_pass():
+    # omega = (1.5 - t)^-3 winds the coherence infinitely often before
+    # t = 1.5, a pole the profile does not list: the step cap per output
+    # interval ends the pass there instead of letting it run on
+    prof = RateProfile(gamma2=lambda t: 0.5, omega=lambda t: (1.5 - t) ** -3)
+    with pytest.raises(IntegrationError, match="integration failed at t = 1.4"):
+        integrate_me(prof, RHO0, 3.0)
+
+
 def test_non_finite_state_is_an_error():
     # gamma2 turns NaN after t = 1 on [0, 3]: both ODE routes raise at the
     # first reported state that is not finite instead of returning NaN

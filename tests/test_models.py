@@ -122,6 +122,28 @@ class TestThermalProfile:
             assert abs(_c_ratio(10.0, z)) < 1e-9
         assert thermal_zeros(0.3, 100.0) == ()
 
+    @pytest.mark.parametrize("R", [0.5000001, 0.55, 2.0, 10.0, 20.0])
+    @pytest.mark.parametrize("t_max", [0.5, 3.0, 40.0, 1e4])
+    def test_zeros_equal_the_running_list(self, R, t_max):
+        delta = math.sqrt(2 * R - 1)
+        expected = []
+        for k in range(1, 10**6):
+            tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
+            if tau > t_max:
+                break
+            expected.append(tau)
+        assert thermal_zeros(R, t_max) == tuple(expected)
+        # a zero as t_max itself is listed
+        if expected:
+            assert thermal_zeros(R, expected[-1]) == tuple(expected)
+
+    @pytest.mark.parametrize("t_max", [1e6, 1e300, math.inf, math.nan])
+    def test_too_many_zeros_are_refused(self, t_max):
+        with pytest.raises(ValueError, match="more than the 100000"):
+            thermal_zeros(10.0, t_max)
+        with pytest.raises(ValueError, match="more than the 100000"):
+            thermal_profile(ThermalParams(10.0), t_max=t_max)
+
 
 class TestLeanRateCallbacks:
     """The profiles' scalar rates equal the public functions bit for bit."""
