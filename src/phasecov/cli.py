@@ -139,6 +139,9 @@ def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
     for name, value in zip(("g1", "g2", "g3", "w"), rates):
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite")
+    # the population would grow without bound, outside the state space
+    if cfg.g1 + cfg.g2 < 0:
+        raise ValueError("g1 + g2 must be non-negative")
     return rates
 
 
@@ -171,10 +174,11 @@ class _Environment:
 _COEFFICIENTS = ("Gamma", "GammaTilde", "Omega", "g")
 _coefficients_of = attrgetter(*_COEFFICIENTS)
 
-# the closed form, exact also across the rate singularities at R > 1/2
+# the closed form, exact also across the rate singularities at R > 1/2; it
+# is looked up at each call, so that a wrapper put on the module sees it
 _THERMAL = _Environment(
     ("R", "N"), lambda cfg: models.ThermalParams(cfg.R, cfg.N),
-    models.thermal_profile, ("Gamma", "g"), models.thermal_closed_form)
+    models.thermal_profile, ("Gamma", "g"), lambda p, t: models.thermal_closed_form(p, t))
 _OHMIC = _Environment(
     ("s", "alpha", "omega_c", "T"),
     lambda cfg: models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),

@@ -18,15 +18,22 @@ as Gamma is a few hundred; instead it solves the equivalent linear ODE
     dg/dt = gamma2/2 - [(gamma1 + gamma2)/2] g,   g(0) = 0,
 
 which is unconditionally stable.  ``integrate_profile`` and
-``segment_coefficients`` accumulate Gamma, GammaTilde and Omega by
-adaptive quadrature from grid time to grid time, then solve the g ODE
-in one LSODA pass per singular-free segment, which reports every grid
-time and restarts only at the profile's singular points.  LSODA
-switches between Adams and BDF formulas as the rates make the ODE stiff
-or not, so a large rate costs few steps.  Each pass is one ODEPACK
-call (``solve_ivp`` below, through scipy's ``odeint``), with ``tcrit``
-at the segment's end so that no rate is sampled past it; unlike scipy's
-stepwise ``solve_ivp`` LSODA, it leaves no memory behind.
+``segment_coefficients`` accumulate Gamma, GammaTilde and Omega from
+grid time to grid time by Gauss-Kronrod quadrature of the whole grid at
+once: QUADPACK's 21-point rule on every grid interval, every rate on
+every node from one ``rates_on`` call, and QUADPACK's error estimate
+held to the tolerances interval by interval.  Only an interval that
+misses them, or that holds a listed singular point, goes to QUADPACK
+itself (``quad`` below), told the point.
+
+They then solve the g ODE in one LSODA pass per singular-free segment,
+which reports every grid time and restarts only at the profile's
+singular points.  LSODA switches between Adams and BDF formulas as the
+rates make the ODE stiff or not, so a large rate costs few steps.  Each
+pass is one ODEPACK call (``solve_ivp`` below, through scipy's
+``odeint``), with ``tcrit`` at the segment's end so that no rate is
+sampled past it; unlike scipy's stepwise ``solve_ivp`` LSODA, it leaves
+no memory behind.
 
 Rates that are linear between table nodes have coefficients in closed
 form up to one smooth integral per piece, which
@@ -161,7 +168,7 @@ class RateProfile:
         if self.grid_rates is not None:
             return np.asarray(self.grid_rates(t), dtype=float)
         fns = (self.gamma1, self.gamma2, self.gamma3, self.omega)
-        return np.array([[_safe_eval(fn, x) for x in t] for fn in fns], dtype=float)
+        return np.array([[_safe_eval(fn, x) for x in t.tolist()] for fn in fns], dtype=float)
 
     def check_reach(self, t_end: float) -> None:
         """Raise ValueError if t_end lies beyond the singular-point list."""
@@ -370,6 +377,114 @@ def _interior_points(sing, a, b):
     return pts or None
 
 
+# QUADPACK's 21-point Kronrod rule (qk21) on [-1, 1], to double precision:
+# the nodes and weights from -1 to the centre, and the weights of its
+# embedded 10-point Gauss rule there, 0 on the Kronrod-only nodes
+_XK = np.array([-0.9956571630258081, -0.9739065285171717, -0.9301574913557082,
+                -0.8650633666889845, -0.7808177265864169, -0.6794095682990244,
+                -0.5627571346686047, -0.4333953941292472, -0.2943928627014602,
+                -0.14887433898163122, 0.0])
+_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0,
+                0.21908636251598204, 0.0, 0.26926671930999635, 0.0,
+                0.29552422471475287, 0.0])
+# the whole rule, mirrored about the centre, with both sets of weights as
+# the columns of one matrix; and qk21's roundoff floor on the error, 50 eps
+# times the integral of |f|
+_KRONROD_NODES = np.concatenate([_XK, -_XK[-2::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
+_RULES = np.column_stack([_KRONROD_WEIGHTS, np.concatenate([_WG, _WG[-2::-1]])])
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+# grid intervals per qk21 call: its nodes, rates and integrands take about
+# 2.4 kB per interval, so a block stays near 5 MB however long the grid
+_BLOCK = 2048
+
+
+# the rate combinations that the routes integrate, as rows over
+# (gamma1, gamma2, gamma3, omega): (gamma1 + gamma2)/2, gamma3 and omega for
+# the coefficients; gamma1, gamma2 and gamma3 for the weak-coupling conditions
+_COEFFICIENT_RATES = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                               [0.0, 0.0, 0.0, 1.0]])
+_WEAK_COUPLING_RATES = np.eye(3, 4)
+
+
+def _qk21(profile, mix, a, b):
+    """qk21 on every panel [a_i, b_i]: the values and error estimates of the
+    integrals of the rate combinations mix @ rates, each shape (len(mix), len(a)).
+
+    Every rate on every node comes from one ``rates_on`` call.  The error
+    is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5), with K and
+    G the Kronrod and Gauss sums and resasc the Kronrod integral of
+    |f - mean f|, and no less than 50 eps times the integral of |f|.
+    """
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = centre[:, None] + half[:, None] * _KRONROD_NODES
+    rates = profile.rates_on(nodes.ravel())
+    # only the rates in the mix, so that one it leaves out may be non-finite
+    used = mix.any(axis=0)
+    # the Kronrod and Gauss sums, then the Kronrod sums of |f| and |f - mean f|,
+    # all on [-1, 1]; every value and error scales with the half-width (a
+    # non-finite rate is refused by the caller, from the values returned)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = (mix[:, used] @ rates[used]).reshape(len(mix), *nodes.shape)
+        sums = f @ _RULES
+        kronrod = sums[..., 0]
+        resabs = np.abs(f) @ _KRONROD_WEIGHTS
+        resasc = np.abs(f - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS
+        gap = np.abs(kronrod - sums[..., 1])
+        ratio = 200.0 * gap / resasc
+        err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), gap)
+        return kronrod * half, np.maximum(err, _ROUNDOFF * resabs) * half
+
+
+def _combination(profile, row):
+    """The scalar integrand sum_i row[i] rate_i(t) of one row of a mix."""
+    rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
+    terms = [(w, fn) for w, fn in zip(row.tolist(), rates) if w]
+    return lambda t: sum(w * fn(t) for w, fn in terms)
+
+
+def _running_integrals(profile, mix, start, times, cfg):
+    """The integrals of the rate combinations mix @ rates from ``start`` to
+    each of the sorted times, shape (len(mix), len(times)).
+
+    Every grid interval without a listed singular point gets one qk21
+    panel, all of them together (``_qk21``, ``_BLOCK`` intervals per
+    call), which is accepted where its error is at most
+    max(abs_tol, rel_tol |value|).  A combination that misses this on an
+    interval, and every combination on an interval that holds a listed
+    singular point, ends included, go to QUADPACK (``_quad``) with the
+    point, in the order of the grid.  A non-finite panel raises
+    :class:`ToleranceError` there, with abserr = inf.
+    """
+    lo = np.array([start] + times[:-1], dtype=float)
+    hi = np.array(times, dtype=float)
+    sing = sorted(profile.singular_points)
+    held = np.searchsorted(sing, lo, "left") < np.searchsorted(sing, hi, "right")
+    wide = hi > lo
+    steps = np.zeros((len(mix), len(times)))
+    redo = np.zeros(steps.shape, dtype=bool)
+    redo[:, held & wide] = True
+    smooth = np.flatnonzero(wide & ~held)
+    for first in range(0, smooth.size, _BLOCK):
+        block = smooth[first:first + _BLOCK]
+        value, err = _qk21(profile, mix, lo[block], hi[block])
+        finite = np.isfinite(value) & np.isfinite(err)
+        # NaN marks a panel to refuse
+        steps[:, block] = np.where(finite, value, math.nan)
+        redo[:, block] = ~finite | (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value)))
+    for i, row in np.argwhere(redo.T).tolist():
+        a, b = float(lo[i]), float(hi[i])
+        if math.isnan(steps[row, i]):
+            raise ToleranceError("quadrature did not converge", (a, b), abserr=math.inf)
+        steps[row, i] = _quad(_combination(profile, mix[row]), a, b, cfg,
+                              _interior_points(sing, a, b))
+    return np.cumsum(steps, axis=1)
+
+
 def _g_pass(profile, start, times, cfg):
     """g at each of the sorted times (all >= start), grown from g(start) = 0.
 
@@ -415,34 +530,15 @@ def _g_pass(profile, start, times, cfg):
     return out
 
 
-def _running_integrals(profile, integrands, start, times, cfg):
-    """Per sorted time, the integrals of the integrands from ``start``: one
-    quadrature per integrand and grid interval, added to the previous row."""
-    sing = sorted(profile.singular_points)
-    rows = []
-    prev = start
-    totals = [0.0] * len(integrands)
-    for t in times:
-        if t > prev:
-            pts = _interior_points(sing, prev, t)
-            totals = [total + _quad(fn, prev, t, cfg, pts)
-                      for total, fn in zip(totals, integrands)]
-            prev = t
-        rows.append(totals)
-    return rows
-
-
 def _accumulate(profile, start, times, cfg):
     """Coefficients from ``start`` to each of the sorted times, g from 0 at start.
 
     The g pass runs after the quadratures, so a pole that they cannot
     cross raises its :class:`ToleranceError` before the ODE meets it.
     """
-    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
-    rows = _running_integrals(profile, (half_sum, profile.gamma3, profile.omega),
-                              start, times, cfg)
+    rows = _running_integrals(profile, _COEFFICIENT_RATES, start, times, cfg).tolist()
     return [CoefficientSet(t, *row, g=g)
-            for t, row, g in zip(times, rows, _g_pass(profile, start, times, cfg))]
+            for t, *row, g in zip(times, *rows, _g_pass(profile, start, times, cfg))]
 
 
 def _validate_times(times):
@@ -623,6 +719,6 @@ def weak_coupling_integrals(
     if t < 0:
         raise ValueError("t must be non-negative")
     profile.check_reach(t)
-    [row] = _running_integrals(profile, (profile.gamma1, profile.gamma2, profile.gamma3),
-                               0.0, [t], cfg or QuadratureConfig())
-    return tuple(row)
+    integrals = _running_integrals(profile, _WEAK_COUPLING_RATES, 0.0, [float(t)],
+                                   cfg or QuadratureConfig())
+    return tuple(integrals[:, -1].tolist())

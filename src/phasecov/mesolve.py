@@ -59,6 +59,10 @@ SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
+# the smallest relative tolerance that integrate_me passes to LSODA
+_MIN_RTOL = 100 * np.finfo(float).eps
+
+
 class IntegrationError(RuntimeError):
     """The master-equation integration could not be completed."""
 
@@ -175,7 +179,8 @@ def integrate_me(
         Final time.
     rtol, atol : float
         Local error control of LSODA, which switches between non-stiff
-        Adams and stiff BDF steps as the rates require.
+        Adams and stiff BDF steps as the rates require.  An rtol below
+        100 machine epsilons raises ValueError.
     t_eval : sequence of float, optional
         Report the state at these times instead of only at t_end.
 
@@ -187,6 +192,9 @@ def integrate_me(
     rho0 = validate_density_matrix(rho0)
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
+    # ODEPACK reports a far smaller rtol only as "illegal input"
+    if not rtol >= _MIN_RTOL:
+        raise ValueError(f"rtol = {rtol:g} is below 100 machine epsilons ({_MIN_RTOL:.3g})")
     profile.check_reach(t_end)
     for s in profile.singular_points:
         if 0.0 <= s <= t_end:

@@ -80,6 +80,35 @@ class TestEvolve:
         assert main(["cp-check", *args, "--out", str(tmp_path / "cp.json")]) \
             == EXIT_VIOLATION
 
+    @pytest.mark.parametrize("command", ["evolve", "cp-check", "rates", "scan"])
+    def test_growing_constant_population_is_usage_error(self, command, tmp_path, capsys):
+        # gamma1 + gamma2 < 0: the GKSL population grows without bound
+        args = [command, "--model", "constant", "--g1", "0.1", "--g2=-1", "--steps", "3",
+                "--out", str(tmp_path / "out")]
+        if command == "scan":
+            args += ["--param", "g1", "--values", "0.1"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: g1 + g2 must be non-negative\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model, name", [("thermal", "thermal_closed_form"),
+                                             ("ohmic", "ohmic_closed_form")])
+    def test_closed_form_is_looked_up_on_the_module(self, model, name, tmp_path,
+                                                    monkeypatch):
+        # a wrapper put on the models module, as a tracer does, sees the
+        # command's one closed-form call on the whole grid
+        original, calls = getattr(phasecov.models, name), []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(phasecov.models, name, counting)
+        assert main(["evolve", "--model", model, "--steps", "50",
+                     "--out", str(tmp_path / "ev.csv")]) == EXIT_OK
+        assert len(calls) == 1 and len(calls[0][1]) == 50
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["evolve", "--model", "both", "--R", "0.3", "--N", "0.5",

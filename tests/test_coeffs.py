@@ -354,16 +354,129 @@ def test_integrator_seams_stay_rebindable(monkeypatch):
     n = 7
     times = np.linspace(0.0, 3.0, n)
     integrate_profile(profile, times)
-    # three quadratures per grid step and one g pass
-    assert calls == {"coeffs.quad": 3 * (n - 1), "coeffs.solve_ivp": 1,
-                     "mesolve.solve_ivp": 0}
+    # no singular point: vectorised Gauss-Kronrod and one g pass
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 0}
     integrate_me(profile, np.diag([0.3, 0.7]), 3.0, t_eval=times)
-    assert calls == {"coeffs.quad": 3 * (n - 1), "coeffs.solve_ivp": 1,
-                     "mesolve.solve_ivp": 1}
-    # one quadrature per rate over the whole window
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 1}
     weak_coupling_integrals(profile, 3.0)
-    assert calls == {"coeffs.quad": 3 * n, "coeffs.solve_ivp": 1,
-                     "mesolve.solve_ivp": 1}
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 1}
+
+
+def test_quadpack_only_on_the_interval_with_a_singular_point(monkeypatch):
+    # gamma2 jumps at t = 1.3, listed, inside the grid interval [1, 1.5]
+    spans = []
+
+    def recording(func, a, b, **kwargs):
+        spans.append((a, b, kwargs.get("points")))
+        return quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(coeffs, "quad", recording)
+    prof = RateProfile(gamma2=lambda t: 0.4 if t < 1.3 else 1.2, gamma3=math.cos,
+                       singular_points=(1.3,))
+    times = np.linspace(0.0, 3.0, 7)
+    out = integrate_profile(prof, times)
+    # one call per integrated combination: (gamma1 + gamma2)/2, gamma3, omega
+    assert spans == [(1.0, 1.5, [1.3])] * 3
+    for c in out:
+        big_gamma = 0.2 * c.t if c.t <= 1.3 else 0.26 + 0.6 * (c.t - 1.3)
+        assert c.Gamma == pytest.approx(big_gamma, rel=1e-12, abs=1e-15)
+        assert c.GammaTilde == pytest.approx(math.sin(c.t), rel=1e-10, abs=1e-15)
+    spans.clear()
+    assert weak_coupling_integrals(prof, 3.0) == pytest.approx(
+        (0.0, 0.52 + 1.2 * 1.7, math.sin(3.0)), rel=1e-10)
+    assert spans == [(0.0, 3.0, [1.3])] * 3
+
+
+def test_gauss_kronrod_rule_is_quadpacks():
+    # qk21 integrates polynomials to degree 31 exactly, and its Gauss
+    # nodes and weights are the 10-point Gauss-Legendre rule
+    nodes, kronrod, gauss = coeffs._KRONROD_NODES, *coeffs._RULES.T
+    for degree in range(33):
+        exact = (1 + (-1) ** degree) / (degree + 1)
+        error = abs(kronrod @ nodes ** degree - exact)
+        assert error <= 1e-15 if degree <= 31 else error > 1e-12
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[gauss > 0], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(gauss[gauss > 0], w, rtol=0, atol=1e-15)
+
+
+def test_non_finite_rate_on_an_unlisted_interval_is_refused():
+    # NaN on part of [1, 1.5], where no singular point is listed
+    prof = RateProfile(gamma3=lambda t: math.nan if 1.2 < t < 1.4 else 1.0)
+    with pytest.raises(ToleranceError, match="quadrature did not converge") as err:
+        integrate_profile(prof, [0.5, 1.0, 1.5, 2.0])
+    lo, hi = err.value.interval
+    assert 1.0 <= lo < hi <= 1.5
+    assert err.value.abserr == math.inf
+    with pytest.raises(ToleranceError):
+        weak_coupling_integrals(prof, 2.0)
+
+
+def test_weak_coupling_integrals_ignore_the_frequency_shift():
+    # omega diverges at t = 1.5, the centre node of [0, 3]; the integrals
+    # of gamma1, gamma2 and gamma3 never read it
+    prof = RateProfile(gamma2=lambda t: 0.5, gamma3=lambda t: 0.1 * t,
+                       omega=lambda t: (1.5 - t) ** -3)
+    assert weak_coupling_integrals(prof, 3.0) == pytest.approx((0.0, 1.5, 0.45), rel=1e-12)
+
+
+def test_unmeetable_tolerance_is_refused():
+    # below the rule's roundoff floor, neither qk21 nor QUADPACK can meet it
+    prof = constant_profile(gamma1=0.3, gamma2=0.5, omega=1.0)
+    cfg = QuadratureConfig(1e-300, 1e-300)
+    with pytest.raises(ToleranceError, match="quadrature did not converge") as err:
+        integrate_profile(prof, [0.5, 1.0, 1.5, 2.0], cfg)
+    lo, hi = err.value.interval
+    assert 0.0 <= lo < hi <= 2.0
+    # the floor: 50 eps times the integral of |f| over the panel
+    assert err.value.abserr >= 50 * np.finfo(float).eps * 0.4 * (hi - lo)
+    with pytest.raises(ToleranceError):
+        weak_coupling_integrals(prof, 2.0, cfg)
+
+
+def _narrow_peak(width=1e-3, centre=0.777):
+    """A profile whose gamma3 is a Lorentzian of the given width, which one
+    21-node panel cannot resolve, and int_0^t gamma3 in closed form."""
+    peak = lambda t: width / ((t - centre) ** 2 + width ** 2)
+    prof = RateProfile(gamma3=peak, grid_rates=lambda t: coeffs._rate_rows(t, gamma3=peak(t)))
+    return prof, lambda t: np.arctan((t - centre) / width) + np.arctan(centre / width)
+
+
+def test_quadpack_takes_the_intervals_one_panel_cannot_resolve(monkeypatch):
+    spans = []
+
+    def recording(func, a, b, **kwargs):
+        spans.append((a, b))
+        return quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(coeffs, "quad", recording)
+    prof, exact = _narrow_peak()
+    times = np.linspace(0.25, 2.0, 8)
+    np.testing.assert_allclose([c.GammaTilde for c in integrate_profile(prof, times)],
+                               exact(times), rtol=1e-10)
+    # gamma3 on the interval around the peak at 0.777 and on the one before
+    # it; the other combinations, and the other intervals, pass in one panel
+    assert spans == [(0.5, 0.75), (0.75, 1.0)]
+
+
+def test_blocks_of_intervals_give_the_same_integrals(monkeypatch):
+    # a long grid is evaluated a block of intervals at a time; blocks of 7
+    # over 49 intervals, the narrow peak in one of them, change no value
+    # beyond the rounding of a matrix product of another shape
+    prof, exact = _narrow_peak()
+    times = np.linspace(0.04, 2.0, 50)
+    whole = [c.GammaTilde for c in integrate_profile(prof, times)]
+    monkeypatch.setattr(coeffs, "_BLOCK", 7)
+    blocks = [c.GammaTilde for c in integrate_profile(prof, times)]
+    np.testing.assert_allclose(blocks, whole, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(blocks, exact(times), rtol=1e-10)
+
+
+def test_integer_window_ends_are_taken_as_times():
+    # the window [0, 2] needs QUADPACK, which gets it as floats
+    prof, exact = _narrow_peak()
+    assert segment_coefficients(prof, 0, 2).GammaTilde == pytest.approx(exact(2.0), rel=1e-10)
+    assert weak_coupling_integrals(prof, 2)[2] == pytest.approx(exact(2.0), rel=1e-10)
 
 
 def test_ode_seam_is_one_lsoda_pass_shaped_like_solve_ivp():

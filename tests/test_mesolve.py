@@ -217,12 +217,21 @@ def _time_in(message):
 
 
 def test_solver_failure_raises_without_warnings():
-    # ODEPACK refuses tolerances this small; scipy's warnings must not escape
+    # ODEPACK refuses a negative atol; scipy's warnings must not escape
     prof = constant_profile(0.2, 0.6, 0.1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="integration failed at t = 0: "):
-            integrate_me(prof, RHO0, 3.0, rtol=1e-300, atol=1e-300)
+            integrate_me(prof, RHO0, 3.0, rtol=1e-10, atol=-1.0)
+
+
+@pytest.mark.parametrize("rtol", [1e-300, 1e-20, 1e-15, math.nan])
+def test_rtol_below_100_epsilons_is_refused(rtol):
+    # ODEPACK would report these as "Illegal input detected (internal error)"
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+    with pytest.raises(ValueError, match="rtol = .* is below 100 machine epsilons"):
+        integrate_me(prof, RHO0, 3.0, rtol=rtol, atol=rtol)
+    integrate_me(prof, RHO0, 3.0, rtol=100 * np.finfo(float).eps, atol=1e-20)
 
 
 def test_unlisted_divergence_ends_the_pass():

@@ -11,20 +11,29 @@ integration of the master equation (``integrate_me``) within
 criterion 1's 1e-6; wherever the Choi spectrum says the map is CP, the
 conditions i)-iv) must hold too.
 
+The quadrature route itself, vectorised adaptive Gauss-Kronrod over the
+whole grid, must also agree with the route it replaced, one QUADPACK
+call per integrand and grid interval, within the requested tolerances:
+on thermal, Ohmic and constant generators, with and without
+``grid_rates``.
+
 The example count comes from the hypothesis profile (tests/conftest.py):
 15 by default, 150 with ``--hypothesis-profile=deep``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QubitState,
-                      ThermalParams, combine_profiles, constant_profile, cp_choi,
-                      cp_paper, integrate_me, integrate_profile,
+from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QuadratureConfig,
+                      QubitState, ThermalParams, combine_profiles, constant_profile,
+                      cp_choi, cp_paper, integrate_me, integrate_profile,
                       ohmic_closed_form, ohmic_profile, thermal_closed_form,
-                      thermal_profile)
+                      thermal_profile, weak_coupling_integrals)
 
 KERNELS = st.sampled_from(["paper", "literature"])
 
@@ -77,3 +86,46 @@ def test_closed_form_quadrature_and_ode_agree(gen, t_max, p1, alpha):
 
     choi_cp = cp_choi(closed).is_cp
     assert np.all(cp_paper(closed).verdict[choi_cp])
+
+
+def _quadpack_steps(integrands, edges, cfg):
+    """The integral of each integrand over each interval between the edges,
+    one QUADPACK call apiece: the route that the vectorised one replaced."""
+    return np.array([[quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=200)[0]
+                      for a, b in zip(edges[:-1], edges[1:])] for fn in integrands])
+
+
+@st.composite
+def quadrature_profiles(draw):
+    thermal = ThermalParams(R=draw(st.floats(0.01, 0.5)), N=draw(st.floats(0.0, 3.0)))
+    ohmic = OhmicParams(alpha=draw(st.floats(0.01, 0.2)), s=draw(st.floats(0.3, 4.0)),
+                        omega_c=draw(st.floats(0.5, 2.0)),
+                        T=draw(st.sampled_from([0.0, 0.1, 1.0])), kernel=draw(KERNELS))
+    constant = constant_profile(*draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                                st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    parts = [thermal_profile(thermal), ohmic_profile(ohmic), constant]
+    chosen = draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=3, unique=True))
+    profile = combine_profiles(*(parts[i] for i in sorted(chosen)))
+    # without grid_rates, the route calls the scalar rates at every node
+    if draw(st.booleans()):
+        profile = dataclasses.replace(profile, grid_rates=None)
+    return profile
+
+
+@given(quadrature_profiles(), st.floats(0.5, 10.0), st.integers(2, 40))
+def test_vectorised_quadrature_matches_quadpack_per_interval(profile, t_max, n):
+    cfg = QuadratureConfig()
+    times = np.linspace(0.0, t_max, n)
+    got = integrate_profile(profile, times[1:], cfg)
+    half_sum = lambda s: 0.5 * (profile.gamma1(s) + profile.gamma2(s))
+    steps = _quadpack_steps((half_sum, profile.gamma3, profile.omega), times, cfg)
+    # each route meets max(abs_tol, rel_tol |step|) on every interval
+    slack = cfg.rel_tol * np.cumsum(np.abs(steps), axis=1) + cfg.abs_tol * np.arange(1, n)
+    for name, ref, bound in zip(("Gamma", "GammaTilde", "Omega"), np.cumsum(steps, axis=1),
+                                slack):
+        assert np.all(np.abs([getattr(c, name) for c in got] - ref) <= bound), name
+
+    weak = weak_coupling_integrals(profile, t_max, cfg)
+    [ref] = _quadpack_steps((profile.gamma1, profile.gamma2, profile.gamma3),
+                            times[[0, -1]], cfg).T
+    assert np.all(np.abs(np.subtract(weak, ref)) <= cfg.rel_tol * np.abs(ref) + cfg.abs_tol)
