@@ -122,15 +122,17 @@ def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 def _tabulated_profile(cfg: RunConfig) -> RateProfile:
     """Linear interpolation of a rates table that covers [0, t_max]."""
     t, rates = _rates_table(cfg)
-    return RateProfile(
-        *(functools.partial(np.interp, xp=t, fp=values) for values in rates),
-        grid_rates=lambda x: np.array([np.interp(x, t, values) for values in rates]))
+    return RateProfile(*(functools.partial(np.interp, xp=t, fp=values) for values in rates))
 
 
 def _tabulated_run(cfg: RunConfig) -> RunConfig:
     # the parameters are the run's table and window, read by the command
     if not cfg.rates_file:
         raise ValueError("tabulated model requires --rates-file")
+    # the exact route needs distinct times, which a subnormal t-max may not give
+    times = cfg.times
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError(f"t-max = {cfg.t_max!r} is too small for {cfg.steps} distinct times")
     return cfg
 
 

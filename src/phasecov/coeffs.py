@@ -17,14 +17,15 @@ as Gamma is a few hundred; instead it solves the equivalent linear ODE
 
     dg/dt = gamma2/2 - [(gamma1 + gamma2)/2] g,   g(0) = 0,
 
-which is unconditionally stable.  ``integrate_profile`` and
-``segment_coefficients`` accumulate Gamma, GammaTilde and Omega from
-grid time to grid time by Gauss-Kronrod quadrature of the whole grid at
-once: QUADPACK's 21-point rule on every grid interval, every rate on
-every node from one ``rates_on`` call, and QUADPACK's error estimate
-held to the tolerances interval by interval.  Only an interval that
-misses them, or that holds a listed singular point, goes to QUADPACK
-itself (``quad`` below), told the point.
+which is unconditionally stable.  Each rate is one callable, which takes
+a single time or an ndarray of times (see ``RateProfile``).
+``integrate_profile`` and ``segment_coefficients`` accumulate Gamma,
+GammaTilde and Omega from grid time to grid time by Gauss-Kronrod
+quadrature of the whole grid at once: QUADPACK's 21-point rule on every
+grid interval, every rate on every node from one ``rates_on`` call, and
+QUADPACK's error estimate held to the tolerances interval by interval.
+Only an interval that misses them, or that holds a listed singular
+point, goes to QUADPACK itself (``quad`` below), told the point.
 
 They then solve the g ODE in one LSODA pass per singular-free segment,
 which reports every grid time and restarts only at the profile's
@@ -89,14 +90,6 @@ def _zero(t: float) -> float:
     return 0.0
 
 
-def _safe_eval(fn, t):
-    """fn(t), with ArithmeticError or ValueError recorded as NaN."""
-    try:
-        return fn(t)
-    except (ArithmeticError, ValueError):
-        return math.nan
-
-
 def _xp(x):
     """numpy for an ndarray, the math module for a single number.
 
@@ -114,23 +107,21 @@ def _backend(t):
     return xp
 
 
-def _rate_rows(t, gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> np.ndarray:
-    """Stack four rates, arrays on the grid t or constants, as (4, len(t))."""
-    rows = np.zeros((4, len(t)))
-    rows[0], rows[1], rows[2], rows[3] = gamma1, gamma2, gamma3, omega
-    return rows
-
-
 @dataclass(frozen=True)
 class RateProfile:
     """The four time functions defining a phase-covariant generator.
 
-    Each callable must accept a single time t >= 0 and return a float.
-    Evaluation has to be deterministic.  ``singular_points`` lists times
-    where a rate may diverge; they are used as mandatory quadrature
-    panel boundaries and are excluded from pointwise scans.  The list is
-    complete up to ``singular_reach``: integrators and scans refuse a
-    window that ends beyond it.
+    Each callable takes either one time t >= 0, and returns a float, or
+    a 1-D ndarray of times, and returns their values as an array (or one
+    float, for a rate that is constant).  Where a rate diverges its value
+    is non-finite.  Evaluation has to be deterministic.  The integrators'
+    callbacks pass single times; grid consumers pass the whole grid at
+    once through :meth:`rates_on`.
+
+    ``singular_points`` lists times where a rate may diverge; they are
+    used as mandatory quadrature panel boundaries and are excluded from
+    pointwise scans.  The list is complete up to ``singular_reach``:
+    integrators and scans refuse a window that ends beyond it.
 
     Only an integrable divergence can be integrated across.  The poles
     of the thermal rate f are simple poles, so ``integrate_profile``
@@ -138,21 +129,14 @@ class RateProfile:
     R = 10, a window to t = 2 fails on [0.8242, 0.8609]); across such
     poles the model's closed form (``thermal_closed_form``) is the
     authority.
-
-    ``grid_rates``, when set, maps a 1-D ndarray of times to the
-    (4, n) float array of (gamma1, gamma2, gamma3, omega) on them.  It
-    must return the values the four callables return, non-finite where
-    they diverge; grid consumers call it once through :meth:`rates_on`
-    instead of calling each rate at each point.
     """
 
-    gamma1: Callable[[float], float] = _zero
-    gamma2: Callable[[float], float] = _zero
-    gamma3: Callable[[float], float] = _zero
-    omega: Callable[[float], float] = _zero
+    gamma1: Callable = _zero
+    gamma2: Callable = _zero
+    gamma3: Callable = _zero
+    omega: Callable = _zero
     singular_points: tuple[float, ...] = ()
     singular_reach: float = math.inf
-    grid_rates: Callable[[np.ndarray], np.ndarray] | None = None
 
     def rates(self, t: float) -> tuple[float, float, float, float]:
         """Evaluate (gamma1, gamma2, gamma3, omega) at time t."""
@@ -161,14 +145,17 @@ class RateProfile:
     def rates_on(self, times) -> np.ndarray:
         """(gamma1, gamma2, gamma3, omega) on a grid, shape (4, len(times)).
 
-        One ``grid_rates`` call when it is set; otherwise each callable
-        at each time, with ArithmeticError or ValueError recorded as NaN.
+        Each callable is called once, on the whole grid; a constant is
+        broadcast over it.  numpy's floating-point warnings are silenced,
+        since a divergence is reported by its non-finite value, and an
+        exception from a callable propagates.
         """
         t = np.asarray(times, dtype=float)
-        if self.grid_rates is not None:
-            return np.asarray(self.grid_rates(t), dtype=float)
-        fns = (self.gamma1, self.gamma2, self.gamma3, self.omega)
-        return np.array([[_safe_eval(fn, x) for x in t.tolist()] for fn in fns], dtype=float)
+        out = np.empty((4, t.size))
+        with np.errstate(all="ignore"):
+            for row, fn in zip(out, (self.gamma1, self.gamma2, self.gamma3, self.omega)):
+                row[:] = fn(t)
+        return out
 
     def check_reach(self, t_end: float) -> None:
         """Raise ValueError if t_end lies beyond the singular-point list."""
@@ -186,7 +173,6 @@ def constant_profile(gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> RateProfi
         gamma2=lambda t, _v=float(gamma2): _v,
         gamma3=lambda t, _v=float(gamma3): _v,
         omega=lambda t, _v=float(omega): _v,
-        grid_rates=lambda t: _rate_rows(t, gamma1, gamma2, gamma3, omega),
     )
 
 
@@ -196,13 +182,12 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
         raise ValueError("need at least one profile")
 
     def _sum(getter):
-        # a lone nonzero part is used as it is, without the fsum wrapper
+        # a lone nonzero part is used as it is, without the sum wrapper
         funcs = [f for f in map(getter, profiles) if f is not _zero]
         if len(funcs) <= 1:
             return funcs[0] if funcs else _zero
-        return lambda t: math.fsum(f(t) for f in funcs)
+        return lambda t: sum(f(t) for f in funcs)
 
-    grids = [p.grid_rates for p in profiles]
     sing = sorted({s for p in profiles for s in p.singular_points})
     return RateProfile(
         gamma1=_sum(lambda p: p.gamma1),
@@ -211,8 +196,6 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
         omega=_sum(lambda p: p.omega),
         singular_points=tuple(sing),
         singular_reach=min(p.singular_reach for p in profiles),
-        grid_rates=(None if None in grids
-                    else lambda t: sum(grid(t) for grid in grids)),
     )
 
 

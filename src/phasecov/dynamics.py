@@ -50,7 +50,10 @@ class QubitState:
     def __post_init__(self):
         if not -_STATE_TOL <= self.P1 <= 1.0 + _STATE_TOL:
             raise ValueError(f"P1 = {self.P1} outside [0, 1]")
-        if not abs(self.alpha) ** 2 <= self.P1 * (1.0 - self.P1) + _STATE_TOL:
+        # hypot and a product give inf, where abs(alpha) ** 2 would raise
+        # OverflowError, for a coherence too large to square
+        a = math.hypot(self.alpha.real, self.alpha.imag)
+        if not a * a <= self.P1 * (1.0 - self.P1) + _STATE_TOL:
             raise ValueError("coherence violates |alpha|^2 <= P1 (1 - P1)")
 
     @property

@@ -51,6 +51,15 @@ nonnegative for every s, T and both kernels, so adding this dephasing
 never endangers complete positivity; its rate does go negative, for
 s > 1 (paper kernel) or s > 2 (literature kernel), which is what makes
 the combined dynamics non-Markovian at weak dissipative coupling.
+
+Rates
+-----
+The profiles' rates are written once each and take a float time or an
+ndarray of times (see ``RateProfile``): the thermal f
+(``_memory_rate``, bit for bit ``amplitude_memory(R, t).f`` on floats)
+and the T = 0 gamma3 (``_cold_rate``, which also gives
+``ohmic_closed_form``'s rate).  At T > 0, ``OhmicSeries.rate`` takes
+both as well.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _backend,
-                     _quad, _rate_rows, _xp, _zero)
+                     _quad, _xp, _zero)
 
 __all__ = [
     "ThermalParams",
@@ -201,56 +210,37 @@ def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
     return tuple(tau[tau <= t_max].tolist())
 
 
-def _memory_rate_on(R: float, tau: np.ndarray) -> np.ndarray:
-    """amplitude_memory(R, tau).f on an ndarray of times.
-
-    The same branch, picked once for the whole grid, and the same
-    formulas as the scalar function, with f = +inf at the zeros of c.
-    """
-    disc = 1.0 - 2.0 * R
-    if abs(disc) <= _DEGENERATE_BAND:
-        return (tau / 2) / (1.0 + tau / 2)
-    if disc > 0:
-        d = math.sqrt(disc)
-        em = -np.expm1(-d * tau)
-        return (2 * R / d) * em / (1 + np.exp(-d * tau) + em / d)
-    delta = math.sqrt(-disc)
-    w = delta * tau / 2
-    bracket = np.cos(w) + np.sin(w) / delta
-    zero = np.abs(bracket) <= _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (2 * R / delta) * np.sin(w) / bracket
-    return np.where(zero, np.inf, f)
-
-
 def _memory_rate(R: float):
-    """tau -> amplitude_memory(R, tau).f for one float tau >= 0, bit for bit.
+    """(tau, xp) -> amplitude_memory(R, tau).f, for one float tau >= 0 with
+    xp = math (bit for bit) or an ndarray of times with xp = numpy.
 
-    The scalar twin of ``_memory_rate_on``: the branch and its constants
-    are fixed once per R, and no MemorySample is built, so that the
-    integrators' rate callbacks do only the arithmetic of f.  The caller
+    The branch and its constants are fixed once per R, and no
+    MemorySample is built, so that the integrators' rate callbacks do
+    only the arithmetic of f; f = +inf at the zeros of c.  The caller
     checks the sign of tau.
     """
     disc = 1.0 - 2.0 * R
     if abs(disc) <= _DEGENERATE_BAND:
-        return lambda tau: (tau / 2) / (1.0 + tau / 2)
+        return lambda tau, xp: (tau / 2) / (1.0 + tau / 2)
     if disc > 0:
         d = math.sqrt(disc)
         scale = 2 * R / d
 
-        def rate(tau):
-            em = -math.expm1(-d * tau)
-            return scale * em / (1 + math.exp(-d * tau) + em / d)
+        def rate(tau, xp):
+            em = -xp.expm1(-d * tau)
+            return scale * em / (1 + xp.exp(-d * tau) + em / d)
         return rate
     delta = math.sqrt(-disc)
     scale = 2 * R / delta
     zero_band = _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
 
-    def rate(tau):
+    def rate(tau, xp):
         w = delta * tau / 2
-        sin_w = math.sin(w)
-        bracket = math.cos(w) + sin_w / delta
-        return math.inf if abs(bracket) <= zero_band else scale * sin_w / bracket
+        sin_w = xp.sin(w)
+        bracket = xp.cos(w) + sin_w / delta
+        if xp is math:
+            return math.inf if abs(bracket) <= zero_band else scale * sin_w / bracket
+        return np.where(np.abs(bracket) <= zero_band, np.inf, scale * sin_w / bracket)
     return rate
 
 
@@ -327,37 +317,33 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
     the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
     list is empty and the reach unbounded.
 
-    gamma1 and gamma2 share f through a one-entry memo of the last
-    (t, f), so that the two rates at one t cost one evaluation.
+    gamma1 and gamma2 share f through a one-entry memo of the last float
+    time and its f, so that the two rates at one t cost one evaluation.
+    The memo is kept by identity: every integrator callback hands both
+    rates the same float object, and a hit then costs no type test.
     """
     rate = _memory_rate(p.R)
     heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
-    last = (math.nan, math.nan)
+    last = (None, math.nan)
 
-    def _f(t: float) -> float:
+    def _f(t):
         nonlocal last
         t_last, f = last
-        if t != t_last:
+        if t is not t_last:
+            if type(t) is np.ndarray:
+                return rate(t, np)
             if t < 0:
                 raise ValueError("tau must be non-negative")
-            f = rate(t)
+            f = rate(t, math)
             # one tuple, so that a reader never pairs a t with another t's f
             last = (t, f)
         return f
 
-    def grid_rates(t):
-        f = _memory_rate_on(p.R, t)
-        # at N = 0, gamma1 is 0 also at the poles, where 0 * f is NaN
-        return _rate_rows(t, 0.0 if p.N == 0 else heat * f, loss * f)
-
     return RateProfile(
         gamma1=_zero if p.N == 0 else (lambda t: heat * _f(t)),
         gamma2=lambda t: loss * _f(t),
-        gamma3=_zero,
-        omega=_zero,
         singular_points=thermal_zeros(p.R, t_max),
         singular_reach=math.inf if p.R <= 0.5 else t_max,
-        grid_rates=grid_rates,
     )
 
 
@@ -497,18 +483,31 @@ def _gamma(x: float) -> float:
         return math.nan
 
 
-def _cold_rate_factors(p: OhmicParams) -> tuple[float, float, float]:
-    """(G(e), P, e) with gamma3 = P (1+u^2)^(-e/2) sin(e atan u) at T = 0.
+def _cold_rate(p: OhmicParams):
+    """gamma3 at T = 0 as a rate callable, for one float t >= 0 or an
+    ndarray of times: P (1+u^2)^(-e/2) sin(e atan u) with u = w_c t.
 
     e = s + 1 and P = 2 a G(e) w_c for the paper kernel, e = s and
     P = 2 a G(e) for the literature kernel, multiplied in this order.
     """
     if p.kernel == "paper":
         e = p.s + 1.0
-        gamma_e = _gamma(e)
-        return gamma_e, 2.0 * p.alpha * gamma_e * p.omega_c, e
-    gamma_e = _gamma(p.s)
-    return gamma_e, 2.0 * p.alpha * gamma_e, p.s
+        scale = 2.0 * p.alpha * _gamma(e) * p.omega_c
+    else:
+        e = p.s
+        scale = 2.0 * p.alpha * _gamma(e)
+    power, w_c = -e / 2.0, p.omega_c
+
+    def gamma3(t):
+        if type(t) is np.ndarray:
+            low, sin, atan = t.min(initial=0.0), np.sin, np.arctan
+        else:
+            low, sin, atan = t, math.sin, math.atan
+        if low < 0:
+            raise ValueError("t must be non-negative")
+        u = w_c * t
+        return scale * (1.0 + u * u) ** power * sin(e * atan(u))
+    return gamma3
 
 
 def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
@@ -530,15 +529,13 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     """
     if p.T != 0:
         raise ValueError("closed form is only valid at T = 0")
-    xp = _backend(t)
+    rate = _cold_rate(p)(t)
+    xp = _xp(t)
     u = p.omega_c * t
     theta = math.atan(u) if xp is math else np.arctan(u)
     one_u2 = 1.0 + u * u
-
-    gamma_e, scale, e = _cold_rate_factors(p)
-    rate = scale * one_u2 ** (-e / 2.0) * xp.sin(e * theta)
     if p.kernel == "paper":
-        tilde = (2.0 * p.alpha * gamma_e / p.s) * (
+        tilde = (2.0 * p.alpha * _gamma(p.s + 1.0) / p.s) * (
             1.0 - one_u2 ** (-p.s / 2.0) * xp.cos(p.s * theta))
         return rate, tilde
 
@@ -555,6 +552,7 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
 # rest by Euler-Maclaurin with B_2 ... B_12; b / |a_K - i t| <= 1/K
 # keeps the neglected B_14 term near 1e-13 of the tail for s <= 5.
 _SERIES_TERMS = 16
+_B_MAX = 1e300
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
@@ -609,29 +607,38 @@ class OhmicSeries:
     def __init__(self, p: OhmicParams):
         if not p.T > 0:
             raise ValueError("the series needs T > 0; use ohmic_closed_form at T = 0")
-        b = (2.0 if p.kernel == "paper" else 1.0) / p.T
+        # b is held at _B_MAX, where a_K is still finite, for T below about
+        # 1e-300; there the series already gives its T = 0 limit
+        b = min((2.0 if p.kernel == "paper" else 1.0) / p.T, _B_MAX)
         e = p.s + 1.0 if p.kernel == "paper" else p.s
         k = np.arange(_SERIES_TERMS)
-        a_tail = 1.0 / p.omega_c + _SERIES_TERMS * b
-        m = 2 * np.arange(1, len(_BERNOULLI) + 1) - 1
-        # Euler-Maclaurin adds -B_2j/(2j)! f^(m)(K), m = 2j - 1; for
-        # f(k) = (a_k - i t)^-e, f^(m)(K) = -b^m (e)_m (a_K - i t)^-(e+m)
-        em = (np.array(_BERNOULLI) * b ** m * _rising_factorials(e, m[-1])[m - 1]
-              / np.array([math.factorial(n + 1) for n in m]))
-        # terms (a, exponent, weight): direct sum, f(K)/2, derivatives
-        a = np.concatenate([1.0 / p.omega_c + b * k, np.full(1 + len(m), a_tail)])
-        c = np.concatenate([np.where(k == 0, 1.0, 2.0), [1.0], 2.0 * em])
-        x = np.concatenate([np.full(_SERIES_TERMS + 1, e), e + m])
-        self._rate_terms = (a, x, c * a ** -x)
-        # GammaTilde adds the tail integral's two _exprel/sinc parts at a_K
-        a = np.append(a, [a_tail, a_tail])
-        x = np.append(x - 1.0, [e - 2.0, e - 1.0])
-        c = np.append(c, [2.0 / b, -2.0 * a_tail / b])
-        self._tilde_terms = (a, x, c * a ** -x)
-        self._e1 = e - 1.0
-        self._tail = 2.0 / b * a_tail ** (1.0 - e)
-        # G(e-1) [..] = G(e) [..] / (e-1): the same scale for both
-        self._scale = 2.0 * p.alpha * p.omega_c ** -p.s * _gamma(e)
+        # numpy floats under errstate: parameters past the float range give
+        # non-finite weights, which the callers refuse, not an OverflowError
+        a_tail = np.float64(1.0 / p.omega_c + _SERIES_TERMS * b)
+        with np.errstate(all="ignore"):
+            m = 2 * np.arange(1, len(_BERNOULLI) + 1) - 1
+            # Euler-Maclaurin adds -B_2j/(2j)! f^(m)(K), m = 2j - 1; for
+            # f(k) = (a_k - i t)^-e, f^(m)(K) = -b^m (e)_m (a_K - i t)^-(e+m).
+            # Every weight is taken in units of a_K, b^m a_K^-(e+m) as
+            # (b/a_K)^m a_K^-e with b/a_K < 1/K, so none overflows as T -> 0
+            em = (np.array(_BERNOULLI) * (b / a_tail) ** m
+                  * _rising_factorials(e, m[-1])[m - 1]
+                  / np.array([math.factorial(n + 1) for n in m]))
+            # terms (a, exponent, weight): direct sum, f(K)/2, derivatives
+            a = np.concatenate([1.0 / p.omega_c + b * k, np.full(1 + len(m), a_tail)])
+            c = np.concatenate([np.where(k == 0, 1.0, 2.0), [1.0], 2.0 * em])
+            x = np.concatenate([np.full(_SERIES_TERMS + 1, e), e + m])
+            self._rate_terms = (a, x, c * a ** -e)
+            # GammaTilde adds the tail integral's two _exprel/sinc parts at a_K,
+            # with weights (2/b) a_K^(2-e) and -(2 a_K/b) a_K^(1-e)
+            a = np.append(a, [a_tail, a_tail])
+            x = np.append(x - 1.0, [e - 2.0, e - 1.0])
+            c = np.append(c, [2.0 * a_tail / b, -2.0 * a_tail / b])
+            self._tilde_terms = (a, x, c * a ** (1.0 - e))
+            self._e1 = e - 1.0
+            self._tail = 2.0 / b * a_tail ** (1.0 - e)
+            # G(e-1) [..] = G(e) [..] / (e-1): the same scale for both
+            self._scale = 2.0 * p.alpha * np.float64(p.omega_c) ** -p.s * _gamma(e)
 
     def _finish(self, direct, tail, lr, th):
         # adds tail * Im (a_K - i t)^(1-e) / ((e-1) a_K^(1-e)), regular at e = 1
@@ -666,22 +673,7 @@ def ohmic_profile(p: OhmicParams) -> RateProfile:
     gamma3 comes from the closed form at T = 0 and from the exact
     series (``OhmicSeries``) otherwise; gamma1, gamma2 and omega vanish.
     """
-    if p.T == 0:
-        scale, e = _cold_rate_factors(p)[1:]
-        power, w_c = -e / 2.0, p.omega_c
-
-        def gamma3(t: float) -> float:
-            # ohmic_closed_form(p, t)[0], bit for bit, without the GammaTilde
-            if t < 0:
-                raise ValueError("t must be non-negative")
-            u = w_c * t
-            return scale * (1.0 + u * u) ** power * math.sin(e * math.atan(u))
-
-        on_grid = lambda t: ohmic_closed_form(p, t)[0]
-    else:
-        gamma3 = on_grid = OhmicSeries(p).rate
-    return RateProfile(gamma3=gamma3,
-                       grid_rates=lambda t: _rate_rows(t, gamma3=on_grid(t)))
+    return RateProfile(gamma3=_cold_rate(p) if p.T == 0 else OhmicSeries(p).rate)
 
 
 def markov_rate_limit(R: float) -> float:

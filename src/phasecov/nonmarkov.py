@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import RateProfile, _safe_eval
+from .coeffs import RateProfile
 
 __all__ = [
     "Verdict",
@@ -56,18 +56,33 @@ class NmReport:
         return min(starts) if starts else None
 
 
-def _refine(fn, lo, hi, tol):
-    """Locate the boundary of the predicate fn(t) < -tol inside (lo, hi)."""
-    neg_lo = _safe_eval(fn, lo) < -tol
-    while hi - lo > _TIME_ACCURACY:
-        mid = 0.5 * (lo + hi)
-        v = _safe_eval(fn, mid)
-        mid_neg = (v < -tol) if math.isfinite(v) else not neg_lo
-        if mid_neg == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _refine(fn, lo, hi, neg_lo, tol):
+    """Locate the boundary of the predicate fn(t) < -tol inside each bracket
+    (lo, hi), where it holds at lo exactly where neg_lo does.
+
+    All brackets are bisected together, with one call of fn on the array
+    of their midpoints per step.  A bracket is done once it is narrower
+    than ``_TIME_ACCURACY``, or than the float spacing at its upper end,
+    which is wider from t = 2^19 (about 5.2e5) on and would otherwise
+    leave no float between its ends.  A non-finite midpoint counts as
+    hi's side.
+    """
+    out = np.empty(lo.shape)
+    at = np.arange(lo.size)
+    limit = np.maximum(_TIME_ACCURACY, np.spacing(hi))
+    with np.errstate(all="ignore"):
+        while at.size:
+            mid = 0.5 * (lo + hi)
+            open_ = hi - lo > limit
+            if not open_.all():
+                out[at[~open_]] = mid[~open_]
+                lo, hi, neg_lo, limit, at = (x[open_] for x in (lo, hi, neg_lo, limit, at))
+                continue
+            v = fn(mid)
+            up = np.isfinite(v) & ((v < -tol) == neg_lo)
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    return out
 
 
 def _rate_intervals(fn, grid, vals, tol):
@@ -75,7 +90,7 @@ def _rate_intervals(fn, grid, vals, tol):
     finite = np.isfinite(vals)
     neg = finite & (vals < -tol)
     flips = np.flatnonzero(neg[1:] != neg[:-1]) + 1
-    cuts = [_refine(fn, grid[i - 1], grid[i], tol) for i in flips]
+    cuts = _refine(fn, grid[flips - 1], grid[flips], neg[flips - 1], tol).tolist()
     if neg[0]:
         cuts.insert(0, grid[0])
     if neg[-1]:
@@ -92,12 +107,13 @@ def negative_intervals(
 ) -> NmReport:
     """Sign-scan the three decay rates on a window.
 
-    The grid scan (default resolution window/2048) samples all rates in
-    one ``profile.rates_on`` call and brackets each sign change, which
-    bisection on the scalar rate then sharpens to 1e-10 in time.  Listed
-    singular points and non-finite samples are excluded from the sign
-    logic and reported separately; an interval opening at a rate
-    divergence starts at the divergence time itself.  A window beyond
+    The grid scan (2049 points by default, or the given resolution)
+    samples all rates in one ``profile.rates_on`` call and brackets each
+    sign change, which bisection of all brackets of a rate together
+    then sharpens to 1e-10 in time.  Listed singular points and
+    non-finite samples are excluded from the sign logic and reported
+    separately; an interval opening at a rate divergence starts at the
+    divergence time itself.  A window beyond
     the profile's ``singular_reach`` raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
@@ -106,8 +122,9 @@ def negative_intervals(
     profile.check_reach(t1)
     if resolution is not None and resolution <= 0:
         raise ValueError("resolution must be positive")
-    res = resolution if resolution is not None else (t1 - t0) / 2048.0
-    n = max(int(math.ceil((t1 - t0) / res)) + 1, 3)
+    # the count, not a spacing, so that a window too narrow to divide
+    # still gets its grid
+    n = 2049 if resolution is None else max(int(math.ceil((t1 - t0) / resolution)) + 1, 3)
     grid = np.linspace(t0, t1, n)
 
     intervals = {}

@@ -238,6 +238,29 @@ class TestRates:
             assert ohmic_closed_form(p, t)[0] == pytest.approx(expected, rel=1e-10)
 
 
+    def test_sidecar_alone_on_stderr(self, capsys):
+        # s = 1e300 used to put numpy's RuntimeWarnings ahead of the sidecar
+        assert main(["rates", "--model", "ohmic", "--s", "1e300", "--steps", "5",
+                     "--out", "-"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().err)["suppressed_rows"] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kernel", ["paper", "literature"])
+    def test_tiny_temperature_gives_the_zero_temperature_rates(self, tmp_path, kernel):
+        # below about T = 1e-27 the series used to give NaN: evolve refused
+        # and rates left gamma3 blank
+        for command in ("evolve", "rates"):
+            texts = []
+            for T in ("0", "1e-30"):
+                out = tmp_path / f"{command}-{T}"
+                assert main([command, "--model", "ohmic", "--s", "2", "--T", T,
+                             "--kernel", kernel, "--steps", "30",
+                             "--out", str(out)]) == EXIT_OK
+                texts.append(_read_csv(out)[1])
+            for cold, warm in zip(*texts):
+                np.testing.assert_allclose(np.array(warm, dtype=float),
+                                           np.array(cold, dtype=float), rtol=1e-14, atol=0)
+
+
 class TestScan:
     def test_temperature_damps_oscillations(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -250,6 +273,13 @@ class TestScan:
         amp = _col(rows, 4)
         assert np.all(np.diff(amp) < 0)  # strictly decreasing in N
         assert all(r[5] == "NonMarkovian" for r in rows)
+
+    def test_window_too_narrow_to_divide(self, capsys):
+        # t-max/2048 used to underflow to 0 in the sign scan: ZeroDivisionError
+        assert main(["scan", "--model", "thermal", "--param", "R", "--values", "0.5",
+                     "--t-max", "5e-324", "--out", "-"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.split("\n")[1].split(",")[5] == "Markovian"
 
     def test_ohmicity_crossover_verdicts(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -345,8 +375,12 @@ class TestPlumbing:
         (["rates", "--model", "thermal", "--R", "10", "--t-max", "1e300"], "poles"),
         (["scan", "--model", "thermal", "--R", "10", "--t-max", "1e300",
           "--param", "N", "--values", "0"], "poles"),
+        # the exact route needs distinct times; this grid is 0, 0, 0, 0, 5e-324
+        (["evolve", "--model", "tabulated", "--rates-file", "unread.csv",
+          "--t-max", "5e-324"], "too small for 5 distinct times"),
     ], ids=["t-max-nan", "t-max-inf", "tol-nan", "tol-inf", "tol-negative",
-            "T-nan", "N-nan", "rates-too-many-poles", "scan-too-many-poles"])
+            "T-nan", "N-nan", "rates-too-many-poles", "scan-too-many-poles",
+            "tabulated-subnormal-t-max"])
     def test_non_finite_or_non_positive_input_is_usage_error(self, tmp_path, capsys,
                                                              args, message):
         out = tmp_path / "out"
@@ -354,6 +388,18 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--re-alpha-0", "--im-alpha-0"])
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_huge_coherence_is_usage_error(self, capsys, model, option):
+        # past about 1.3e154, the state check used to raise OverflowError
+        for command, extra in (("evolve", []), ("cp-check", []), ("rates", []),
+                               ("scan", ["--param", "R", "--values", "1"])):
+            assert main([command, "--model", model, option, "1e300",
+                         "--rates-file", "unread.csv", *extra]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: coherence violates")
 
     @pytest.mark.parametrize("option,value", [
         ("g1", "nan"), ("g2", "inf"), ("g3", "-inf"), ("w", "nan")])

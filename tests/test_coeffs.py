@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -14,6 +13,12 @@ from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
                       thermal_closed_form, thermal_profile, weak_coupling_integrals)
 from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
 from phasecov.models import OhmicParams, ohmic_closed_form, ohmic_profile
+
+
+def _step(t, at, before, after):
+    """A rate that is ``before`` for t < at and ``after`` from there, for a
+    float or an ndarray of times (``[()]`` makes a float of a 0-d result)."""
+    return np.where(t < at, before, after)[()]
 
 
 def test_zero_profile_gives_zero_coefficients():
@@ -91,8 +96,8 @@ def test_constant_rates_agree_with_markovian():
 def test_g_ode_matches_direct_integral():
     # direct route: e^{-Gamma(t)} int_0^t e^{Gamma(s)} gamma2(s)/2 ds, with
     # Gamma(s) re-quadratured from scratch inside the integrand
-    gamma1 = lambda t: 0.3 * (1.0 + math.sin(t))
-    gamma2 = lambda t: 0.5 * (1.0 + 0.5 * math.cos(0.7 * t))
+    gamma1 = lambda t: 0.3 * (1.0 + np.sin(t))
+    gamma2 = lambda t: 0.5 * (1.0 + 0.5 * np.cos(0.7 * t))
     prof = RateProfile(gamma1=gamma1, gamma2=gamma2)
 
     def gamma_of(s):
@@ -215,11 +220,12 @@ def _built_in_profiles(tmp_path):
 
 def test_rates_on_equals_per_point_evaluation(tmp_path):
     for profile in _built_in_profiles(tmp_path):
-        assert profile.grid_rates is not None
         # the listed poles are on the grid, where the rates are infinite
         t = np.union1d(np.linspace(0.0, 12.0, 2049), profile.singular_points)
         grid = profile.rates_on(t)
-        points = dataclasses.replace(profile, grid_rates=None).rates_on(t)
+        fns = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
+        # the reference: each rate at each time, as a float
+        points = np.array([[fn(x) for x in t.tolist()] for fn in fns], dtype=float)
         assert grid.shape == points.shape == (4, t.size)
         finite = np.isfinite(points)
         assert (~finite[1]).any() == bool(profile.singular_points)
@@ -239,20 +245,35 @@ def test_tabulated_callables_equal_the_grid_form_bit_for_bit(tmp_path):
     np.testing.assert_array_equal(scalar, grid)
 
 
-def test_rates_on_falls_back_to_the_callables():
-    def gamma2(t):
-        if t == 1.0:
-            raise ZeroDivisionError
-        return 1.0 / (t - 2.0) if t < 3.0 else math.sqrt(-t)
+def test_rates_on_calls_each_rate_once_and_lets_its_exceptions_through():
+    calls = []
 
-    profile = RateProfile(gamma1=lambda t: 0.5 * t, gamma2=gamma2,
-                          omega=lambda t: 3)
-    assert profile.grid_rates is None
+    def gamma2(t):
+        calls.append(t)
+        return 1.0 / (t - 2.0)
+
+    profile = RateProfile(gamma1=lambda t: 0.5 * t, gamma2=gamma2, omega=lambda t: 3)
     out = profile.rates_on([0.0, 1.0, 4.0])
-    np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0], [-0.5, math.nan, math.nan],
+    # one call on the whole grid, and a constant broadcast over it
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    np.testing.assert_array_equal(out, [[0.0, 0.5, 2.0], [-0.5, -1.0, 0.5],
                                         [0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
-    # one part without the array form leaves the sum without it too
-    assert combine_profiles(profile, constant_profile(1.0)).grid_rates is None
+    # a divergence is its non-finite value, without a numpy warning
+    assert profile.rates_on([2.0])[1, 0] == math.inf
+
+    def undefined(t):
+        if np.any(t == 1.0):
+            raise ZeroDivisionError("undefined at t = 1")
+        return 0.0 * t
+
+    # an exception is never recorded as NaN: not one of the rate's own, nor
+    # that of a rate written for one float only
+    for rate, error in ((undefined, ZeroDivisionError), (math.cos, TypeError),
+                        (lambda t: 0.4 if t < 1.3 else 1.2, ValueError)):
+        for prof in (RateProfile(gamma3=rate),
+                     combine_profiles(RateProfile(gamma3=rate), constant_profile(gamma3=1.0))):
+            with pytest.raises(error):
+                prof.rates_on([0.0, 1.0, 4.0])
 
 
 def test_combined_profile_sums_only_the_nonzero_parts():
@@ -292,10 +313,10 @@ def test_g_pass_restarts_only_at_singular_points(monkeypatch):
 
     def gamma2(t):
         # each pass may sample the rate only up to the end of its segment
-        if t > pass_end[0]:
+        if np.any(t > pass_end[0]):
             late.append((t, pass_end[0]))
             raise ValueError(f"rate sampled at t = {t!r}, past {pass_end[0]!r}")
-        return 0.4 if t < 1.0 else 1.2
+        return _step(t, 1.0, 0.4, 1.2)
 
     prof = RateProfile(gamma2=gamma2, singular_points=(1.0,))
 
@@ -371,7 +392,7 @@ def test_quadpack_only_on_the_interval_with_a_singular_point(monkeypatch):
         return quad(func, a, b, **kwargs)
 
     monkeypatch.setattr(coeffs, "quad", recording)
-    prof = RateProfile(gamma2=lambda t: 0.4 if t < 1.3 else 1.2, gamma3=math.cos,
+    prof = RateProfile(gamma2=lambda t: _step(t, 1.3, 0.4, 1.2), gamma3=np.cos,
                        singular_points=(1.3,))
     times = np.linspace(0.0, 3.0, 7)
     out = integrate_profile(prof, times)
@@ -402,7 +423,7 @@ def test_gauss_kronrod_rule_is_quadpacks():
 
 def test_non_finite_rate_on_an_unlisted_interval_is_refused():
     # NaN on part of [1, 1.5], where no singular point is listed
-    prof = RateProfile(gamma3=lambda t: math.nan if 1.2 < t < 1.4 else 1.0)
+    prof = RateProfile(gamma3=lambda t: np.where((1.2 < t) & (t < 1.4), math.nan, 1.0)[()])
     with pytest.raises(ToleranceError, match="quadrature did not converge") as err:
         integrate_profile(prof, [0.5, 1.0, 1.5, 2.0])
     lo, hi = err.value.interval
@@ -437,8 +458,7 @@ def test_unmeetable_tolerance_is_refused():
 def _narrow_peak(width=1e-3, centre=0.777):
     """A profile whose gamma3 is a Lorentzian of the given width, which one
     21-node panel cannot resolve, and int_0^t gamma3 in closed form."""
-    peak = lambda t: width / ((t - centre) ** 2 + width ** 2)
-    prof = RateProfile(gamma3=peak, grid_rates=lambda t: coeffs._rate_rows(t, gamma3=peak(t)))
+    prof = RateProfile(gamma3=lambda t: width / ((t - centre) ** 2 + width ** 2))
     return prof, lambda t: np.arctan((t - centre) / width) + np.arctan(centre / width)
 
 
@@ -516,7 +536,7 @@ def _random_table(seed, nodes=41, t_end=10.0, lo=-0.6, hi=2.0):
 
 
 def _interpolating_profile(nodes, rates):
-    return RateProfile(*(lambda x, v=v: float(np.interp(x, nodes, v)) for v in rates))
+    return RateProfile(*(lambda x, v=v: np.interp(x, nodes, v) for v in rates))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

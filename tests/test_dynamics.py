@@ -59,6 +59,11 @@ class TestEvolveState:
             QubitState(0.5, 0.9)
         with pytest.raises(ValueError):
             QubitState(0.5, complex(math.nan, 0.0))
+        # past about 1.3e154, abs(alpha) ** 2 used to raise OverflowError,
+        # and abs itself does past about 1.3e308 on each axis
+        for alpha in (1e300, 1e300j, complex(1.7e308, -1.7e308), math.inf):
+            with pytest.raises(ValueError, match="coherence violates"):
+                QubitState(0.5, alpha)
         with pytest.raises(ValueError):
             evolve_state("not a state", CoefficientSet.identity())
 

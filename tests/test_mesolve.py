@@ -193,15 +193,15 @@ def test_master_equation_never_samples_past_its_window():
 
     def guard(fn):
         def rate(t):
-            if t > 3.0:
+            if np.any(t > 3.0):
                 late.append(t)
                 raise ValueError(f"rate sampled at t = {t!r}, past t_end = 3")
             return fn(t)
         return rate
 
     prof = RateProfile(gamma1=guard(lambda t: 0.1 * t),
-                       gamma2=guard(lambda t: 0.4 + 0.3 * math.sin(t)),
-                       gamma3=guard(math.cos), omega=guard(lambda t: 0.5))
+                       gamma2=guard(lambda t: 0.4 + 0.3 * np.sin(t)),
+                       gamma3=guard(np.cos), omega=guard(lambda t: 0.5))
     t_eval = np.linspace(0.0, 2.5, 6)
     states = integrate_me(prof, RHO0, 3.0, t_eval=t_eval)
     assert states.shape == (6, 2, 2) and np.isfinite(states).all()

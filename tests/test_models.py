@@ -436,6 +436,20 @@ class TestOhmicSeries:
                 with pytest.raises(ValueError):
                     series.gamma_tilde(np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tiny_temperature_gives_the_zero_temperature_values(self, kernel):
+        # b^m in the Euler-Maclaurin weights used to overflow below about
+        # T = 1e-27, and 1/T itself overflows at 5e-324.  The times avoid the
+        # zeros of gamma3 and u < 0.5, where the closed form's GammaTilde
+        # loses digits to the cancellation in 1 - (1+u^2)^(-s/2) cos(s atan u)
+        t = np.array([0.0, 0.5, 1.3, 2.2, 7.0, 20.0, 100.0])
+        for s in (0.5, 2.0, 4.0):
+            cold = ohmic_closed_form(OhmicParams(0.1, s, 1.0, 0.0, kernel), t)
+            for T in (1e-30, 1e-300, 5e-324):
+                series = OhmicSeries(OhmicParams(0.1, s, 1.0, T, kernel))
+                for got, want in zip((series.rate(t), series.gamma_tilde(t)), cold):
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
             OhmicSeries(OhmicParams(alpha=0.1, s=1.0, T=0.0))
@@ -516,8 +530,7 @@ class TestOhmicSeriesAgainstMpmath:
         mpmath = pytest.importorskip("mpmath")
         for s in np.linspace(0.01, 5.0, 200).tolist():
             e = s + 1.0 if kernel == "paper" else s
-            got = models._cold_rate_factors(OhmicParams(alpha=0.1, s=s, kernel=kernel))[0]
-            cases = [(got, e)]
+            cases = [(models._gamma(e), e)]
             if kernel == "literature" and s < 1.0:
                 # the T = 0 GammaTilde's G(nu), nu = s - 1 in (-1, 0)
                 cases.append((models._gamma(s - 1.0), s - 1.0))

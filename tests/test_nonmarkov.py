@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from phasecov import (OhmicParams, ThermalParams, Verdict, cp_choi,
+from phasecov import (OhmicParams, RateProfile, ThermalParams, Verdict, cp_choi,
                       crossover_scan, negative_intervals, ohmic_profile,
                       segment_coefficients, thermal_profile)
 
@@ -96,6 +96,41 @@ def test_window_validation():
         negative_intervals(prof, (0.0, 1.0), resolution=-0.1)
 
 
+def test_bisection_calls_each_rate_once_per_step():
+    # R = 10 on [0, 12] has about 20 sign changes of gamma2, each bracket
+    # 12/2048 wide: one call samples the grid, then about 26 bisection
+    # steps call the rate once on the midpoints of all brackets
+    profile = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=12.0)
+    calls = []
+
+    def gamma2(t):
+        calls.append(t)
+        return profile.gamma2(t)
+
+    rep = negative_intervals(dataclasses.replace(profile, gamma2=gamma2), (0.0, 12.0))
+    assert len(rep.intervals["gamma2"]) >= 8
+    assert all(isinstance(t, np.ndarray) for t in calls)
+    assert calls[0].size == 2049 and 1 + 20 <= len(calls) <= 1 + 30
+    assert rep == negative_intervals(profile, (0.0, 12.0))
+
+
+def test_window_too_narrow_to_divide_is_scanned():
+    # window/2048 used to underflow to 0 and raise ZeroDivisionError
+    for profile in (thermal_profile(ThermalParams(R=0.5)),
+                    ohmic_profile(OhmicParams(alpha=0.1, s=3.0))):
+        rep = negative_intervals(profile, (0.0, 5e-324))
+        assert rep.verdict is Verdict.MARKOVIAN and rep.window == (0.0, 5e-324)
+
+
+def test_bisection_ends_where_no_float_lies_between_the_ends():
+    # floats near 3e6 are 4.7e-10 apart, more than the 1e-10 target: the
+    # bisection used to loop there without end
+    profile = RateProfile(gamma3=lambda t: t - (3e6 + 0.3))
+    rep = negative_intervals(profile, (0.0, 4e6))
+    [(start, end)] = rep.intervals["gamma3"]
+    assert start == 0.0 and end == pytest.approx(3e6 + 0.3, rel=0.0, abs=1e-9)
+
+
 def test_window_beyond_the_singular_reach_is_refused():
     prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
     with pytest.raises(ValueError, match="only up to t = 0.5"):
@@ -114,13 +149,23 @@ _OHMIC = st.builds(
     st.one_of(st.just(0.0), st.floats(0.2, 3.0)), st.floats(0.5, 20.0))
 
 
+def _per_point(fn):
+    """The rate fn called on one float at a time, also for an array of times."""
+    def rate(t):
+        if type(t) is np.ndarray:
+            return np.array([fn(x) for x in t.tolist()], dtype=float)
+        return fn(t)
+    return rate
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(_THERMAL, _OHMIC))
 def test_grid_and_per_point_sampling_give_the_same_report(case):
     profile, t_max = case
     fast = negative_intervals(profile, (0.0, t_max))
-    slow = negative_intervals(dataclasses.replace(profile, grid_rates=None),
-                              (0.0, t_max))
+    slow = negative_intervals(dataclasses.replace(profile, **{
+        name: _per_point(getattr(profile, name))
+        for name in ("gamma1", "gamma2", "gamma3", "omega")}), (0.0, t_max))
     assert fast.verdict is slow.verdict
     for name in ("gamma1", "gamma2", "gamma3"):
         assert len(fast.intervals[name]) == len(slow.intervals[name])

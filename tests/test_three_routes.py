@@ -14,8 +14,8 @@ conditions i)-iv) must hold too.
 The quadrature route itself, vectorised adaptive Gauss-Kronrod over the
 whole grid, must also agree with the route it replaced, one QUADPACK
 call per integrand and grid interval, within the requested tolerances:
-on thermal, Ohmic and constant generators, with and without
-``grid_rates``.
+on thermal, Ohmic and constant generators, with each rate called on the
+whole array of nodes or on one float node at a time.
 
 The example count comes from the hypothesis profile (tests/conftest.py):
 15 by default, 150 with ``--hypothesis-profile=deep``.
@@ -95,6 +95,15 @@ def _quadpack_steps(integrands, edges, cfg):
                       for a, b in zip(edges[:-1], edges[1:])] for fn in integrands])
 
 
+def _per_point(fn):
+    """The rate fn called on one float at a time, also for an array of times."""
+    def rate(t):
+        if type(t) is np.ndarray:
+            return np.array([fn(x) for x in t.tolist()], dtype=float)
+        return fn(t)
+    return rate
+
+
 @st.composite
 def quadrature_profiles(draw):
     thermal = ThermalParams(R=draw(st.floats(0.01, 0.5)), N=draw(st.floats(0.0, 3.0)))
@@ -106,9 +115,10 @@ def quadrature_profiles(draw):
     parts = [thermal_profile(thermal), ohmic_profile(ohmic), constant]
     chosen = draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=3, unique=True))
     profile = combine_profiles(*(parts[i] for i in sorted(chosen)))
-    # without grid_rates, the route calls the scalar rates at every node
     if draw(st.booleans()):
-        profile = dataclasses.replace(profile, grid_rates=None)
+        profile = dataclasses.replace(profile, **{
+            name: _per_point(getattr(profile, name))
+            for name in ("gamma1", "gamma2", "gamma3", "omega")})
     return profile
 
 
