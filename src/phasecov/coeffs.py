@@ -13,28 +13,34 @@ quantities,
 
 g is the ground-state population grown from P1(0) = 0.  It is never
 evaluated through the exp(+Gamma) integral above, which overflows as soon
-as Gamma is a few hundred; instead it solves the equivalent linear ODE
+as Gamma is a few hundred; it is the solution of the equivalent linear ODE
 
     dg/dt = gamma2/2 - [(gamma1 + gamma2)/2] g,   g(0) = 0,
 
-which is unconditionally stable.  Each rate is one callable, which takes
-a single time or an ndarray of times (see ``RateProfile``).
-``integrate_profile`` and ``segment_coefficients`` accumulate Gamma,
-GammaTilde and Omega from grid time to grid time by Gauss-Kronrod
-quadrature of the whole grid at once: QUADPACK's 21-point rule on every
-grid interval, every rate on every node from one ``rates_on`` call, and
-QUADPACK's error estimate held to the tolerances interval by interval.
-Only an interval that misses them, or that holds a listed singular
-point, goes to QUADPACK itself (``quad`` below), told the point.
+which is unconditionally stable, taken from grid time to grid time by
+variation of constants:
 
-They then solve the g ODE in one LSODA pass per singular-free segment,
-which reports every grid time and restarts only at the profile's
-singular points.  LSODA switches between Adams and BDF formulas as the
-rates make the ODE stiff or not, so a large rate costs few steps.  Each
-pass is one ODEPACK call (``solve_ivp`` below, through scipy's
-``odeint``), with ``tcrit`` at the segment's end so that no rate is
-sampled past it; unlike scipy's stepwise ``solve_ivp`` LSODA, it leaves
-no memory behind.
+    g(hi) = exp(-[Gamma(hi) - Gamma(lo)]) g(lo) + int_lo^hi exp(-D(s)) gamma2(s)/2 ds,
+    D(s) = int_s^hi (gamma1 + gamma2)/2.
+
+Each rate is one callable, which takes a single time or an ndarray of
+times (see ``RateProfile``).  ``integrate_profile`` and
+``segment_coefficients`` accumulate all four coefficients by
+Gauss-Kronrod quadrature of the whole grid at once: QUADPACK's 21-point
+rule on every grid interval, every rate on every node from one
+``rates_on`` call, and QUADPACK's error estimate held to the tolerances
+interval by interval.  The integral in g's step comes from the same
+nodes, with D at each node from a 21-point interpolatory integration
+matrix, and is held to a hundredth of the tolerances.  Only an interval
+that misses them, or that holds a listed singular point, goes to
+QUADPACK itself (``quad`` below), told the point, or for g to one LSODA
+pass of the ODE over each run of such intervals (``solve_ivp`` below,
+one ODEPACK call through scipy's ``odeint``, with ``tcrit`` at the
+pass's end so that no rate is sampled past it; unlike scipy's stepwise
+``solve_ivp`` LSODA, it leaves no memory behind).  LSODA switches
+between Adams and BDF formulas as the rates make the ODE stiff or not,
+so a large rate, which a single panel cannot resolve, costs few steps.
+A smooth grid calls neither.
 
 Rates that are linear between table nodes have coefficients in closed
 form up to one smooth integral per piece, which
@@ -45,6 +51,7 @@ routine or ODE solver.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from bisect import bisect_right
@@ -145,12 +152,15 @@ class RateProfile:
     def rates_on(self, times) -> np.ndarray:
         """(gamma1, gamma2, gamma3, omega) on a grid, shape (4, len(times)).
 
-        Each callable is called once, on the whole grid; a constant is
-        broadcast over it.  numpy's floating-point warnings are silenced,
-        since a divergence is reported by its non-finite value, and an
-        exception from a callable propagates.
+        Each callable is called once, on the whole grid, the same
+        read-only array for each, so that rates may share work through a
+        memo of it; a constant is broadcast over it.  numpy's
+        floating-point warnings are silenced, since a divergence is
+        reported by its non-finite value, and an exception from a
+        callable propagates.
         """
-        t = np.asarray(times, dtype=float)
+        t = np.array(times, dtype=float)
+        t.flags.writeable = False
         out = np.empty((4, t.size))
         with np.errstate(all="ignore"):
             for row, fn in zip(out, (self.gamma1, self.gamma2, self.gamma3, self.omega)):
@@ -394,33 +404,99 @@ _COEFFICIENT_RATES = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
 _WEAK_COUPLING_RATES = np.eye(3, 4)
 
 
-def _qk21(profile, mix, a, b):
+def _scaled(gap, resasc):
+    """QUADPACK's error from the gap between two rules, resasc min(1,
+    (200 gap / resasc)^1.5), or the gap itself where resasc is 0."""
+    ratio = 200.0 * gap / resasc
+    return np.where(resasc > 0, resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), gap)
+
+
+def _kronrod(f):
+    """qk21 on [-1, 1] of the node values f (..., 21): the Kronrod integral,
+    QUADPACK's error estimate and resasc.  The error is ``_scaled`` from
+    |K - G|, with K and G the Kronrod and Gauss sums and resasc the Kronrod
+    integral of |f - mean f|, and no less than 50 eps times the integral
+    of |f|."""
+    sums = f @ _RULES
+    kronrod = sums[..., 0]
+    resabs = np.abs(f) @ _KRONROD_WEIGHTS
+    resasc = np.abs(f - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS
+    err = _scaled(np.abs(kronrod - sums[..., 1]), resasc)
+    return kronrod, np.maximum(err, _ROUNDOFF * resabs), resasc
+
+
+# the Kronrod nodes that carry the embedded Gauss rule
+_GAUSS = np.flatnonzero(_RULES[:, 1])
+
+
+@functools.cache
+def _tail_integrals() -> tuple[np.ndarray, np.ndarray]:
+    """Matrices that take node values of a to int_x^1 p at each Kronrod node
+    x, p the polynomial through the values: on all 21 nodes, shape (21, 21),
+    and on the 10 Gauss nodes alone, shape (21, 10).
+
+    Each is W V^-1 in the Legendre basis, with V_jk = P_k(x_j) on the
+    interpolation nodes and W_ik = int_(x_i)^1 P_k, which is 1 - x for
+    k = 0 and (P_(k-1)(x) - P_(k+1)(x))/(2k + 1) above.  Built on first
+    use, so that importing the module does not pay for it.
+    """
+    def matrix(nodes):
+        n = nodes.size
+        legendre = np.polynomial.legendre.legvander(_KRONROD_NODES, n)
+        tails = np.empty((_KRONROD_NODES.size, n))
+        tails[:, 0] = 1.0 - _KRONROD_NODES
+        k = np.arange(1, n)
+        tails[:, 1:] = (legendre[:, k - 1] - legendre[:, k + 1]) / (2 * k + 1)
+        return np.linalg.solve(np.polynomial.legendre.legvander(nodes, n - 1).T, tails.T).T
+
+    return matrix(_KRONROD_NODES), matrix(_KRONROD_NODES[_GAUSS])
+
+
+def _growth(a, spread, b, half):
+    """The growth of g across each panel from g = 0, with its error, on
+    [-1, 1] as ``_kronrod`` gives them, from a = (gamma1 + gamma2)/2 and
+    b = gamma2/2 on the nodes, shape (panels, 21), and the resasc of a.
+
+    The growth is int e^-D b, D(x) the integral of a from x to the panel's
+    end, taken at each node from the polynomial through all 21 values of a
+    (``_tail_integrals``).  Its error is qk21's for the integral of e^-D b,
+    plus the Kronrod sum of |e^-D b| times the error of D, which is
+    estimated as qk21 estimates an integral: ``_scaled`` from the gap
+    between D and D10, from the polynomial through the 10 Gauss nodes
+    alone, with the resasc of a.
+    """
+    whole, gauss = _tail_integrals()
+    depth = half[:, None] * (a @ whole.T)
+    grown = np.exp(-depth) * b
+    value, err, _ = _kronrod(grown)
+    gap = np.abs(depth - half[:, None] * (a[:, _GAUSS] @ gauss.T))
+    shift = _scaled(gap, (half * spread)[:, None])
+    return value, err + (np.abs(grown) * shift) @ _KRONROD_WEIGHTS
+
+
+def _qk21(profile, mix, a, b, grow=False):
     """qk21 on every panel [a_i, b_i]: the values and error estimates of the
-    integrals of the rate combinations mix @ rates, each shape (len(mix), len(a)).
+    integrals of the rate combinations mix @ rates, each shape (len(mix), len(a)),
+    with g's growth across each panel (``_growth``) as one more row if grow.
 
     Every rate on every node comes from one ``rates_on`` call.  The error
-    is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5), with K and
-    G the Kronrod and Gauss sums and resasc the Kronrod integral of
-    |f - mean f|, and no less than 50 eps times the integral of |f|.
+    is QUADPACK's (``_kronrod``).
     """
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = centre[:, None] + half[:, None] * _KRONROD_NODES
     rates = profile.rates_on(nodes.ravel())
     # only the rates in the mix, so that one it leaves out may be non-finite
     used = mix.any(axis=0)
-    # the Kronrod and Gauss sums, then the Kronrod sums of |f| and |f - mean f|,
-    # all on [-1, 1]; every value and error scales with the half-width (a
-    # non-finite rate is refused by the caller, from the values returned)
+    # every value and error is on [-1, 1] and scales with the half-width (a
+    # non-finite one is refused by the caller, from the values returned)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = (mix[:, used] @ rates[used]).reshape(len(mix), *nodes.shape)
-        sums = f @ _RULES
-        kronrod = sums[..., 0]
-        resabs = np.abs(f) @ _KRONROD_WEIGHTS
-        resasc = np.abs(f - 0.5 * kronrod[..., None]) @ _KRONROD_WEIGHTS
-        gap = np.abs(kronrod - sums[..., 1])
-        ratio = 200.0 * gap / resasc
-        err = np.where(resasc > 0, resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), gap)
-        return kronrod * half, np.maximum(err, _ROUNDOFF * resabs) * half
+        value, err, resasc = _kronrod(f)
+        if grow:
+            growth, growth_err = _growth(f[0], resasc[0],
+                                         0.5 * rates[1].reshape(nodes.shape), half)
+            value, err = np.vstack([value, growth]), np.vstack([err, growth_err])
+        return value * half, err * half
 
 
 def _combination(profile, row):
@@ -430,9 +506,16 @@ def _combination(profile, row):
     return lambda t: sum(w * fn(t) for w, fn in terms)
 
 
-def _running_integrals(profile, mix, start, times, cfg):
+def _g_tolerances(cfg):
+    """(rtol, atol) of g: a hundredth of the quadratures', floored at 1e-13
+    and 1e-15."""
+    return max(cfg.rel_tol * 1e-2, 1e-13), max(cfg.abs_tol * 1e-2, 1e-15)
+
+
+def _running_integrals(profile, mix, start, times, cfg, grow=False):
     """The integrals of the rate combinations mix @ rates from ``start`` to
-    each of the sorted times, shape (len(mix), len(times)).
+    each of the sorted times, shape (len(mix), len(times)); with grow, whose
+    mix is ``_COEFFICIENT_RATES``, and g grown from 0 at start as one more row.
 
     Every grid interval without a listed singular point gets one qk21
     panel, all of them together (``_qk21``, ``_BLOCK`` intervals per
@@ -442,34 +525,73 @@ def _running_integrals(profile, mix, start, times, cfg):
     singular point, ends included, go to QUADPACK (``_quad``) with the
     point, in the order of the grid.  A non-finite panel raises
     :class:`ToleranceError` there, with abserr = inf.
+
+    g follows from g(hi) = e^-(Gamma(hi) - Gamma(lo)) g(lo) + its growth
+    across [lo, hi] from 0, the panel's ``_growth``, which is accepted at
+    g's own tolerances (``_g_tolerances``).  A growth that misses them or
+    is not finite, and every interval that holds a listed singular point,
+    go to LSODA (``_g_pass``): one pass over each run of such intervals,
+    from the g reached at its start, so that a stiff grid, whose panels
+    cannot resolve e^-D, costs one pass.  The passes come after all the
+    quadratures, so that a pole they cannot cross raises its
+    :class:`ToleranceError` before the ODE meets it.  A g that is not
+    finite raises it too.
     """
     lo = np.array([start] + times[:-1], dtype=float)
     hi = np.array(times, dtype=float)
     sing = sorted(profile.singular_points)
     held = np.searchsorted(sing, lo, "left") < np.searchsorted(sing, hi, "right")
     wide = hi > lo
-    steps = np.zeros((len(mix), len(times)))
+    rows = len(mix) + grow
+    rel = np.full((rows, 1), cfg.rel_tol)
+    floor = np.full((rows, 1), cfg.abs_tol)
+    if grow:
+        rel[-1], floor[-1] = _g_tolerances(cfg)
+    steps = np.zeros((rows, len(times)))
     redo = np.zeros(steps.shape, dtype=bool)
     redo[:, held & wide] = True
     smooth = np.flatnonzero(wide & ~held)
     for first in range(0, smooth.size, _BLOCK):
         block = smooth[first:first + _BLOCK]
-        value, err = _qk21(profile, mix, lo[block], hi[block])
+        value, err = _qk21(profile, mix, lo[block], hi[block], grow)
         finite = np.isfinite(value) & np.isfinite(err)
         # NaN marks a panel to refuse
         steps[:, block] = np.where(finite, value, math.nan)
-        redo[:, block] = ~finite | (err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value)))
-    for i, row in np.argwhere(redo.T).tolist():
+        redo[:, block] = ~finite | (err > np.maximum(floor, rel * np.abs(value)))
+    for i, row in np.argwhere(redo[:len(mix)].T).tolist():
         a, b = float(lo[i]), float(hi[i])
         if math.isnan(steps[row, i]):
             raise ToleranceError("quadrature did not converge", (a, b), abserr=math.inf)
         steps[row, i] = _quad(_combination(profile, mix[row]), a, b, cfg,
                               _interior_points(sing, a, b))
-    return np.cumsum(steps, axis=1)
+    integrals = np.cumsum(steps[:len(mix)], axis=1)
+    if not grow:
+        return integrals
+    with np.errstate(over="ignore"):
+        decays = np.exp(-steps[0]).tolist()
+    growths = steps[-1].tolist()
+    g, out = 0.0, []
+    for ode, run in itertools.groupby(redo[-1].tolist()):
+        done = len(out)
+        end = done + len(list(run))
+        if ode:
+            out += _g_pass(profile, float(lo[done]), times[done:end], cfg, g)
+        else:
+            for decay, growth in zip(decays[done:end], growths[done:end]):
+                g = decay * g + growth
+                out.append(g)
+        g = out[-1]
+    lost = np.flatnonzero(~np.isfinite(out))
+    if lost.size:
+        i = int(lost[0])
+        raise ToleranceError(f"g is not finite at t = {times[i]:g}",
+                             (float(lo[i]), float(hi[i])))
+    return np.vstack([integrals, out])
 
 
-def _g_pass(profile, start, times, cfg):
-    """g at each of the sorted times (all >= start), grown from g(start) = 0.
+def _g_pass(profile, start, times, cfg, g0=0.0):
+    """g at each of the sorted times (all >= start, the last > start), grown
+    from g(start) = g0.
 
     dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one LSODA
     pass per singular-free segment: each pass reports the requested
@@ -486,24 +608,16 @@ def _g_pass(profile, start, times, cfg):
         return [0.5 * g2 - 0.5 * (g1 + g2) * y[0]]
 
     end = times[-1]
-    if end == start:
-        return [0.0] * len(times)
     sing = sorted(profile.singular_points)
     cuts = [start] + (_interior_points(sing, start, end) or []) + [end]
+    rtol, atol = _g_tolerances(cfg)
     out = []
-    g = 0.0
+    g = g0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         wanted = times[len(out):bisect_right(times, hi)]
         # the pass always reports hi, the start of the next one
         t_eval = wanted if wanted and wanted[-1] == hi else wanted + [hi]
-        sol = solve_ivp(
-            rhs,
-            (lo, hi),
-            [g],
-            t_eval=t_eval,
-            rtol=max(cfg.rel_tol * 1e-2, 1e-13),
-            atol=max(cfg.abs_tol * 1e-2, 1e-15),
-        )
+        sol = solve_ivp(rhs, (lo, hi), [g], t_eval=t_eval, rtol=rtol, atol=atol)
         if not sol.success:
             raise ToleranceError(
                 f"population ODE failed at t = {sol.t[-1]:g}: {sol.message}", (lo, hi))
@@ -514,14 +628,10 @@ def _g_pass(profile, start, times, cfg):
 
 
 def _accumulate(profile, start, times, cfg):
-    """Coefficients from ``start`` to each of the sorted times, g from 0 at start.
-
-    The g pass runs after the quadratures, so a pole that they cannot
-    cross raises its :class:`ToleranceError` before the ODE meets it.
-    """
-    rows = _running_integrals(profile, _COEFFICIENT_RATES, start, times, cfg).tolist()
-    return [CoefficientSet(t, *row, g=g)
-            for t, *row, g in zip(times, *rows, _g_pass(profile, start, times, cfg))]
+    """Coefficients from ``start`` to each of the sorted times, g from 0 at start."""
+    rows = _running_integrals(profile, _COEFFICIENT_RATES, start, times, cfg,
+                              grow=True).tolist()
+    return [CoefficientSet(t, *row) for t, *row in zip(times, *rows)]
 
 
 def _validate_times(times):
@@ -542,9 +652,11 @@ def integrate_profile(
 ) -> list[CoefficientSet]:
     """Accumulate (Gamma, GammaTilde, Omega, g) along a sorted time grid.
 
-    Each requested time reuses the integrals accumulated up to the
-    previous one, and g comes from one ODE pass per singular-free
-    segment of the grid, so a dense grid costs one pass.  Raises
+    Each requested time reuses the coefficients accumulated up to the
+    previous one, so every grid interval costs one 21-point panel, with
+    g stepped across it from the same nodes, and a smooth grid calls no
+    QUADPACK or ODE routine (see ``_running_integrals`` for the
+    fallbacks).  Raises
     ValueError for a non-monotone grid or one that ends beyond the
     profile's ``singular_reach``, and :class:`ToleranceError` when the
     error control cannot be met (for example across a non-integrable

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSet, RateProfile, _xp
-from .dynamics import AffineBlochMap, bloch_map
+from .dynamics import AffineBlochMap, _bloch_parts
 
 __all__ = [
     "DEFAULT_TOL",
@@ -147,23 +147,37 @@ def cp_paper(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CpConditions:
     )
 
 
-def _as_map(m: AffineBlochMap | CoefficientSet) -> AffineBlochMap:
-    return bloch_map(m) if isinstance(m, CoefficientSet) else m
+def _map_parts(m: AffineBlochMap | CoefficientSet) -> tuple:
+    """(lambda3, t3, kappa) of a map, or of the Bloch map of a coefficient set."""
+    if isinstance(m, CoefficientSet):
+        return _bloch_parts(m)
+    return m.lambda3, m.t3, m.kappa
 
 
 def choi_matrix(m: AffineBlochMap | CoefficientSet) -> np.ndarray:
     """4x4 Choi operator, basis (|1>|1>, |1>|2>, |2>|1>, |2>|2>)."""
-    m = _as_map(m)
-    pbar = (1.0 + m.t3 + m.lambda3) / 2.0
-    qbar = (1.0 + m.t3 - m.lambda3) / 2.0
+    lambda3, t3, kappa = _map_parts(m)
+    pbar = (1.0 + t3 + lambda3) / 2.0
+    qbar = (1.0 + t3 - lambda3) / 2.0
     choi = np.zeros((4, 4), dtype=complex)
     choi[0, 0] = pbar
     choi[1, 1] = 1.0 - pbar
     choi[2, 2] = qbar
     choi[3, 3] = 1.0 - qbar
-    choi[0, 3] = m.kappa
-    choi[3, 0] = m.kappa.conjugate()
+    choi[0, 3] = kappa
+    choi[3, 0] = kappa.conjugate()
     return choi
+
+
+def _choi_eigenvalues(m: AffineBlochMap | CoefficientSet) -> tuple:
+    """[1-pbar, qbar, pair+, pair-] as floats, or as arrays on a grid."""
+    lambda3, t3, kappa = _map_parts(m)
+    pbar = (1.0 + t3 + lambda3) / 2.0
+    qbar = (1.0 + t3 - lambda3) / 2.0
+    k2 = abs(kappa) ** 2
+    half_sum = (pbar + 1.0 - qbar) / 2.0
+    half_disc = 0.5 * _xp(k2).sqrt((pbar - 1.0 + qbar) ** 2 + 4.0 * k2)
+    return 1.0 - pbar, qbar, half_sum + half_disc, half_sum - half_disc
 
 
 def choi_spectrum(m: AffineBlochMap | CoefficientSet) -> np.ndarray:
@@ -173,13 +187,7 @@ def choi_spectrum(m: AffineBlochMap | CoefficientSet) -> np.ndarray:
     operator has trace 2 in this normalization).  On a coefficient grid
     the result has shape (4, n), one column per row of the grid.
     """
-    m = _as_map(m)
-    pbar = (1.0 + m.t3 + m.lambda3) / 2.0
-    qbar = (1.0 + m.t3 - m.lambda3) / 2.0
-    k2 = abs(m.kappa) ** 2
-    half_sum = (pbar + 1.0 - qbar) / 2.0
-    half_disc = 0.5 * _xp(k2).sqrt((pbar - 1.0 + qbar) ** 2 + 4.0 * k2)
-    return np.array([1.0 - pbar, qbar, half_sum + half_disc, half_sum - half_disc])
+    return np.array(_choi_eigenvalues(m))
 
 
 @dataclass(frozen=True)
@@ -191,11 +199,17 @@ class ChoiResult:
 def cp_choi(m: AffineBlochMap | CoefficientSet, tol: float = DEFAULT_TOL) -> ChoiResult:
     """Complete positivity from the Choi spectrum (CP iff min eig >= -tol).
 
-    On a coefficient grid both fields are arrays over it.
+    On a coefficient grid both fields are arrays over it.  For one map the
+    minimum is taken as numpy's is: NaN if any eigenvalue is NaN, and of
+    equal values, such as 0.0 and -0.0, the last.
     """
-    min_eig = choi_spectrum(m).min(axis=0)
-    if min_eig.ndim == 0:
-        min_eig = float(min_eig)
+    eigenvalues = a, b, c, d = _choi_eigenvalues(m)
+    if isinstance(a, np.ndarray):
+        min_eig = np.min(eigenvalues, axis=0)
+    elif a != a or b != b or c != c or d != d:
+        min_eig = math.nan
+    else:
+        min_eig = float(min(d, c, b, a))
     return ChoiResult(is_cp=min_eig >= -tol, min_eigenvalue=min_eig)
 
 

@@ -138,8 +138,13 @@ def bloch_map(c: CoefficientSet) -> AffineBlochMap:
     t3 = exp(-Gamma)(1 + 2G) - 1 is assembled as 2 g + exp(-Gamma) - 1,
     which never forms the overflowing exp(+Gamma) G product.
     """
+    return AffineBlochMap(*_bloch_parts(c))
+
+
+def _bloch_parts(c: CoefficientSet) -> tuple:
+    """(lambda3, t3, kappa) of ``bloch_map(c)``, without building the map."""
     decay = c.decay
-    return AffineBlochMap(lambda3=decay, t3=2.0 * c.g + decay - 1.0, kappa=c.kappa)
+    return decay, 2.0 * c.g + decay - 1.0, c.kappa
 
 
 def apply_bloch(m: AffineBlochMap, v: Sequence[float]) -> np.ndarray:

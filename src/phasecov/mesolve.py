@@ -23,9 +23,10 @@ structurally, not up to solver error.  In these parameters each term of
 the generator is affine, rate_k(t) (A_k y + c_k).  A_k and c_k are
 found once, by applying the dissipators and the commutator to the basis
 states (superoperator form: Breuer and Petruccione, *The Theory of Open
-Quantum Systems*, 2002), and written out, on first use, as one
-straight-line function of the rates and y, their rate-weighted sum in
-float arithmetic; ``liouvillian`` stays as the 2x2 form.  The whole
+Quantum Systems*, 2002), and written out, on first use for each pattern
+of rates that are not ``_zero``, as one straight-line right-hand side
+that calls those rates and adds their rate-weighted terms in float
+arithmetic; ``liouvillian`` stays as the 2x2 form.  The whole
 integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``), with
 ``tcrit`` at t_end so that no rate is sampled past it; a solver failure,
 or a reported state that is not finite, raises :class:`IntegrationError`
@@ -41,7 +42,7 @@ import functools
 
 import numpy as np
 
-from .coeffs import RateProfile, solve_ivp
+from .coeffs import RateProfile, _zero, solve_ivp
 
 __all__ = [
     "IntegrationError",
@@ -125,27 +126,35 @@ def _affine_terms() -> tuple:
 
 
 @functools.cache
-def _compiled_drift():
-    """dy/dt = sum_k rate_k (A_k y + c_k) as one straight-line function.
+def _compiled_rhs(live: tuple[bool, bool, bool, bool]):
+    """dy/dt = sum_k rate_k(t) (A_k y + c_k) as straight-line code.
 
-    Built on first use from the rows of ``_affine_terms``: the returned
-    ``drift(rates, y)`` adds the terms rate_k * a * y_j of each row in
-    their order from 0.0, with the coefficients a written out by their
-    exact repr, so a right-hand-side call is a few float operations.
+    ``live`` marks which of (gamma1, gamma2, gamma3, omega) are not
+    ``_zero``; the terms of the others are dropped.  Built once per
+    pattern from the rows of ``_affine_terms``: the returned
+    ``bind(*rates)`` takes the live rate callables and gives the
+    right-hand side ``rhs(t, y)``, which calls each of them once, in
+    order, and adds the terms rate_k * a * y_j of each row in their order
+    from 0.0, with the coefficients a written out by their exact repr.  A
+    dropped term is a signed zero for a finite state, so the sum is the
+    one over all four rates bit for bit.
     """
     def term(k, j, a):
         # (rate * a) * 1.0 is rate * a exactly: the constant column needs no factor
         return f"r{k} * {a!r}" + ("" if j == 3 else f" * y{j}")
 
-    body = ", ".join(" + ".join(["0.0", *(term(*t) for t in row)])
+    body = ", ".join(" + ".join(["0.0", *(term(*t) for t in row if live[t[0]])])
                      for row in _affine_terms())
-    code = ("def drift(rates, y):\n"
-            "    r0, r1, r2, r3 = rates\n"
-            "    y0, y1, y2 = y\n"
-            f"    return [{body}]\n")
+    ks = [k for k in range(4) if live[k]]
+    code = (f"def bind({', '.join(f'rate{k}' for k in ks)}):\n"
+            "    def rhs(t, y):\n"
+            + "".join(f"        r{k} = rate{k}(t)\n" for k in ks)
+            + "        y0, y1, y2 = y.tolist()\n"
+            f"        return [{body}]\n"
+            "    return rhs\n")
     namespace = {}
     exec(code, namespace)
-    return namespace["drift"]
+    return namespace["bind"]
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:
@@ -153,9 +162,16 @@ def _pack(rho: np.ndarray) -> np.ndarray:
 
 
 def _unpack(y: np.ndarray) -> np.ndarray:
-    p1, re_a, im_a = y
-    a = complex(re_a, im_a)
-    return np.array([[p1, a], [a.conjugate(), 1.0 - p1]], dtype=complex)
+    """The state of y = (P1, Re alpha, Im alpha), shape (3, ...), as density
+    matrices of shape (..., 2, 2)."""
+    p1, re_a, im_a = np.asarray(y, dtype=float)
+    rho = np.empty(p1.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0] = p1
+    rho[..., 1, 1] = 1.0 - p1
+    rho[..., 0, 1].real = rho[..., 1, 0].real = re_a
+    rho[..., 0, 1].imag = im_a
+    rho[..., 1, 0].imag = -im_a
+    return rho
 
 
 def integrate_me(
@@ -207,11 +223,9 @@ def integrate_me(
             return rho0.copy()
         return np.array([rho0.copy() for _ in t_eval])
 
-    rates, drift = profile.rates, _compiled_drift()
-
-    def rhs(t, y):
-        return drift(rates(t), y.tolist())
-
+    rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
+    rhs = _compiled_rhs(tuple(r is not _zero for r in rates))(
+        *(r for r in rates if r is not _zero))
     sol = solve_ivp(
         rhs,
         (0.0, float(t_end)),
@@ -223,6 +237,4 @@ def integrate_me(
     if not sol.success:
         raise IntegrationError(
             f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
-    if t_eval is None:
-        return _unpack(sol.y[:, -1])
-    return np.array([_unpack(sol.y[:, i]) for i in range(sol.y.shape[1])])
+    return _unpack(sol.y[:, -1] if t_eval is None else sol.y)

@@ -317,10 +317,13 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
     the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
     list is empty and the reach unbounded.
 
-    gamma1 and gamma2 share f through a one-entry memo of the last float
-    time and its f, so that the two rates at one t cost one evaluation.
-    The memo is kept by identity: every integrator callback hands both
-    rates the same float object, and a hit then costs no type test.
+    gamma1 and gamma2 share f through a one-entry memo of the last time
+    and its f, so that the two rates at one t cost one evaluation.  The
+    memo is kept by identity: every integrator callback hands both rates
+    the same float object, and ``RateProfile.rates_on`` the same array,
+    and a hit then costs no type test.  Only a read-only array is kept,
+    such as the one ``rates_on`` makes, since a writeable one may change
+    in place under the same identity.
     """
     rate = _memory_rate(p.R)
     heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
@@ -331,10 +334,13 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
         t_last, f = last
         if t is not t_last:
             if type(t) is np.ndarray:
-                return rate(t, np)
-            if t < 0:
+                f = rate(t, np)
+                if t.flags.writeable:
+                    return f
+            elif t < 0:
                 raise ValueError("tau must be non-negative")
-            f = rate(t, math)
+            else:
+                f = rate(t, math)
             # one tuple, so that a reader never pairs a t with another t's f
             last = (t, f)
         return f
@@ -524,8 +530,12 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
         GammaTilde = (2 a G(s-1)/w_c) [1 - (1+u^2)^(-(s-1)/2) cos((s-1) atan u)]
 
     with u = w_c t and the s -> 1 literature limit
-    (a/w_c) ln(1 + u^2).  For an ndarray of times both are arrays over
-    them.  Raises ValueError for T != 0.
+    (a/w_c) ln(1 + u^2).  Each bracket 1 - A cos(e atan u), with
+    A = (1+u^2)^(-e/2), is summed as (1 - A) + 2 A sin^2(e atan(u)/2),
+    1 - A = -expm1(-(e/2) log1p(u^2)): two terms without cancellation,
+    so that GammaTilde keeps its relative accuracy as u -> 0.  For an
+    ndarray of times both are arrays over them.  Raises ValueError for
+    T != 0.
     """
     if p.T != 0:
         raise ValueError("closed form is only valid at T = 0")
@@ -533,19 +543,19 @@ def ohmic_closed_form(p: OhmicParams, t: float) -> tuple[float, float]:
     xp = _xp(t)
     u = p.omega_c * t
     theta = math.atan(u) if xp is math else np.arctan(u)
-    one_u2 = 1.0 + u * u
-    if p.kernel == "paper":
-        tilde = (2.0 * p.alpha * _gamma(p.s + 1.0) / p.s) * (
-            1.0 - one_u2 ** (-p.s / 2.0) * xp.cos(p.s * theta))
-        return rate, tilde
+    log_u2 = xp.log1p(u * u)
 
+    def bracket(e):
+        # A - 1 once, whose rounding in A costs A at most an ulp of 1
+        a_minus_1 = xp.expm1(-0.5 * e * log_u2)
+        return -a_minus_1 + 2.0 * (1.0 + a_minus_1) * xp.sin(0.5 * e * theta) ** 2
+
+    if p.kernel == "paper":
+        return rate, (2.0 * p.alpha * _gamma(p.s + 1.0) / p.s) * bracket(p.s)
     nu = p.s - 1.0
     if abs(nu) < 1e-9:
-        tilde = (p.alpha / p.omega_c) * xp.log(one_u2)
-    else:
-        tilde = (2.0 * p.alpha * _gamma(nu) / p.omega_c) * (
-            1.0 - one_u2 ** (-nu / 2.0) * xp.cos(nu * theta))
-    return rate, tilde
+        return rate, (p.alpha / p.omega_c) * log_u2
+    return rate, (2.0 * p.alpha * _gamma(nu) / p.omega_c) * bracket(nu)
 
 
 # Terms k < _SERIES_TERMS of the T > 0 series are summed directly, the

@@ -113,8 +113,9 @@ def negative_intervals(
     then sharpens to 1e-10 in time.  Listed singular points and
     non-finite samples are excluded from the sign logic and reported
     separately; an interval opening at a rate divergence starts at the
-    divergence time itself.  A window beyond
-    the profile's ``singular_reach`` raises ValueError.
+    divergence time itself.  A window beyond the profile's
+    ``singular_reach``, or a resolution that gives no finite grid count,
+    raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (0 <= t0 < t1) or not math.isfinite(t1):
@@ -124,7 +125,11 @@ def negative_intervals(
         raise ValueError("resolution must be positive")
     # the count, not a spacing, so that a window too narrow to divide
     # still gets its grid
-    n = 2049 if resolution is None else max(int(math.ceil((t1 - t0) / resolution)) + 1, 3)
+    spans = 2048 if resolution is None else (t1 - t0) / resolution
+    if not math.isfinite(spans):
+        raise ValueError(f"resolution = {resolution:g} divides the window "
+                         f"({t0:g}, {t1:g}) into a number of points that is not finite")
+    n = max(math.ceil(spans) + 1, 3)
     grid = np.linspace(t0, t1, n)
 
     intervals = {}

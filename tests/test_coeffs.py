@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -333,15 +334,16 @@ def test_g_pass_restarts_only_at_singular_points(monkeypatch):
     def big_gamma(t):
         return 0.2 * t if t <= 1.0 else 0.2 + 0.6 * (t - 1.0)
 
-    # the cut between two grid times, and on one
-    for times in ([0.5, 1.5, 2.0, 2.5, 3.0], [0.0, 0.5, 1.0, 2.0]):
+    # the cut between two grid times, and on one: LSODA runs only over the
+    # grid intervals that hold the point, from the g reached, cut there
+    for times, passes in (([0.5, 1.5, 2.0, 2.5, 3.0], [(0.5, 1.0), (1.0, 1.5)]),
+                          ([0.0, 0.5, 1.0, 2.0], [(0.5, 1.0), (1.0, 2.0)])):
         spans.clear()
         for c in integrate_profile(prof, times):
             assert c.Gamma == pytest.approx(big_gamma(c.t), rel=1e-12, abs=1e-15)
             assert c.g == pytest.approx(-math.expm1(-big_gamma(c.t)),
                                         rel=1e-10, abs=1e-15)
-        # one ODE pass per singular-free segment, however many grid times
-        assert spans == [(0.0, 1.0), (1.0, times[-1])]
+        assert spans == passes
     spans.clear()
     seg = segment_coefficients(prof, 0.5, 2.0)
     expected = -math.expm1(big_gamma(0.5) - big_gamma(2.0))
@@ -375,12 +377,39 @@ def test_integrator_seams_stay_rebindable(monkeypatch):
     n = 7
     times = np.linspace(0.0, 3.0, n)
     integrate_profile(profile, times)
-    # no singular point: vectorised Gauss-Kronrod and one g pass
-    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 0}
+    # no singular point: vectorised Gauss-Kronrod, g included, and no ODE pass
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 0, "mesolve.solve_ivp": 0}
     integrate_me(profile, np.diag([0.3, 0.7]), 3.0, t_eval=times)
-    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 1}
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 0, "mesolve.solve_ivp": 1}
     weak_coupling_integrals(profile, 3.0)
-    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 1, "mesolve.solve_ivp": 1}
+    assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 0, "mesolve.solve_ivp": 1}
+
+
+def test_ode_pass_only_on_the_interval_with_a_singular_point(monkeypatch):
+    # smooth rates with a listed point at t = 1.3, inside [1, 1.5]: the
+    # panels give g everywhere else, and one LSODA pass on that interval,
+    # cut at the point
+    spans = []
+    lsoda = coeffs.solve_ivp
+
+    def recording(fun, t_span, *args, **kwargs):
+        spans.append(tuple(t_span))
+        return lsoda(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(coeffs, "solve_ivp", recording)
+    prof = dataclasses.replace(constant_profile(0.2, 0.6), singular_points=(1.3,))
+    times = np.linspace(0.0, 3.0, 7)
+    out = integrate_profile(prof, times)
+    assert spans == [(1.0, 1.3), (1.3, 1.5)]
+    exact = markovian_coefficients(0.2, 0.6, 0.0, 0.0, times)
+    np.testing.assert_allclose([c.g for c in out], exact.g, rtol=1e-10, atol=1e-15)
+
+
+def test_g_that_overflows_is_refused():
+    # gamma1 = gamma2 = -10: g grows like -e^(10 t) and leaves the float
+    # range near t = 71, inside an interval whose panel is accepted
+    with pytest.raises(ToleranceError, match="g is not finite at t = 71.2"):
+        integrate_profile(constant_profile(-10.0, -10.0), np.linspace(1.0, 100.0, 400))
 
 
 def test_quadpack_only_on_the_interval_with_a_singular_point(monkeypatch):

@@ -159,6 +159,21 @@ def test_grid_checks_equal_scalar_checks_row_by_row(rows):
         assert choi.is_cp[i] == one_choi.is_cp
 
 
+def test_float_choi_minimum_equals_the_grid_minimum_bit_for_bit():
+    # one map's minimum is taken with math as np.min takes it on a grid:
+    # NaN if any eigenvalue is NaN, and of 0.0 and -0.0 the last
+    values = [0.0, -0.0, 0.5, 1.0, -1.0, math.nan, math.inf]
+    maps = [(lambda3, t3, complex(re, im)) for lambda3 in values for t3 in values
+            for re in values for im in values[:4]]
+    with np.errstate(all="ignore"):
+        grid = cp_choi(AffineBlochMap(*(np.array(x) for x in zip(*maps))))
+    for i, m in enumerate(maps):
+        one = cp_choi(AffineBlochMap(*m))
+        assert type(one.min_eigenvalue) is float and type(one.is_cp) is bool
+        assert one.min_eigenvalue.hex() == float(grid.min_eigenvalue[i]).hex()
+        assert one.is_cp == grid.is_cp[i]
+
+
 def test_sufficiency_positive_dephasing():
     # i), ii) plus GammaTilde >= 0 guarantee complete positivity
     for _ in range(10_000):

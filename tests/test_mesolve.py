@@ -1,5 +1,6 @@
 import cmath
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -14,7 +15,7 @@ from phasecov import (IntegrationError, OhmicParams, QuadratureConfig, QubitStat
                       integrate_profile, liouvillian, markovian_coefficients,
                       ohmic_profile, thermal_profile)
 from phasecov.coeffs import _g_pass
-from phasecov.mesolve import (_affine_terms, _compiled_drift, _pack, _unpack,
+from phasecov.mesolve import (_affine_terms, _compiled_rhs, _pack, _unpack,
                               validate_density_matrix)
 
 RHO0 = QubitState(0.3, 0.2 - 0.1j).density_matrix
@@ -134,12 +135,18 @@ def test_affine_right_hand_side_equals_the_liouvillian():
         rho = _unpack(y)
         ref = _pack(liouvillian(constant_profile(*rates), 0.3, rho))
         scale = max(1.0, max(map(abs, rates)))
-        drift = _compiled_drift()(rates, y.tolist())
+        drift = _compiled_rhs((True,) * 4)(*map(_constant, rates))(0.3, y)
         assert np.abs(np.array(drift) - ref).max() <= 1e-14 * scale
 
 
+def _constant(value):
+    return lambda t: value
+
+
 def test_compiled_drift_equals_the_affine_sum_bit_for_bit():
-    # the sum of rate_k * a * y_j over each row of _affine_terms, in order
+    # the sum of rate_k * a * y_j over each row of _affine_terms, in order,
+    # over all four rates: one that is _zero counts as 0.0, and the
+    # right-hand side compiled without its terms gives the same bits
     def reference(rates, y):
         z = (y[0], y[1], y[2], 1.0)
         return [sum(rates[k] * a * z[j] for k, j, a in row) for row in _affine_terms()]
@@ -150,10 +157,13 @@ def test_compiled_drift_equals_the_affine_sum_bit_for_bit():
     for _ in range(500):
         rates = (rng.normal(size=4) * 10.0 ** rng.uniform(-8, 8, 4)).tolist()
         cases.append((tuple(rates), rng.uniform(-1.0, 1.0, 3).tolist()))
-    drift = _compiled_drift()
-    for rates, y in cases:
-        assert [x.hex() for x in drift(rates, y)] == \
-            [x.hex() for x in reference(rates, y)]
+    for live in itertools.product((False, True), repeat=4):
+        bind = _compiled_rhs(live)
+        for rates, y in cases:
+            rhs = bind(*(_constant(r) for r, on in zip(rates, live) if on))
+            kept = [r if on else 0.0 for r, on in zip(rates, live)]
+            assert [x.hex() for x in rhs(0.0, np.array(y))] == \
+                [x.hex() for x in reference(kept, y)]
 
 
 def _counted(value):

@@ -174,6 +174,33 @@ class TestLeanRateCallbacks:
             factor = 2.0 * p.N if name == "gamma1" else 2.0 * (p.N + 1.0)
             assert getattr(prof, name)(t) == factor * amplitude_memory(p.R, t).f
 
+    def test_rates_on_evaluates_f_once(self, monkeypatch):
+        # gamma1 and gamma2 share f through the memo on rates_on's array too
+        evaluations = []
+        memory_rate = models._memory_rate
+
+        def counting(R):
+            rate = memory_rate(R)
+
+            def counted(tau, xp):
+                evaluations.append(tau)
+                return rate(tau, xp)
+            return counted
+
+        monkeypatch.setattr(models, "_memory_rate", counting)
+        prof = thermal_profile(ThermalParams(R=0.3, N=1.5))
+        grid = np.linspace(0.0, 5.0, 101)
+        rates = prof.rates_on(grid)
+        assert len(evaluations) == 1
+        f = memory_rate(0.3)(grid, np)
+        assert np.array_equal(rates[0], 3.0 * f) and np.array_equal(rates[1], 5.0 * f)
+        # a writeable array may change in place under its identity: never kept
+        t = grid.copy()
+        prof.gamma1(t)
+        t += 1.0
+        assert np.array_equal(prof.gamma2(t), 5.0 * memory_rate(0.3)(t, np))
+        assert len(evaluations) == 3
+
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.5])
     def test_zero_temperature_ohmic_rate_equals_the_closed_form(self, kernel, s):
@@ -355,6 +382,28 @@ class TestOhmicDecoherence:
                 p = OhmicParams(alpha=0.1, s=s, kernel=kernel)
                 for u in np.geomspace(0.01, 100.0, 40):
                     assert ohmic_closed_form(p, u)[1] >= -1e-14
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.7])
+    def test_zero_temperature_gamma_tilde_matches_mpmath(self, kernel, s):
+        # 1 - A cos(e atan u) lost up to 1e-9 of its relative accuracy to
+        # cancellation at u = 1e-3, and all of it at u = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        p = OhmicParams(alpha=0.1, s=s, omega_c=1.3, T=0.0, kernel=kernel)
+        ts = [1e-8, 1e-3, 0.1, 1.0, 7.0, 100.0]
+        arrays = ohmic_closed_form(p, np.array(ts))[1].tolist()
+        for t, from_array in zip(ts, arrays):
+            with mpmath.workdps(40):
+                u = mpmath.mpf(p.omega_c) * mpmath.mpf(t)
+                e = mpmath.mpf(s) - (kernel == "literature")
+                if e == 0:
+                    ref = p.alpha / mpmath.mpf(p.omega_c) * mpmath.log1p(u * u)
+                else:
+                    scale = (2 * p.alpha * mpmath.gamma(e + 1) / e if kernel == "paper"
+                             else 2 * p.alpha * mpmath.gamma(e) / p.omega_c)
+                    ref = scale * (1 - (1 + u * u) ** (-e / 2) * mpmath.cos(e * mpmath.atan(u)))
+            for got in (ohmic_closed_form(p, t)[1], from_array):
+                assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
     def test_closed_form_requires_zero_temperature(self):
         with pytest.raises(ValueError):

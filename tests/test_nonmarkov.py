@@ -94,6 +94,10 @@ def test_window_validation():
         negative_intervals(prof, (-1.0, 1.0))
     with pytest.raises(ValueError):
         negative_intervals(prof, (0.0, 1.0), resolution=-0.1)
+    # a grid count past the float range used to raise OverflowError
+    for resolution in (1e-320, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            negative_intervals(prof, (0.0, 1e10), resolution=resolution)
 
 
 def test_bisection_calls_each_rate_once_per_step():

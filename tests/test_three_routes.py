@@ -17,6 +17,13 @@ call per integrand and grid interval, within the requested tolerances:
 on thermal, Ohmic and constant generators, with each rate called on the
 whole array of nodes or on one float node at a time.
 
+g from the quadrature route's Gauss-Kronrod panels must match the
+closed form to 1e-12 relative on thermal (R < 1/2) and zero-temperature
+Ohmic generators on grids of intervals up to 1 wide, and LSODA, forced
+onto every interval by listing each grid time as a singular point,
+within the configuration's tolerances: LSODA's own global error reaches
+about 40 times its local tolerance, a hundredth of those.
+
 The example count comes from the hypothesis profile (tests/conftest.py):
 15 by default, 150 with ``--hypothesis-profile=deep``.
 """
@@ -139,3 +146,21 @@ def test_vectorised_quadrature_matches_quadpack_per_interval(profile, t_max, n):
     [ref] = _quadpack_steps((profile.gamma1, profile.gamma2, profile.gamma3),
                             times[[0, -1]], cfg).T
     assert np.all(np.abs(np.subtract(weak, ref)) <= cfg.rel_tol * np.abs(ref) + cfg.abs_tol)
+
+
+@given(st.floats(0.01, 0.5, exclude_max=True), st.floats(0.0, 3.0), st.floats(0.01, 0.2),
+       st.floats(0.5, 4.0), st.floats(0.5, 2.0), KERNELS, st.floats(0.5, 8.0),
+       st.integers(9, 40))
+def test_g_from_the_panels_matches_the_closed_form_and_lsoda(R, N, alpha, s, omega_c,
+                                                             kernel, t_max, n):
+    thermal = ThermalParams(R=R, N=N)
+    profile = combine_profiles(thermal_profile(thermal), ohmic_profile(
+        OhmicParams(alpha=alpha, s=s, omega_c=omega_c, T=0.0, kernel=kernel)))
+    times = np.linspace(0.0, t_max, n)[1:]
+    cfg = QuadratureConfig()
+    g = np.array([c.g for c in integrate_profile(profile, times, cfg)])
+    closed = thermal_closed_form(thermal, times)[1]
+    assert np.all(np.abs(g - closed) <= 1e-12 * np.abs(closed))
+    forced = dataclasses.replace(profile, singular_points=tuple(times.tolist()))
+    ode = np.array([c.g for c in integrate_profile(forced, times, cfg)])
+    assert np.all(np.abs(g - ode) <= cfg.rel_tol * np.abs(ode) + cfg.abs_tol)
