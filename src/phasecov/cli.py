@@ -322,9 +322,19 @@ def _fmt(x: float) -> str:
 
 
 def _csv_rows(header: str, columns) -> str:
-    """CSV text: the header, then one row per index of the columns."""
-    cells = [map(repr, col.tolist()) for col in columns]
+    """CSV text: the header, then one row per index of the columns, each
+    an array of floats or a list of its cells."""
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else col
+             for col in columns]
     return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _blanked_cells(values: np.ndarray, blank: np.ndarray) -> list[str]:
+    """The repr of each value, or an empty cell where blank holds."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(blank).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _json_cells(values: np.ndarray) -> list[str]:
@@ -413,11 +423,7 @@ def cmd_rates(cfg: RunConfig) -> int:
         near_pole |= np.abs(times - s) <= dt / 2
     rates = profile.rates_on(times)
     blank = near_pole | ~np.isfinite(rates)
-    rows = [RATES_HEADER]
-    for t, values, skip in zip(times.tolist(), rates.T.tolist(), blank.T.tolist()):
-        rows.append(",".join([repr(t)] + ["" if b else repr(v)
-                                          for v, b in zip(values, skip)]))
-    _write_text(cfg.out, "\n".join(rows) + "\n")
+    _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *map(_blanked_cells, rates, blank)]))
     suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
     sidecar = json.dumps({"singular_times": singular,
                           "suppressed_rows": suppressed}, indent=2) + "\n"

@@ -177,7 +177,7 @@ def amplitude_memory(R: float, tau: float) -> MemorySample:
         return MemorySample(tau=tau, c_ratio=c, x=c * c, f=f)
 
     delta = math.sqrt(-disc)
-    w = delta * tau / 2
+    w = delta / 2 * tau
     bracket = math.cos(w) + math.sin(w) / delta
     scale = math.hypot(1.0, 1.0 / delta)
     if abs(bracket) <= _ZERO_BAND * scale:
@@ -216,26 +216,30 @@ def _memory_rate(R: float):
 
     The branch and its constants are fixed once per R, and no
     MemorySample is built, so that the integrators' rate callbacks do
-    only the arithmetic of f; f = +inf at the zeros of c.  The caller
-    checks the sign of tau.
+    only the arithmetic of f, each product once; f = +inf at the zeros
+    of c.  The caller checks the sign of tau.
     """
     disc = 1.0 - 2.0 * R
     if abs(disc) <= _DEGENERATE_BAND:
-        return lambda tau, xp: (tau / 2) / (1.0 + tau / 2)
+        def rate(tau, xp):
+            h = tau / 2
+            return h / (1.0 + h)
+        return rate
     if disc > 0:
         d = math.sqrt(disc)
         scale = 2 * R / d
 
         def rate(tau, xp):
-            em = -xp.expm1(-d * tau)
-            return scale * em / (1 + xp.exp(-d * tau) + em / d)
+            x = -d * tau
+            em = -xp.expm1(x)
+            return scale * em / (1 + xp.exp(x) + em / d)
         return rate
     delta = math.sqrt(-disc)
-    scale = 2 * R / delta
+    half, scale = delta / 2, 2 * R / delta
     zero_band = _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
 
     def rate(tau, xp):
-        w = delta * tau / 2
+        w = half * tau
         sin_w = xp.sin(w)
         bracket = xp.cos(w) + sin_w / delta
         if xp is math:
@@ -323,7 +327,9 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
     the same float object, and ``RateProfile.rates_on`` the same array,
     and a hit then costs no type test.  Only a read-only array is kept,
     such as the one ``rates_on`` makes, since a writeable one may change
-    in place under the same identity.
+    in place under the same identity.  A negative time raises
+    ValueError, in an array too: checked where f is computed, so a memo
+    hit is not checked again.
     """
     rate = _memory_rate(p.R)
     heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
@@ -334,6 +340,8 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
         t_last, f = last
         if t is not t_last:
             if type(t) is np.ndarray:
+                if t.min(initial=0.0) < 0:
+                    raise ValueError("tau must be non-negative")
                 f = rate(t, np)
                 if t.flags.writeable:
                     return f
@@ -567,12 +575,16 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 def _angles(a, t):
-    """lr and th with log(1 - i t/a) = lr - i th, for t >= 0."""
+    """lr and th with log(1 - i t/a) = lr - i th, for t >= 0, as two new
+    arrays over t's shape and a's, each computed in place."""
     t = np.asarray(t, dtype=float)
     if t.min(initial=0.0) < 0:
         raise ValueError("t must be non-negative")
     tau = t[..., None] / a
-    return 0.5 * np.log1p(tau * tau), np.arctan(tau)
+    lr = tau * tau
+    np.log1p(lr, out=lr)
+    lr *= 0.5
+    return lr, np.arctan(tau, out=tau)
 
 
 def _exprel(x: np.ndarray) -> np.ndarray:
@@ -638,7 +650,12 @@ class OhmicSeries:
             a = np.concatenate([1.0 / p.omega_c + b * k, np.full(1 + len(m), a_tail)])
             c = np.concatenate([np.where(k == 0, 1.0, 2.0), [1.0], 2.0 * em])
             x = np.concatenate([np.full(_SERIES_TERMS + 1, e), e + m])
-            self._rate_terms = (a, x, c * a ** -e)
+            # gamma3 takes log1p and atan once per distinct a: the terms of
+            # exponent e on a_0 ... a_K, then the derivatives on a_K's column
+            w = c * a ** -e
+            n = _SERIES_TERMS + 1
+            self._e, self._rate_a, self._rate_w = e, a[:n], w[:n]
+            self._deriv = (x[n:], w[n:])
             # GammaTilde adds the tail integral's two _exprel/sinc parts at a_K,
             # with weights (2/b) a_K^(2-e) and -(2 a_K/b) a_K^(1-e)
             a = np.append(a, [a_tail, a_tail])
@@ -651,19 +668,36 @@ class OhmicSeries:
             self._scale = 2.0 * p.alpha * np.float64(p.omega_c) ** -p.s * _gamma(e)
 
     def _finish(self, direct, tail, lr, th):
-        # adds tail * Im (a_K - i t)^(1-e) / ((e-1) a_K^(1-e)), regular at e = 1
-        k = slice(_SERIES_TERMS, _SERIES_TERMS + 1)
-        lr, th = lr[..., k], th[..., k]
+        # adds tail * Im (a_K - i t)^(1-e) / ((e-1) a_K^(1-e)), regular at
+        # e = 1, from lr and th on a_K's column
         tail = tail * np.exp(-self._e1 * lr) * th * np.sinc(self._e1 * th / np.pi)
         out = self._scale * (direct + tail[..., 0]) + 0.0
         return float(out) if out.ndim == 0 else out
 
     def rate(self, t):
-        """gamma3(t)."""
-        a, x, w = self._rate_terms
-        lr, th = _angles(a, t)
-        direct = np.add.reduce(w * np.exp(-x * lr) * np.sin(x * th), axis=-1)
-        return self._finish(direct, self._tail, lr, th)
+        """gamma3(t).
+
+        log1p and atan are taken once per Laplace point a_0 ... a_K (17
+        columns); the Euler-Maclaurin derivative terms reuse a_K's.  A
+        float and an array take the same operations, so they give the
+        same values.
+        """
+        e, (x, w) = self._e, self._deriv
+        lr, th = _angles(self._rate_a, t)
+        lr_k, th_k = lr[..., -1:].copy(), th[..., -1:].copy()
+        deriv, phase = -x * lr_k, x * th_k
+        np.exp(deriv, out=deriv)
+        deriv *= w
+        deriv *= np.sin(phase, out=phase)
+        # w exp(-e lr) sin(e th), in place: on a grid, each new array of
+        # the terms' size costs about a fifth of their sin
+        lr *= -e
+        terms = np.exp(lr, out=lr)
+        terms *= self._rate_w
+        th *= e
+        terms *= np.sin(th, out=th)
+        direct = np.add.reduce(terms, axis=-1) + np.add.reduce(deriv, axis=-1)
+        return self._finish(direct, self._tail, lr_k, th_k)
 
     def gamma_tilde(self, t):
         """GammaTilde(t) = int_0^t gamma3."""
@@ -674,7 +708,8 @@ class OhmicSeries:
         # (a_K - i t)^-y, split by partial fractions into the last two
         # terms above and this one, each regular at e = 1 and e = 2
         t = np.asarray(t, dtype=float)[..., None]
-        return self._finish(direct, self._tail * t, lr, th)
+        k = slice(_SERIES_TERMS, _SERIES_TERMS + 1)
+        return self._finish(direct, self._tail * t, lr[..., k], th[..., k])
 
 
 def ohmic_profile(p: OhmicParams) -> RateProfile:

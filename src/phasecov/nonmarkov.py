@@ -5,6 +5,11 @@ propagator of the time-local map stops being completely positive, i.e.
 the dynamics is not CP-divisible.  This module localizes the maximal
 intervals where each rate is negative and scans parameterized families
 for the Markovian to non-Markovian crossover.
+
+A sign scan samples the rates on a grid and refines each sign change
+to 1e-10 in time: by Illinois regula falsi (``_illinois``) where the
+rate is smooth, about five calls per bracket of the T > 0 Ohmic rate,
+and by bisection (``_refine``, 24 to 27 calls) where it has a pole.
 """
 
 from __future__ import annotations
@@ -28,8 +33,14 @@ __all__ = [
 
 RATE_NAMES = ("gamma1", "gamma2", "gamma3")
 
-# bisection target for interval endpoints
+# refinement target for interval endpoints
 _TIME_ACCURACY = 1e-10
+# steps a smooth bracket may take beyond bisection's count
+_EXTRA_STEPS = 4
+# the least distance of a regula falsi point from an end, in units of
+# the target: less than 1, so that a point checking the far side of a
+# boundary next to an end leaves a bracket narrower than the target
+_END_STEP = 0.75
 
 
 class Verdict(enum.Enum):
@@ -60,12 +71,13 @@ def _refine(fn, lo, hi, neg_lo, tol):
     """Locate the boundary of the predicate fn(t) < -tol inside each bracket
     (lo, hi), where it holds at lo exactly where neg_lo does.
 
-    All brackets are bisected together, with one call of fn on the array
-    of their midpoints per step.  A bracket is done once it is narrower
-    than ``_TIME_ACCURACY``, or than the float spacing at its upper end,
-    which is wider from t = 2^19 (about 5.2e5) on and would otherwise
-    leave no float between its ends.  A non-finite midpoint counts as
-    hi's side.
+    The refinement of the brackets of a rate with a pole (see
+    ``_rate_intervals``).  All brackets are bisected together, with one
+    call of fn on the array of their midpoints per step.  A bracket is
+    done once it is narrower than ``_TIME_ACCURACY``, or than the float
+    spacing at its upper end, which is wider from t = 2^19 (about 5.2e5)
+    on and would otherwise leave no float between its ends; its cut is
+    then its midpoint.  A non-finite midpoint counts as hi's side.
     """
     out = np.empty(lo.shape)
     at = np.arange(lo.size)
@@ -85,12 +97,85 @@ def _refine(fn, lo, hi, neg_lo, tol):
     return out
 
 
-def _rate_intervals(fn, grid, vals, tol):
-    """Negative intervals of one rate from its samples vals on grid."""
+def _illinois(fn, lo, hi, v_lo, v_hi, tol):
+    """Locate the boundary of fn(t) < -tol inside each bracket (lo, hi)
+    of a rate that is smooth there, from its finite values v_lo and v_hi
+    at the ends, which lie on either side of -tol.
+
+    All brackets step together, with one call of fn on the array of their
+    new points per step.  A step takes the secant point of the shifted
+    values g = v + tol at the ends; where two secant steps in a row keep
+    the same end, its g is halved (Illinois regula falsi, Dowell &
+    Jarratt, BIT 11, 1971), which pulls the next point across the
+    boundary.  The point is kept at least ``_END_STEP`` of the target
+    from either end, so that once the secant has pinned the boundary
+    next to one end, one step checks its other side and ends the
+    bracket.  A bracket bisects where the point is not inside it (after
+    a non-finite value, which counts as hi's side), and wherever only
+    bisection can still end it within ``_EXTRA_STEPS`` steps of
+    bisection's own count, which bounds every bracket by that count.
+    (Bisecting after each step that does not halve a bracket undoes the
+    halving: on Ohmic rates that took a median of 8 steps, not 5.)  The
+    stopping rule and the cut are ``_refine``'s.
+    """
+    out = np.empty(lo.shape)
+    at = np.arange(lo.size)
+    limit = np.maximum(_TIME_ACCURACY, np.spacing(hi))
+    end = _END_STEP * limit
+    g_lo, g_hi = v_lo + tol, v_hi + tol     # g < 0 exactly where v < -tol
+    neg_lo = g_lo < 0
+    with np.errstate(all="ignore"):
+        # the widest a bracket may be after a step and still end within
+        # bisection's count plus the allowance, by bisecting from then on
+        cap = np.ldexp(limit, np.ceil(np.log2((hi - lo) / limit)).astype(int)
+                       + _EXTRA_STEPS - 1)
+        kept = np.zeros(lo.shape)   # the end the last secant step kept: hi +1, lo -1
+        while at.size:
+            width = hi - lo
+            open_ = width > limit
+            if not open_.all():
+                out[at[~open_]] = 0.5 * (lo + hi)[~open_]
+                lo, hi, g_lo, g_hi, neg_lo, limit, end, cap, kept, at, width = (
+                    x[open_] for x in (lo, hi, g_lo, g_hi, neg_lo, limit, end, cap,
+                                       kept, at, width))
+                continue
+            t = np.minimum(np.maximum(hi - g_hi * (width / (g_hi - g_lo)), lo + end),
+                           hi - end)
+            bisect = np.isnan(t) | (width > cap)
+            if bisect.any():
+                t = np.where(bisect, 0.5 * (lo + hi), t)
+            v = fn(t)
+            g = v + tol
+            up = np.isfinite(v) & ((g < 0) == neg_lo)
+            keep = np.where(bisect, 0.0, np.where(up, 1.0, -1.0))
+            twice = keep * kept > 0
+            g_lo = np.where(up, g, np.where(twice, 0.5 * g_lo, g_lo))
+            g_hi = np.where(up, np.where(twice, 0.5 * g_hi, g_hi), g)
+            lo = np.where(up, t, lo)
+            hi = np.where(up, hi, t)
+            kept = keep
+            cap *= 0.5
+    return out
+
+
+def _rate_intervals(fn, grid, vals, tol, poles):
+    """Negative intervals of one rate from its samples vals on grid.
+
+    If one of the rate's brackets holds a listed singular point (poles,
+    sorted) or has a non-finite sample at an end, all of them are
+    bisected (``_refine``); otherwise they take ``_illinois``.
+    """
     finite = np.isfinite(vals)
     neg = finite & (vals < -tol)
     flips = np.flatnonzero(neg[1:] != neg[:-1]) + 1
-    cuts = _refine(fn, grid[flips - 1], grid[flips], neg[flips - 1], tol).tolist()
+    lo, hi = grid[flips - 1], grid[flips]
+    if not flips.size:
+        cuts = []
+    elif (not (finite[flips - 1] & finite[flips]).all()
+          or (np.searchsorted(poles, lo) < np.searchsorted(poles, hi, "right")).any()):
+        cuts = _refine(fn, lo, hi, neg[flips - 1], tol).tolist()
+    else:
+        cuts = _illinois(fn, lo, hi, vals[flips - 1], vals[flips], tol).tolist()
     if neg[0]:
         cuts.insert(0, grid[0])
     if neg[-1]:
@@ -109,8 +194,10 @@ def negative_intervals(
 
     The grid scan (2049 points by default, or the given resolution)
     samples all rates in one ``profile.rates_on`` call and brackets each
-    sign change, which bisection of all brackets of a rate together
-    then sharpens to 1e-10 in time.  Listed singular points and
+    sign change, which the refinement of all brackets of a rate together
+    then sharpens to 1e-10 in time: regula falsi where the rate is
+    smooth, bisection where a bracket of the rate holds a listed
+    singular point or a non-finite sample.  Listed singular points and
     non-finite samples are excluded from the sign logic and reported
     separately; an interval opening at a rate divergence starts at the
     divergence time itself.  A window beyond the profile's
@@ -134,8 +221,9 @@ def negative_intervals(
 
     intervals = {}
     singular = {s for s in profile.singular_points if t0 <= s <= t1}
+    poles = np.array(sorted(singular))
     for name, vals in zip(RATE_NAMES, profile.rates_on(grid)):
-        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol)
+        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol, poles)
         intervals[name] = tuple(ivs)
         singular.update(bad_samples)
     verdict = (Verdict.NON_MARKOVIAN

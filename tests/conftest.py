@@ -1,9 +1,11 @@
 """Hypothesis profiles for the suite.
 
-The three-route property (``test_three_routes.py``) takes its example
-count from the active profile: 15 by default, and 150 under
+The three-route property (``test_three_routes.py``) and the sign-scan
+property (``test_nonmarkov.py``) take their example count from the
+active profile: 15 by default, and 150 under
 ``--hypothesis-profile=deep`` for a deeper search after a change to
-either ODE route.  Properties that set ``max_examples`` themselves keep it.
+either ODE route or to the refinement.  Properties that set
+``max_examples`` themselves keep it.
 """
 
 from hypothesis import settings

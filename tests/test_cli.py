@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import phasecov
-from phasecov import coeffs, markovian_coefficients
+from phasecov import cli, coeffs, markovian_coefficients
 from phasecov.cli import (EVOLVE_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VIOLATION, MODELS, RATES_HEADER, SCAN_HEADER,
                           TOL_ENV_VAR, RunConfig, main)
@@ -237,6 +237,37 @@ class TestRates:
             assert g3 == pytest.approx(expected, abs=1e-7)
             assert ohmic_closed_form(p, t)[0] == pytest.approx(expected, rel=1e-10)
 
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "thermal", "--R", "10", "--N", "0.5", "--t-max", "6", "--steps", "400"],
+        ["--model", "both", "--R", "3", "--N", "1", "--s", "3", "--kernel", "paper",
+         "--T", "0.4", "--t-max", "9", "--steps", "333"],
+        ["--model", "ohmic", "--s", "1e300", "--steps", "5"],
+    ])
+    def test_rows_equal_the_row_by_row_formatting(self, tmp_path, argv):
+        # the reference: each row formatted on its own, a blank cell for a
+        # row next to a pole and for a value that is not finite
+        out = tmp_path / "r.csv"
+        assert main(["rates", *argv, "--out", str(out)]) == EXIT_OK
+        options = dict(zip(argv[2::2], argv[3::2]))
+        cfg = RunConfig(argv[1], **{k[2:].replace("-", "_"): (
+            v if k == "--kernel" else int(v) if k == "--steps" else float(v))
+            for k, v in options.items()})
+        profile = cli._profile_for(cfg)
+        times = cfg.times
+        dt = times[1] - times[0]
+        near_pole = np.zeros(times.shape, dtype=bool)
+        for pole in profile.singular_points:
+            near_pole |= np.abs(times - pole) <= dt / 2
+        with np.errstate(all="ignore"):
+            rates = profile.rates_on(times)
+        blank = near_pole | ~np.isfinite(rates)
+        rows = [RATES_HEADER]
+        for t, values, skip in zip(times.tolist(), rates.T.tolist(), blank.T.tolist()):
+            rows.append(",".join([repr(t)] + ["" if b else repr(v)
+                                              for v, b in zip(values, skip)]))
+        assert blank.any()
+        assert out.read_text() == "\n".join(rows) + "\n"
 
     def test_sidecar_alone_on_stderr(self, capsys):
         # s = 1e300 used to put numpy's RuntimeWarnings ahead of the sidecar

@@ -217,6 +217,23 @@ class TestLeanRateCallbacks:
             with pytest.raises(ValueError):
                 rate(-1e-3)
 
+    @pytest.mark.parametrize("R", [0.3, 0.5, 10.0])
+    def test_negative_time_in_an_array_is_refused(self, R):
+        # the array path used to return f at t < 0: gamma2 = -2.25 at t = -1
+        # for R = 0.3, N = 1, where the float call raises
+        thermal = thermal_profile(ThermalParams(R=R, N=1.0))
+        for rate in (thermal.gamma1, thermal.gamma2):
+            for t in (np.array([-1.0]), np.array([0.5, -1e-3, 2.0])):
+                with pytest.raises(ValueError, match="non-negative"):
+                    rate(t)
+        with pytest.raises(ValueError, match="non-negative"):
+            thermal.rates_on([-1.0])
+        # the refusal leaves nothing behind in the memo
+        grid = np.linspace(0.0, 2.0, 5)
+        np.testing.assert_array_equal(
+            thermal.rates_on(grid)[1],
+            [thermal.gamma2(t) for t in grid.tolist()])
+
 
 class TestThermalClosedForm:
     def test_initial_values(self):
@@ -460,6 +477,30 @@ class TestOhmicSeries:
                     nested, _ = quad(series.rate, 0.0, t, epsabs=0.0, epsrel=1e-12,
                                      limit=200)
                     assert series.gamma_tilde(t) == pytest.approx(nested, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rate_equals_the_column_per_term_formula(self, kernel):
+        # the reference: every term on its own column, each with its own
+        # log1p and atan, as rate summed them before the derivative terms
+        # were taken from a_K's column
+        for s in (0.3, 0.5, 1.0, 2.0, 3.5, 5.0):
+            for T in (0.05, 0.7, 10.0):
+                series = OhmicSeries(OhmicParams(alpha=0.1, s=s, omega_c=1.3, T=T,
+                                                 kernel=kernel))
+                x_d, w_d = series._deriv
+                a = np.concatenate([series._rate_a,
+                                    np.full(x_d.size, series._rate_a[-1])])
+                x = np.concatenate([np.full(series._rate_a.size, series._e), x_d])
+                w = np.concatenate([series._rate_w, w_d])
+                for t_max in (2.5, 40.0):
+                    t = np.linspace(0.0, t_max, 2049)
+                    lr, th = models._angles(a, t)
+                    direct = np.add.reduce(w * np.exp(-x * lr) * np.sin(x * th), axis=-1)
+                    k = slice(series._rate_a.size - 1, series._rate_a.size)
+                    reference = series._finish(direct, series._tail, lr[..., k], th[..., k])
+                    rate = series.rate(t)
+                    assert np.abs(rate - reference).max() <= (
+                        2e-15 * np.abs(reference).max())
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_array_input_equals_scalar_calls(self, kernel):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from phasecov import (OhmicParams, RateProfile, ThermalParams, Verdict, cp_choi,
-                      crossover_scan, negative_intervals, ohmic_profile,
-                      segment_coefficients, thermal_profile)
+from phasecov import (NmReport, OhmicParams, RateProfile, ThermalParams, Verdict,
+                      cp_choi, crossover_scan, negative_intervals, nonmarkov,
+                      ohmic_profile, segment_coefficients, thermal_profile)
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -176,6 +176,87 @@ def test_grid_and_per_point_sampling_give_the_same_report(case):
         np.testing.assert_allclose(fast.intervals[name], slow.intervals[name],
                                    rtol=0.0, atol=1e-9)
     assert fast.singular_times == slow.singular_times
+
+
+def _bisection_report(profile, t_max, tol=1e-12):
+    """negative_intervals on (0, t_max) with every bracket bisected: the
+    sign scan before regula falsi, kept as the reference."""
+    grid = np.linspace(0.0, t_max, 2049)
+    intervals = {}
+    singular = {s for s in profile.singular_points if s <= t_max}
+    for name, vals in zip(("gamma1", "gamma2", "gamma3"), profile.rates_on(grid)):
+        finite = np.isfinite(vals)
+        neg = finite & (vals < -tol)
+        flips = np.flatnonzero(neg[1:] != neg[:-1]) + 1
+        lo, hi, neg_lo = grid[flips - 1], grid[flips], neg[flips - 1]
+        limit = np.maximum(1e-10, np.spacing(hi))
+        with np.errstate(all="ignore"):
+            while (open_ := np.flatnonzero(hi - lo > limit)).size:
+                mid = 0.5 * (lo[open_] + hi[open_])
+                v = getattr(profile, name)(mid)
+                up = np.isfinite(v) & ((v < -tol) == neg_lo[open_])
+                lo[open_[up]] = mid[up]
+                hi[open_[~up]] = mid[~up]
+        cuts = (0.5 * (lo + hi)).tolist()
+        if neg[0]:
+            cuts.insert(0, 0.0)
+        if neg[-1]:
+            cuts.append(t_max)
+        intervals[name] = tuple(zip(cuts[::2], cuts[1::2]))
+        singular.update(grid[~finite].tolist())
+    verdict = (Verdict.NON_MARKOVIAN if any(intervals.values())
+               else Verdict.MARKOVIAN)
+    return NmReport((0.0, t_max), intervals, tuple(sorted(singular)), verdict)
+
+
+@given(st.one_of(_THERMAL, _OHMIC))
+def test_report_matches_plain_bisection(case):
+    profile, t_max = case
+    report = negative_intervals(profile, (0.0, t_max))
+    reference = _bisection_report(profile, t_max)
+    if profile.singular_points:
+        # a rate with a listed pole in a bracket is bisected as before
+        assert report == reference
+    assert report.verdict is reference.verdict
+    assert report.singular_times == reference.singular_times
+    for name in ("gamma1", "gamma2", "gamma3"):
+        assert len(report.intervals[name]) == len(reference.intervals[name])
+        np.testing.assert_allclose(report.intervals[name], reference.intervals[name],
+                                   rtol=0.0, atol=1e-10)
+
+
+def _counting(fn, calls):
+    def rate(t):
+        calls.append(t)
+        return fn(t)
+    return rate
+
+
+def test_smooth_brackets_take_fewer_calls_than_bisection():
+    # gamma3 turns negative once on (0, 2.5), in a bracket 2.5/2048 wide
+    # that bisection took 24 calls to narrow to 1e-10
+    profile = ohmic_profile(OhmicParams(0.1, 3.0, 1.2, 0.5, "paper"))
+    calls = []
+    rep = negative_intervals(
+        dataclasses.replace(profile, gamma3=_counting(profile.gamma3, calls)), (0.0, 2.5))
+    assert len(rep.intervals["gamma3"]) == 1
+    assert calls[0].size == 2049 and len(calls) <= 1 + 12
+    np.testing.assert_allclose(rep.intervals["gamma3"],
+                               _bisection_report(profile, 2.5).intervals["gamma3"],
+                               rtol=0.0, atol=1e-10)
+
+
+def test_root_at_an_inflection_takes_at_most_a_few_steps_more_than_bisection():
+    # regula falsi crawls towards the crossing of (t - 1)^3 = -tol at
+    # t = 1 - 1e-4, where the rate is nearly flat; the step allowance
+    # ends it a few steps after bisection's count
+    calls = []
+    profile = RateProfile(gamma3=_counting(lambda t: (t - 1.0) ** 3, calls))
+    rep = negative_intervals(profile, (0.0, 2.5))
+    [(start, end)] = rep.intervals["gamma3"]
+    assert start == 0.0 and end == pytest.approx(1.0 - 1e-4, rel=0.0, abs=1e-10)
+    bisection_steps = math.ceil(math.log2(2.5 / 2048 / 1e-10))
+    assert len(calls) <= 1 + bisection_steps + nonmarkov._EXTRA_STEPS
 
 
 class TestCrossover:
