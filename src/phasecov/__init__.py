@@ -11,20 +11,17 @@ integrator for cross-checks.
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile,
                      ToleranceError, combine_profiles, constant_profile,
                      integrate_profile, markovian_coefficients,
-                     piecewise_linear_coefficients, segment_coefficients,
-                     weak_coupling_integrals)
+                     piecewise_linear_coefficients, segment_coefficients)
 from .cptp import (ChoiResult, CpConditions, CpReport, ShortTimeReport,
-                   choi_matrix, choi_spectrum, cp_choi, cp_paper, cp_report, pqwy,
-                   short_time_check, weak_coupling_check)
+                   choi_spectrum, cp_choi, cp_paper, cp_report, pqwy,
+                   short_time_check)
 from .dynamics import (AdditivityReport, AffineBlochMap, QubitState,
-                       additivity_report, apply_bloch, bloch_map,
-                       compose_maps, evolve_state)
+                       additivity_report, bloch_map, evolve_state)
 from .mesolve import IntegrationError, integrate_me, liouvillian
 from .models import (MemorySample, OhmicParams, OhmicSeries, ThermalParams,
                      amplitude_memory, markov_rate_limit, ohmic_closed_form,
                      ohmic_gamma_tilde, ohmic_profile, ohmic_rate,
-                     thermal_closed_form, thermal_coefficients,
-                     thermal_profile, thermal_zeros)
+                     thermal_closed_form, thermal_profile, thermal_zeros)
 from .nonmarkov import (CrossoverResult, NmReport, Verdict, crossover_scan,
                         negative_intervals)
 
@@ -36,14 +33,12 @@ __all__ = [
     "MemorySample", "NmReport", "OhmicParams", "OhmicSeries", "QuadratureConfig",
     "QubitState", "RateProfile", "ShortTimeReport", "ThermalParams",
     "ToleranceError", "Verdict", "additivity_report", "amplitude_memory",
-    "apply_bloch", "bloch_map", "choi_matrix", "choi_spectrum", "cp_choi",
-    "cp_paper", "cp_report", "pqwy", "combine_profiles", "compose_maps",
+    "bloch_map", "choi_spectrum", "cp_choi",
+    "cp_paper", "cp_report", "pqwy", "combine_profiles",
     "constant_profile", "crossover_scan", "evolve_state", "integrate_me",
     "integrate_profile", "liouvillian", "markov_rate_limit",
     "markovian_coefficients", "negative_intervals", "ohmic_closed_form",
     "ohmic_gamma_tilde", "ohmic_profile", "ohmic_rate",
     "piecewise_linear_coefficients", "segment_coefficients", "short_time_check",
-    "thermal_closed_form",
-    "thermal_coefficients", "thermal_profile", "thermal_zeros",
-    "weak_coupling_check", "weak_coupling_integrals",
+    "thermal_closed_form", "thermal_profile", "thermal_zeros",
 ]

@@ -72,7 +72,6 @@ __all__ = [
     "segment_coefficients",
     "markovian_coefficients",
     "piecewise_linear_coefficients",
-    "weak_coupling_integrals",
 ]
 
 
@@ -112,6 +111,12 @@ def _backend(t):
     if (t.min(initial=0.0) if xp is np else t) < 0:
         raise ValueError("t must be non-negative")
     return xp
+
+
+def _check_tol(tol):
+    """Raise ValueError unless the verdict tolerance satisfies 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -396,12 +401,11 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 _BLOCK = 2048
 
 
-# the rate combinations that the routes integrate, as rows over
-# (gamma1, gamma2, gamma3, omega): (gamma1 + gamma2)/2, gamma3 and omega for
-# the coefficients; gamma1, gamma2 and gamma3 for the weak-coupling conditions
+# the rate combinations that the coefficients integrate, as rows over
+# (gamma1, gamma2, gamma3, omega): (gamma1 + gamma2)/2 for Gamma, gamma3 for
+# GammaTilde and omega for Omega
 _COEFFICIENT_RATES = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
                                [0.0, 0.0, 0.0, 1.0]])
-_WEAK_COUPLING_RATES = np.eye(3, 4)
 
 
 def _scaled(gap, resasc):
@@ -474,10 +478,11 @@ def _growth(a, spread, b, half):
     return value, err + (np.abs(grown) * shift) @ _KRONROD_WEIGHTS
 
 
-def _qk21(profile, mix, a, b, grow=False):
+def _qk21(profile, a, b):
     """qk21 on every panel [a_i, b_i]: the values and error estimates of the
-    integrals of the rate combinations mix @ rates, each shape (len(mix), len(a)),
-    with g's growth across each panel (``_growth``) as one more row if grow.
+    integrals of the rate combinations ``_COEFFICIENT_RATES`` @ rates, and
+    of g's growth across each panel (``_growth``) as a fourth row, each
+    shape (4, len(a)).
 
     Every rate on every node comes from one ``rates_on`` call.  The error
     is QUADPACK's (``_kronrod``).
@@ -485,22 +490,19 @@ def _qk21(profile, mix, a, b, grow=False):
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = centre[:, None] + half[:, None] * _KRONROD_NODES
     rates = profile.rates_on(nodes.ravel())
-    # only the rates in the mix, so that one it leaves out may be non-finite
-    used = mix.any(axis=0)
     # every value and error is on [-1, 1] and scales with the half-width (a
     # non-finite one is refused by the caller, from the values returned)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = (mix[:, used] @ rates[used]).reshape(len(mix), *nodes.shape)
+        f = (_COEFFICIENT_RATES @ rates).reshape(len(_COEFFICIENT_RATES), *nodes.shape)
         value, err, resasc = _kronrod(f)
-        if grow:
-            growth, growth_err = _growth(f[0], resasc[0],
-                                         0.5 * rates[1].reshape(nodes.shape), half)
-            value, err = np.vstack([value, growth]), np.vstack([err, growth_err])
-        return value * half, err * half
+        growth, growth_err = _growth(f[0], resasc[0],
+                                     0.5 * rates[1].reshape(nodes.shape), half)
+        return np.vstack([value, growth]) * half, np.vstack([err, growth_err]) * half
 
 
 def _combination(profile, row):
-    """The scalar integrand sum_i row[i] rate_i(t) of one row of a mix."""
+    """The scalar integrand sum_i row[i] rate_i(t) of one row of
+    ``_COEFFICIENT_RATES``."""
     rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
     terms = [(w, fn) for w, fn in zip(row.tolist(), rates) if w]
     return lambda t: sum(w * fn(t) for w, fn in terms)
@@ -512,10 +514,10 @@ def _g_tolerances(cfg):
     return max(cfg.rel_tol * 1e-2, 1e-13), max(cfg.abs_tol * 1e-2, 1e-15)
 
 
-def _running_integrals(profile, mix, start, times, cfg, grow=False):
-    """The integrals of the rate combinations mix @ rates from ``start`` to
-    each of the sorted times, shape (len(mix), len(times)); with grow, whose
-    mix is ``_COEFFICIENT_RATES``, and g grown from 0 at start as one more row.
+def _running_integrals(profile, start, times, cfg):
+    """Gamma, GammaTilde and Omega, the integrals of the rate combinations
+    ``_COEFFICIENT_RATES`` @ rates from ``start`` to each of the sorted
+    times, and g grown from 0 at start, shape (4, len(times)).
 
     Every grid interval without a listed singular point gets one qk21
     panel, all of them together (``_qk21``, ``_BLOCK`` intervals per
@@ -542,31 +544,28 @@ def _running_integrals(profile, mix, start, times, cfg, grow=False):
     sing = sorted(profile.singular_points)
     held = np.searchsorted(sing, lo, "left") < np.searchsorted(sing, hi, "right")
     wide = hi > lo
-    rows = len(mix) + grow
-    rel = np.full((rows, 1), cfg.rel_tol)
-    floor = np.full((rows, 1), cfg.abs_tol)
-    if grow:
-        rel[-1], floor[-1] = _g_tolerances(cfg)
-    steps = np.zeros((rows, len(times)))
+    rows = len(_COEFFICIENT_RATES)
+    rel = np.full((rows + 1, 1), cfg.rel_tol)
+    floor = np.full((rows + 1, 1), cfg.abs_tol)
+    rel[-1], floor[-1] = _g_tolerances(cfg)
+    steps = np.zeros((rows + 1, len(times)))
     redo = np.zeros(steps.shape, dtype=bool)
     redo[:, held & wide] = True
     smooth = np.flatnonzero(wide & ~held)
     for first in range(0, smooth.size, _BLOCK):
         block = smooth[first:first + _BLOCK]
-        value, err = _qk21(profile, mix, lo[block], hi[block], grow)
+        value, err = _qk21(profile, lo[block], hi[block])
         finite = np.isfinite(value) & np.isfinite(err)
         # NaN marks a panel to refuse
         steps[:, block] = np.where(finite, value, math.nan)
         redo[:, block] = ~finite | (err > np.maximum(floor, rel * np.abs(value)))
-    for i, row in np.argwhere(redo[:len(mix)].T).tolist():
+    for i, row in np.argwhere(redo[:rows].T).tolist():
         a, b = float(lo[i]), float(hi[i])
         if math.isnan(steps[row, i]):
             raise ToleranceError("quadrature did not converge", (a, b), abserr=math.inf)
-        steps[row, i] = _quad(_combination(profile, mix[row]), a, b, cfg,
+        steps[row, i] = _quad(_combination(profile, _COEFFICIENT_RATES[row]), a, b, cfg,
                               _interior_points(sing, a, b))
-    integrals = np.cumsum(steps[:len(mix)], axis=1)
-    if not grow:
-        return integrals
+    integrals = np.cumsum(steps[:rows], axis=1)
     with np.errstate(over="ignore"):
         decays = np.exp(-steps[0]).tolist()
     growths = steps[-1].tolist()
@@ -629,8 +628,7 @@ def _g_pass(profile, start, times, cfg, g0=0.0):
 
 def _accumulate(profile, start, times, cfg):
     """Coefficients from ``start`` to each of the sorted times, g from 0 at start."""
-    rows = _running_integrals(profile, _COEFFICIENT_RATES, start, times, cfg,
-                              grow=True).tolist()
+    rows = _running_integrals(profile, start, times, cfg).tolist()
     return [CoefficientSet(t, *row) for t, *row in zip(times, *rows)]
 
 
@@ -678,10 +676,11 @@ def segment_coefficients(
 
     The time-local structure makes the intermediate map look exactly
     like a map from 0, with all integrals taken over [t_start, t_end]
-    and g restarted from 0.  The returned ``t`` is t_end.
+    and g restarted from 0.  The returned ``t`` is t_end.  A window
+    outside 0 <= t_start <= t_end < inf, NaN included, raises ValueError.
     """
-    if t_end < t_start or t_start < 0:
-        raise ValueError("need 0 <= t_start <= t_end")
+    if not 0 <= t_start <= t_end < math.inf:
+        raise ValueError("need 0 <= t_start <= t_end < inf")
     profile.check_reach(t_end)
     return _accumulate(profile, t_start, [t_end], cfg or QuadratureConfig())[0]
 
@@ -802,18 +801,3 @@ def piecewise_linear_coefficients(nodes, rates, times) -> CoefficientSet:
     return CoefficientSet(t=t, Gamma=big_gamma[at], GammaTilde=cumulative(gamma3)[at],
                           Omega=cumulative(omega)[at], g=np.array(g)[at])
 
-
-def weak_coupling_integrals(
-    profile: RateProfile, t: float, cfg: QuadratureConfig | None = None
-) -> tuple[float, float, float]:
-    """(int_0^t gamma1, int_0^t gamma2, int_0^t gamma3).
-
-    These are the quantities whose signs decide the weak-coupling
-    complete-positivity conditions.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    profile.check_reach(t)
-    integrals = _running_integrals(profile, _WEAK_COUPLING_RATES, 0.0, [float(t)],
-                                   cfg or QuadratureConfig())
-    return tuple(integrals[:, -1].tolist())

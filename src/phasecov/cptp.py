@@ -42,23 +42,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, RateProfile, _xp
+from .coeffs import CoefficientSet, RateProfile, _check_tol, _xp
 from .dynamics import AffineBlochMap, _bloch_parts
 
 __all__ = [
-    "DEFAULT_TOL",
     "CpConditions",
     "CpReport",
     "ChoiResult",
     "ShortTimeReport",
     "pqwy",
     "cp_paper",
-    "choi_matrix",
     "choi_spectrum",
     "cp_choi",
     "cp_report",
     "short_time_check",
-    "weak_coupling_check",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -124,9 +121,9 @@ def cp_paper(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CpConditions:
     When GammaTilde is exactly zero the simplified pure-damping recast of
     condition iv) is reported as well.  On a coefficient grid the margins
     and the verdict are arrays over it, and the recast is not reported.
+    A tol outside 0 < tol < inf, NaN included, raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be strictly positive")
+    _check_tol(tol)
     xp = _xp(c.Omega)
     lesser = min if xp is math else np.minimum
     pbar, qbar = _pq_bar(c)
@@ -152,21 +149,6 @@ def _map_parts(m: AffineBlochMap | CoefficientSet) -> tuple:
     if isinstance(m, CoefficientSet):
         return _bloch_parts(m)
     return m.lambda3, m.t3, m.kappa
-
-
-def choi_matrix(m: AffineBlochMap | CoefficientSet) -> np.ndarray:
-    """4x4 Choi operator, basis (|1>|1>, |1>|2>, |2>|1>, |2>|2>)."""
-    lambda3, t3, kappa = _map_parts(m)
-    pbar = (1.0 + t3 + lambda3) / 2.0
-    qbar = (1.0 + t3 - lambda3) / 2.0
-    choi = np.zeros((4, 4), dtype=complex)
-    choi[0, 0] = pbar
-    choi[1, 1] = 1.0 - pbar
-    choi[2, 2] = qbar
-    choi[3, 3] = 1.0 - qbar
-    choi[0, 3] = kappa
-    choi[3, 0] = kappa.conjugate()
-    return choi
 
 
 def _choi_eigenvalues(m: AffineBlochMap | CoefficientSet) -> tuple:
@@ -201,8 +183,10 @@ def cp_choi(m: AffineBlochMap | CoefficientSet, tol: float = DEFAULT_TOL) -> Cho
 
     On a coefficient grid both fields are arrays over it.  For one map the
     minimum is taken as numpy's is: NaN if any eigenvalue is NaN, and of
-    equal values, such as 0.0 and -0.0, the last.
+    equal values, such as 0.0 and -0.0, the last.  A tol outside
+    0 < tol < inf, NaN included, raises ValueError.
     """
+    _check_tol(tol)
     eigenvalues = a, b, c, d = _choi_eigenvalues(m)
     if isinstance(a, np.ndarray):
         min_eig = np.min(eigenvalues, axis=0)
@@ -267,8 +251,10 @@ def short_time_check(profile: RateProfile, tol: float = DEFAULT_TOL) -> ShortTim
     """Check gamma1(0), gamma2(0), gamma3(0) >= -tol.
 
     Rates that cannot be evaluated at 0 (listed singularity or
-    non-finite value) are flagged indeterminate instead of failed.
+    non-finite value) are flagged indeterminate instead of failed.  A tol
+    outside 0 < tol < inf, NaN included, raises ValueError.
     """
+    _check_tol(tol)
     singular_origin = any(s == 0.0 for s in profile.singular_points)
     values, ok, indet = [], [], []
     for fn in (profile.gamma1, profile.gamma2, profile.gamma3):
@@ -290,10 +276,3 @@ def short_time_check(profile: RateProfile, tol: float = DEFAULT_TOL) -> ShortTim
             ok.append(v >= -tol)
             indet.append(False)
     return ShortTimeReport(values=tuple(values), ok=tuple(ok), indeterminate=tuple(indet))
-
-
-def weak_coupling_check(
-    i1: float, i2: float, i3: float, tol: float = DEFAULT_TOL
-) -> tuple[bool, bool, bool]:
-    """Weak-coupling CP conditions: each accumulated rate integral >= -tol."""
-    return (i1 >= -tol, i2 >= -tol, i3 >= -tol)

@@ -32,8 +32,6 @@ __all__ = [
     "AdditivityReport",
     "evolve_state",
     "bloch_map",
-    "apply_bloch",
-    "compose_maps",
     "additivity_report",
 ]
 
@@ -91,17 +89,6 @@ class AffineBlochMap:
     t3: float
     kappa: complex
 
-    @property
-    def matrix(self) -> np.ndarray:
-        k_re, k_im = self.kappa.real, self.kappa.imag
-        return np.array([[k_re, k_im, 0.0],
-                         [-k_im, k_re, 0.0],
-                         [0.0, 0.0, self.lambda3]])
-
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.t3])
-
     @classmethod
     def identity(cls) -> "AffineBlochMap":
         return cls(lambda3=1.0, t3=0.0, kappa=1.0 + 0j)
@@ -145,25 +132,6 @@ def _bloch_parts(c: CoefficientSet) -> tuple:
     """(lambda3, t3, kappa) of ``bloch_map(c)``, without building the map."""
     decay = c.decay
     return decay, 2.0 * c.g + decay - 1.0, c.kappa
-
-
-def apply_bloch(m: AffineBlochMap, v: Sequence[float]) -> np.ndarray:
-    """Map a Bloch vector, v -> L v + T."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    if np.dot(v, v) > 1.0 + 1e-6:
-        raise ValueError("Bloch vector lies outside the unit ball")
-    return m.matrix @ v + m.translation
-
-
-def compose_maps(outer: AffineBlochMap, inner: AffineBlochMap) -> AffineBlochMap:
-    """Composition outer(inner(.)) of two phase-covariant maps."""
-    return AffineBlochMap(
-        lambda3=outer.lambda3 * inner.lambda3,
-        t3=outer.lambda3 * inner.t3 + outer.t3,
-        kappa=outer.kappa * inner.kappa,
-    )
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,6 @@ from .coeffs import RateProfile, _zero, solve_ivp
 
 __all__ = [
     "IntegrationError",
-    "SIGMA_Z",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "validate_density_matrix",
     "liouvillian",
     "integrate_me",
 ]

@@ -70,8 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile, _backend,
-                     _quad, _xp, _zero)
+from .coeffs import QuadratureConfig, RateProfile, _backend, _quad, _xp, _zero
 
 __all__ = [
     "ThermalParams",
@@ -81,7 +80,6 @@ __all__ = [
     "thermal_zeros",
     "thermal_profile",
     "thermal_closed_form",
-    "thermal_coefficients",
     "ohmic_rate",
     "ohmic_gamma_tilde",
     "ohmic_closed_form",
@@ -376,12 +374,6 @@ def thermal_closed_form(p: ThermalParams, t: float) -> tuple[float, float]:
     # + 0.0 normalizes the -0.0 produced by log1p(0) at t = 0
     gamma = -2.0 * two_n1 * _log_memory(p.R, t) + 0.0
     return gamma, -((p.N + 1.0) / two_n1) * xp.expm1(-gamma)
-
-
-def thermal_coefficients(p: ThermalParams, t: float) -> CoefficientSet:
-    """Closed-form CoefficientSet of the purely thermal model."""
-    gamma, g = thermal_closed_form(p, t)
-    return CoefficientSet(t=t, Gamma=gamma, GammaTilde=0.0, Omega=0.0, g=g)
 
 
 def _coth(x: float) -> float:

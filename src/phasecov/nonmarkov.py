@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import RateProfile
+from .coeffs import RateProfile, _check_tol
 
 __all__ = [
     "Verdict",
@@ -201,12 +201,13 @@ def negative_intervals(
     non-finite samples are excluded from the sign logic and reported
     separately; an interval opening at a rate divergence starts at the
     divergence time itself.  A window beyond the profile's
-    ``singular_reach``, or a resolution that gives no finite grid count,
-    raises ValueError.
+    ``singular_reach``, a resolution that gives no finite grid count, or
+    a tol outside 0 < tol < inf, NaN included, raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (0 <= t0 < t1) or not math.isfinite(t1):
         raise ValueError("window must satisfy 0 <= t_start < t_end < inf")
+    _check_tol(tol)
     profile.check_reach(t1)
     if resolution is not None and resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -260,8 +261,8 @@ def crossover_scan(
     ``values`` (ascending) is scanned first; the bracket between the
     last Markovian and first non-Markovian value is then shrunk by
     bisection on the parameter until its width falls below
-    refine_rel * initial width.  Returns threshold None when every grid
-    value is Markovian.
+    refine_rel * initial width, or until no float lies between its ends.
+    Returns threshold None when every grid value is Markovian.
     """
     vals = [float(v) for v in values]
     if any(b <= a for a, b in zip(vals[:-1], vals[1:])):
@@ -282,6 +283,9 @@ def crossover_scan(
     target = max(refine_rel * (hi - lo), 1e-12)
     while hi - lo > target:
         mid = 0.5 * (lo + hi)
+        # past 8192 the target may be finer than the float spacing
+        if not lo < mid < hi:
+            break
         if is_nm(mid):
             hi = mid
         else:

@@ -6,16 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecov import (AffineBlochMap, CoefficientSet, OhmicParams, RateProfile,
-                      ThermalParams, choi_matrix, choi_spectrum, constant_profile,
+                      ThermalParams, choi_spectrum, constant_profile,
                       cp_choi, cp_paper, cp_report, ohmic_closed_form,
-                      ohmic_profile, pqwy, short_time_check, thermal_coefficients,
-                      thermal_profile, weak_coupling_check)
+                      ohmic_profile, pqwy, short_time_check, thermal_closed_form,
+                      thermal_profile)
 
 RNG = np.random.default_rng(7)
 
 
 def _coeffs(Gamma, GammaTilde, Omega, g, t=1.0):
     return CoefficientSet(t=t, Gamma=Gamma, GammaTilde=GammaTilde, Omega=Omega, g=g)
+
+
+def _thermal_coefficients(p, t):
+    """The closed-form CoefficientSet of the purely thermal model at t."""
+    gamma, g = thermal_closed_form(p, t)
+    return _coeffs(gamma, 0.0, 0.0, g, t)
+
+
+def _choi_matrix(m):
+    """The dense 4x4 Choi operator of an AffineBlochMap, in the basis
+    (|1>|1>, |1>|2>, |2>|1>, |2>|2>): the oracle of ``choi_spectrum``."""
+    pbar = (1.0 + m.t3 + m.lambda3) / 2.0
+    qbar = (1.0 + m.t3 - m.lambda3) / 2.0
+    choi = np.diag([pbar, 1.0 - pbar, qbar, 1.0 - qbar]).astype(complex)
+    choi[0, 3] = m.kappa
+    choi[3, 0] = np.conj(m.kappa)
+    return choi
 
 
 coeff_strategy = st.builds(
@@ -41,7 +58,7 @@ class TestPqwy:
 
     def test_thermal_algebraic_identities(self):
         # p = e^{-Gamma}(G+1) - 1/2 and q = e^{-Gamma} G - 1/2
-        c = thermal_coefficients(ThermalParams(R=0.25, N=1.0), 1.0)
+        c = _thermal_coefficients(ThermalParams(R=0.25, N=1.0), 1.0)
         p, q, w, y = pqwy(c)
         assert p == pytest.approx(math.exp(-c.Gamma) + c.g - 0.5, rel=1e-14)
         assert q == pytest.approx(c.g - 0.5, rel=1e-14)
@@ -73,7 +90,7 @@ class TestPaperConditions:
         tp = ThermalParams(R=10.0, N=1.0)
         op = OhmicParams(alpha=0.1, s=3.0, omega_c=1.0, T=0.0, kernel="literature")
         for t in np.linspace(0.0, 8.0, 160):
-            tc = thermal_coefficients(tp, float(t))
+            tc = _thermal_coefficients(tp, float(t))
             tilde = ohmic_closed_form(op, float(t))[1]
             c = CoefficientSet(t=float(t), Gamma=tc.Gamma, GammaTilde=tilde,
                                Omega=0.0, g=tc.g)
@@ -102,7 +119,7 @@ class TestChoiSpectrum:
                 t3=RNG.uniform(-1.2, 1.2),
                 kappa=complex(RNG.uniform(-1.2, 1.2), RNG.uniform(-1.2, 1.2)),
             )
-            dense = np.linalg.eigvalsh(choi_matrix(m))
+            dense = np.linalg.eigvalsh(_choi_matrix(m))
             assert np.abs(np.sort(choi_spectrum(m)) - dense).max() <= 1e-10
 
     def test_trace_is_two(self):
@@ -203,6 +220,18 @@ def test_known_discrepancy_tuple():
     assert not report.agreement
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_outside_zero_to_inf_is_refused(tol):
+    # cp_choi used to take tol = -1, and every checker gave a verdict at NaN
+    checks = (lambda: cp_paper(CoefficientSet.identity(), tol),
+              lambda: cp_choi(CoefficientSet.identity(), tol),
+              lambda: cp_report(CoefficientSet.identity(), tol),
+              lambda: short_time_check(constant_profile(gamma3=1.0), tol))
+    for check in checks:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            check()
+
+
 class TestShortTime:
     def test_thermal_rates_start_at_zero(self):
         for R, N in ((0.25, 0.0), (0.25, 2.0), (10.0, 1.0)):
@@ -224,8 +253,3 @@ class TestShortTime:
         rep = short_time_check(prof)
         assert rep.indeterminate == (True, True, True)
         assert not rep.all_ok
-
-
-def test_weak_coupling_check():
-    assert weak_coupling_check(0.0, 0.0, 0.0) == (True, True, True)
-    assert weak_coupling_check(1.0, 2.0, -0.5) == (True, True, False)

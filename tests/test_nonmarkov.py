@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from phasecov import (NmReport, OhmicParams, RateProfile, ThermalParams, Verdict,
-                      cp_choi, crossover_scan, negative_intervals, nonmarkov,
-                      ohmic_profile, segment_coefficients, thermal_profile)
+                      constant_profile, cp_choi, crossover_scan, negative_intervals,
+                      nonmarkov, ohmic_profile, segment_coefficients, thermal_profile)
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -98,6 +98,16 @@ def test_window_validation():
     for resolution in (1e-320, math.nan):
         with pytest.raises(ValueError, match="not finite"):
             negative_intervals(prof, (0.0, 1e10), resolution=resolution)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_outside_zero_to_inf_is_refused(tol):
+    # tol = NaN used to report a rate that is -1 everywhere as Markovian
+    negative = constant_profile(gamma3=-1.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        negative_intervals(negative, (0.0, 1.0), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        crossover_scan(lambda v: negative, [0.0, 1.0], (0.0, 1.0), tol=tol)
 
 
 def test_bisection_calls_each_rate_once_per_step():
@@ -282,6 +292,21 @@ class TestCrossover:
         fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))
         res = crossover_scan(fam, [0.05, 0.1, 0.2], (0.0, 20.0))
         assert res.threshold is None and res.bracket is None
+
+    def test_bisection_ends_where_no_float_lies_between_the_values(self):
+        # floats near 1e4 are 1.8e-12 apart, more than the 1e-12 floor of
+        # the target: the bisection used to loop there without end
+        calls = []
+
+        def family(v):
+            calls.append(v)
+            assert len(calls) <= 100, "the parameter bisection does not end"
+            return constant_profile(gamma3=-1.0 if v > 1e4 else 1.0)
+
+        res = crossover_scan(family, [1e4, 1e4 + 1e-9], (0.0, 1.0))
+        lo, hi = res.bracket
+        assert lo == 1e4 and hi == np.nextafter(lo, math.inf) and res.threshold == hi
+        assert len(calls) <= 2 + 12
 
     def test_values_must_increase(self):
         fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))
