@@ -25,22 +25,17 @@ variation of constants:
 
 Each rate is one callable, which takes a single time or an ndarray of
 times (see ``RateProfile``).  ``integrate_profile`` and
-``segment_coefficients`` accumulate all four coefficients by
+``segment_coefficients`` accumulate all four coefficients by adaptive
 Gauss-Kronrod quadrature of the whole grid at once: QUADPACK's 21-point
-rule on every grid interval, every rate on every node from one
-``rates_on`` call, and QUADPACK's error estimate held to the tolerances
-interval by interval.  The integral in g's step comes from the same
-nodes, with D at each node from a 21-point interpolatory integration
-matrix, and is held to a hundredth of the tolerances.  Only an interval
-that misses them, or that holds a listed singular point, goes to
-QUADPACK itself (``quad`` below), told the point, or for g to one LSODA
-pass of the ODE over each run of such intervals (``solve_ivp`` below,
-one ODEPACK call through scipy's ``odeint``, with ``tcrit`` at the
-pass's end so that no rate is sampled past it; unlike scipy's stepwise
-``solve_ivp`` LSODA, it leaves no memory behind).  LSODA switches
-between Adams and BDF formulas as the rates make the ODE stiff or not,
-so a large rate, which a single panel cannot resolve, costs few steps.
-A smooth grid calls neither.
+rule on panels, every rate on every node of a level from one
+``rates_on`` call, and QUADPACK's error estimates summed per grid
+interval and held to the tolerances.  Level 0 is one panel per grid
+interval, cut at each listed singular point; in an interval that misses,
+the worst panels are halved, all the halves of a level evaluated
+together.  The integral in g's step comes from the same nodes, with D at each node from a 21-point
+interpolatory integration matrix, and is held to a hundredth of the
+tolerances.  No quadrature routine or ODE solver is called, and a smooth
+grid stays at level 0.
 
 Rates that are linear between table nodes have coefficients in closed
 form up to one smooth integral per piece, which
@@ -51,10 +46,8 @@ routine or ODE solver.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -76,7 +69,8 @@ __all__ = [
 
 
 class ToleranceError(RuntimeError):
-    """Quadrature or ODE error control failed on some interval.
+    """Quadrature error control failed, or g left the float range, on
+    some interval.
 
     Attributes
     ----------
@@ -87,7 +81,10 @@ class ToleranceError(RuntimeError):
     """
 
     def __init__(self, message, interval, abserr=None):
-        super().__init__(f"{message} on interval [{interval[0]:g}, {interval[1]:g}]")
+        # six significant digits, or as many more as tell the two ends apart
+        a, b = interval
+        digits = next((d for d in range(6, 17) if f"{a:.{d}g}" != f"{b:.{d}g}"), 17)
+        super().__init__(f"{message} on interval [{a:.{digits}g}, {b:.{digits}g}]")
         self.interval = interval
         self.abserr = abserr
 
@@ -135,12 +132,16 @@ class RateProfile:
     pointwise scans.  The list is complete up to ``singular_reach``:
     integrators and scans refuse a window that ends beyond it.
 
-    Only an integrable divergence can be integrated across.  The poles
-    of the thermal rate f are simple poles, so ``integrate_profile``
-    raises :class:`ToleranceError` on a window that contains one (for
-    R = 10, a window to t = 2 fails on [0.8242, 0.8609]); across such
-    poles the model's closed form (``thermal_closed_form``) is the
-    authority.
+    No divergence can be integrated across, nor up to.  The poles of the
+    thermal rate f are simple poles, so ``integrate_profile`` raises
+    :class:`ToleranceError` on a window that contains one (for R = 10, a
+    window to t = 2 fails on [0.824203428, 0.824203431], the sub-panel
+    that ends at the pole); across such poles the model's closed form
+    (``thermal_closed_form``) is the authority.  An integrable one fails
+    in the same way, as |t - 1|^-0.5 at a listed t = 1 does, once the
+    halving toward it reaches the float spacing; only a mild one at
+    t = 0, where that spacing is far finer, can converge (t^-0.5 does,
+    t^-0.9 does not).
     """
 
     gamma1: Callable = _zero
@@ -216,7 +217,9 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Error control for the accumulation of coefficients."""
+    """Error control for the accumulation of coefficients: on each grid
+    interval, the summed error estimate of each integral V is held to
+    max(abs_tol, rel_tol |V|), and that of g's growth to a hundredth."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -280,9 +283,10 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-# QUADPACK's subinterval cap per quadrature, and ODEPACK's step cap per
-# output interval: passes that converge take a few hundred steps, and one
-# that meets an unlisted divergence fails instead of running on
+# the cap on panels per grid interval and on QUADPACK's subintervals per
+# quadrature, and ODEPACK's step cap per output interval: passes that
+# converge take a few hundred steps, and one that meets an unlisted
+# divergence fails instead of running on
 _MAX_SUBDIVISIONS = 200
 _MAX_STEPS = 10**5
 # odeint's full_output message for a call that reached every output time
@@ -335,13 +339,10 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6):
                            nfev=int(nfe[-1]) if nfe.size else 0)
 
 
-def _quad(func, a, b, cfg, points=None, **weight):
+def _quad(func, a, b, cfg, **weight):
     """scipy adaptive Gauss-Kronrod wrapper that converts failures.
 
-    ``points`` are interior singular locations; QUADPACK then never
-    samples them and extrapolates through an integrable divergence.  A
-    non-integrable one, such as a simple pole of the thermal rate, fails
-    the error control and raises :class:`ToleranceError`.
+    A quadrature that misses the tolerances raises :class:`ToleranceError`.
     ``weight`` passes QUADPACK's ``weight`` and ``wvar`` through, for
     oscillatory integrands.
     """
@@ -352,8 +353,6 @@ def _quad(func, a, b, cfg, points=None, **weight):
         full_output=1,
         **weight,
     )
-    if points:
-        kwargs["points"] = list(points)
     out = quad(func, a, b, **kwargs)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3 or not math.isfinite(value):
@@ -368,11 +367,6 @@ def _quad(func, a, b, cfg, points=None, **weight):
             abserr=float(elist[worst]) if last else abserr,
         )
     return value
-
-
-def _interior_points(sing, a, b):
-    pts = [s for s in sing if a < s < b]
-    return pts or None
 
 
 # QUADPACK's 21-point Kronrod rule (qk21) on [-1, 1], to double precision:
@@ -396,8 +390,8 @@ _KRONROD_NODES = np.concatenate([_XK, -_XK[-2::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WK, _WK[-2::-1]])
 _RULES = np.column_stack([_KRONROD_WEIGHTS, np.concatenate([_WG, _WG[-2::-1]])])
 _ROUNDOFF = 50.0 * np.finfo(float).eps
-# grid intervals per qk21 call: its nodes, rates and integrands take about
-# 2.4 kB per interval, so a block stays near 5 MB however long the grid
+# panels per qk21 call: their nodes, rates and integrands take about
+# 2.4 kB per panel, so a block stays near 5 MB however long the grid
 _BLOCK = 2048
 
 
@@ -468,6 +462,11 @@ def _growth(a, spread, b, half):
     estimated as qk21 estimates an integral: ``_scaled`` from the gap
     between D and D10, from the polynomial through the 10 Gauss nodes
     alone, with the resasc of a.
+
+    No node lies between the last one and the panel's end.  Where the
+    damping across that slice, D at the last node, exceeds a factor e,
+    the nodes miss the growth it holds, which can be all of it: about
+    |b| (1 - e^-D)/D times the slice's width, which is added to the error.
     """
     whole, gauss = _tail_integrals()
     depth = half[:, None] * (a @ whole.T)
@@ -475,7 +474,10 @@ def _growth(a, spread, b, half):
     value, err, _ = _kronrod(grown)
     gap = np.abs(depth - half[:, None] * (a[:, _GAUSS] @ gauss.T))
     shift = _scaled(gap, (half * spread)[:, None])
-    return value, err + (np.abs(grown) * shift) @ _KRONROD_WEIGHTS
+    last = depth[:, -1]
+    hidden = np.where(last > 1.0, np.abs(b[:, -1]) * (1.0 - _KRONROD_NODES[-1])
+                      * -np.expm1(-last) / last, 0.0)
+    return value, err + hidden + (np.abs(grown) * shift) @ _KRONROD_WEIGHTS
 
 
 def _qk21(profile, a, b):
@@ -500,14 +502,6 @@ def _qk21(profile, a, b):
         return np.vstack([value, growth]) * half, np.vstack([err, growth_err]) * half
 
 
-def _combination(profile, row):
-    """The scalar integrand sum_i row[i] rate_i(t) of one row of
-    ``_COEFFICIENT_RATES``."""
-    rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
-    terms = [(w, fn) for w, fn in zip(row.tolist(), rates) if w]
-    return lambda t: sum(w * fn(t) for w, fn in terms)
-
-
 def _g_tolerances(cfg):
     """(rtol, atol) of g: a hundredth of the quadratures', floored at 1e-13
     and 1e-15."""
@@ -519,111 +513,105 @@ def _running_integrals(profile, start, times, cfg):
     ``_COEFFICIENT_RATES`` @ rates from ``start`` to each of the sorted
     times, and g grown from 0 at start, shape (4, len(times)).
 
-    Every grid interval without a listed singular point gets one qk21
-    panel, all of them together (``_qk21``, ``_BLOCK`` intervals per
-    call), which is accepted where its error is at most
-    max(abs_tol, rel_tol |value|).  A combination that misses this on an
-    interval, and every combination on an interval that holds a listed
-    singular point, ends included, go to QUADPACK (``_quad``) with the
-    point, in the order of the grid.  A non-finite panel raises
-    :class:`ToleranceError` there, with abserr = inf.
+    Adaptive qk21 bisection of the whole grid.  Level 0 is one panel per
+    grid interval, cut at each listed singular point inside it; the
+    Kronrod nodes never sample a panel's ends, so a point there needs
+    nothing more.  A grid interval is accepted where, for each integral,
+    the sum of its panels' error estimates is at most max(abs_tol,
+    rel_tol |V|), V the integral over the interval, as QUADPACK holds its
+    sum; g's growth at g's own tolerances (``_g_tolerances``), each
+    panel's value and error damped by exp(-Gamma) to the interval's end,
+    where g is read.  In an interval that misses, every panel above its
+    share of the bound is halved, and all the halves of a level go
+    through ``_qk21`` together, ``_BLOCK`` panels per call.  A panel whose
+    integrals are not finite raises :class:`ToleranceError` at once, with
+    abserr = inf; so does, with its error, a panel that cannot be halved
+    or whose grid interval would need over ``_MAX_SUBDIVISIONS`` panels.
 
-    g follows from g(hi) = e^-(Gamma(hi) - Gamma(lo)) g(lo) + its growth
-    across [lo, hi] from 0, the panel's ``_growth``, which is accepted at
-    g's own tolerances (``_g_tolerances``).  A growth that misses them or
-    is not finite, and every interval that holds a listed singular point,
-    go to LSODA (``_g_pass``): one pass over each run of such intervals,
-    from the g reached at its start, so that a stiff grid, whose panels
-    cannot resolve e^-D, costs one pass.  The passes come after all the
-    quadratures, so that a pole they cannot cross raises its
-    :class:`ToleranceError` before the ODE meets it.  A g that is not
-    finite raises it too.
+    g is stepped across the accepted panels in order, g = e^-(Gamma
+    across the panel) g + growth, since the damping weights, differences
+    of a running sum, are too coarse for it.  A g that is not finite
+    raises :class:`ToleranceError`.
     """
-    lo = np.array([start] + times[:-1], dtype=float)
     hi = np.array(times, dtype=float)
-    sing = sorted(profile.singular_points)
-    held = np.searchsorted(sing, lo, "left") < np.searchsorted(sing, hi, "right")
-    wide = hi > lo
-    rows = len(_COEFFICIENT_RATES)
-    rel = np.full((rows + 1, 1), cfg.rel_tol)
-    floor = np.full((rows + 1, 1), cfg.abs_tol)
+    sing = np.array(profile.singular_points, dtype=float)
+    edges = np.union1d(np.append(hi, start), sing[(sing > start) & (sing < hi[-1])])
+    rows = len(_COEFFICIENT_RATES) + 1
+    rel = np.full((rows, 1), cfg.rel_tol)
+    floor = np.full((rows, 1), cfg.abs_tol)
     rel[-1], floor[-1] = _g_tolerances(cfg)
-    steps = np.zeros((rows + 1, len(times)))
-    redo = np.zeros(steps.shape, dtype=bool)
-    redo[:, held & wide] = True
-    smooth = np.flatnonzero(wide & ~held)
-    for first in range(0, smooth.size, _BLOCK):
-        block = smooth[first:first + _BLOCK]
-        value, err = _qk21(profile, lo[block], hi[block])
-        finite = np.isfinite(value) & np.isfinite(err)
-        # NaN marks a panel to refuse
-        steps[:, block] = np.where(finite, value, math.nan)
-        redo[:, block] = ~finite | (err > np.maximum(floor, rel * np.abs(value)))
-    for i, row in np.argwhere(redo[:rows].T).tolist():
-        a, b = float(lo[i]), float(hi[i])
-        if math.isnan(steps[row, i]):
-            raise ToleranceError("quadrature did not converge", (a, b), abserr=math.inf)
-        steps[row, i] = _quad(_combination(profile, _COEFFICIENT_RATES[row]), a, b, cfg,
-                              _interior_points(sing, a, b))
-    integrals = np.cumsum(steps[:rows], axis=1)
+    # bins that sum each row of a (2 rows, panels) array per grid interval
+    bins = hi.size * np.arange(2 * rows)[:, None]
+    steps = np.zeros((rows - 1, hi.size))
+    # the panels to evaluate; and, as columns (a, b, values, errors), the
+    # panels of the grid intervals that still miss, and the accepted ones
+    a, b = edges[:-1], edges[1:]
+    left = np.empty((2 + 2 * rows, 0))
+    kept = [left]
+    while a.size:
+        value, err = (np.hstack(x) for x in zip(*(
+            _qk21(profile, a[i:i + _BLOCK], b[i:i + _BLOCK])
+            for i in range(0, a.size, _BLOCK))))
+        bad = np.flatnonzero(~(np.isfinite(value[:-1]) & np.isfinite(err[:-1])).all(axis=0))
+        if bad.size:
+            i = bad[0]
+            raise ToleranceError("quadrature did not converge",
+                                 (float(a[i]), float(b[i])), abserr=math.inf)
+        panels = np.hstack([left, np.vstack([a, b, value, err])])
+        panels = panels[:, np.argsort(panels[0])]
+        a, b = panels[0], panels[1]
+        owner = np.searchsorted(hi, b)
+        count = np.bincount(owner, minlength=hi.size)
+        # g's growth, and its error, reach the end of the grid interval
+        # damped by Gamma over the panels after it
+        total = np.cumsum(panels[2])
+        weighted = panels[2:].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            damping = np.exp(total - total[np.searchsorted(owner, owner, "right") - 1])
+            weighted[rows - 1] *= damping
+            weighted[-1] *= damping
+            sums = np.bincount((owner + bins).ravel(), weighted.ravel(),
+                               bins.size * hi.size).reshape(2 * rows, hi.size)
+            limit = np.maximum(floor, rel * np.abs(sums[:rows]))
+        miss = ~(sums[rows:] <= limit)
+        # an interval without panels here sums to 0, and adds nothing
+        missed = miss.any(axis=0)
+        steps += np.where(missed, 0.0, sums[:rows - 1])
+        kept.append(panels[:, ~missed[owner]])
+        if not missed.any():
+            break
+        # in an interval that misses, the panels above their share of its
+        # bound; the worst panel always is one
+        share = limit / np.maximum(count, 1)
+        halve = (miss[:, owner] & ~(weighted[rows:] <= share[:, owner])).any(axis=0)
+        count += np.bincount(owner[halve], minlength=hi.size)
+        mid = 0.5 * (a + b)
+        stuck = halve & ((count[owner] > _MAX_SUBDIVISIONS) | ~((a < mid) & (mid < b)))
+        if stuck.any():
+            worst = np.where(miss[:, owner], weighted[rows:], 0.0).max(axis=0)
+            i = int(np.argmax(np.where(stuck, worst, -1.0)))
+            raise ToleranceError("quadrature did not converge",
+                                 (float(a[i]), float(b[i])), abserr=float(worst[i]))
+        left = panels[:, missed[owner] & ~halve]
+        a, b = (np.column_stack([a[halve], mid[halve]]).ravel(),
+                np.column_stack([mid[halve], b[halve]]).ravel())
+    kept = np.hstack(kept)
+    kept = kept[:, np.argsort(kept[0])]
     with np.errstate(over="ignore"):
-        decays = np.exp(-steps[0]).tolist()
-    growths = steps[-1].tolist()
-    g, out = 0.0, []
-    for ode, run in itertools.groupby(redo[-1].tolist()):
-        done = len(out)
-        end = done + len(list(run))
-        if ode:
-            out += _g_pass(profile, float(lo[done]), times[done:end], cfg, g)
-        else:
-            for decay, growth in zip(decays[done:end], growths[done:end]):
-                g = decay * g + growth
-                out.append(g)
-        g = out[-1]
+        decays = np.exp(-kept[2]).tolist()
+    g, path = 0.0, [0.0]
+    for decay, growth in zip(decays, kept[1 + rows].tolist()):
+        g = decay * g + growth
+        path.append(g)
+    # g at the end of each grid interval, after its last panel
+    owner = np.searchsorted(hi, kept[1])
+    out = np.array(path)[np.searchsorted(owner, np.arange(hi.size), "right")]
     lost = np.flatnonzero(~np.isfinite(out))
     if lost.size:
         i = int(lost[0])
         raise ToleranceError(f"g is not finite at t = {times[i]:g}",
-                             (float(lo[i]), float(hi[i])))
-    return np.vstack([integrals, out])
-
-
-def _g_pass(profile, start, times, cfg, g0=0.0):
-    """g at each of the sorted times (all >= start, the last > start), grown
-    from g(start) = g0.
-
-    dg/dt = gamma2/2 - [(gamma1+gamma2)/2] g is integrated by one LSODA
-    pass per singular-free segment: each pass reports the requested
-    times through ``t_eval`` and the next restarts at a singular point
-    with the value reached there.  LSODA picks non-stiff Adams or stiff
-    BDF steps by itself, and never samples a rate past the end of its
-    segment.  A pass that fails, or whose g is not finite, raises
-    :class:`ToleranceError` naming the time it stopped at.
-    """
-
-    def rhs(t, y):
-        g1 = profile.gamma1(t)
-        g2 = profile.gamma2(t)
-        return [0.5 * g2 - 0.5 * (g1 + g2) * y[0]]
-
-    end = times[-1]
-    sing = sorted(profile.singular_points)
-    cuts = [start] + (_interior_points(sing, start, end) or []) + [end]
-    rtol, atol = _g_tolerances(cfg)
-    out = []
-    g = g0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        wanted = times[len(out):bisect_right(times, hi)]
-        # the pass always reports hi, the start of the next one
-        t_eval = wanted if wanted and wanted[-1] == hi else wanted + [hi]
-        sol = solve_ivp(rhs, (lo, hi), [g], t_eval=t_eval, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise ToleranceError(
-                f"population ODE failed at t = {sol.t[-1]:g}: {sol.message}", (lo, hi))
-        values = sol.y[0].tolist()
-        out += values[:len(wanted)]
-        g = values[-1]
-    return out
+                             (float(([start] + times)[i]), float(times[i])))
+    return np.vstack([np.cumsum(steps, axis=1), out])
 
 
 def _accumulate(profile, start, times, cfg):
@@ -651,14 +639,14 @@ def integrate_profile(
     """Accumulate (Gamma, GammaTilde, Omega, g) along a sorted time grid.
 
     Each requested time reuses the coefficients accumulated up to the
-    previous one, so every grid interval costs one 21-point panel, with
-    g stepped across it from the same nodes, and a smooth grid calls no
-    QUADPACK or ODE routine (see ``_running_integrals`` for the
-    fallbacks).  Raises
-    ValueError for a non-monotone grid or one that ends beyond the
-    profile's ``singular_reach``, and :class:`ToleranceError` when the
-    error control cannot be met (for example across a non-integrable
-    rate divergence).
+    previous one, so every grid interval of a smooth grid costs one
+    21-point panel, with g stepped across it from the same nodes; on an
+    interval whose summed error estimates miss the tolerances of ``cfg``,
+    the worst panels are halved (see ``_running_integrals``).
+    No QUADPACK or ODE routine is called.  Raises ValueError for a
+    non-monotone grid or one that ends beyond the profile's
+    ``singular_reach``, and :class:`ToleranceError` when the error
+    control cannot be met (for example at a rate divergence).
     """
     cfg = cfg or QuadratureConfig()
     ts = _validate_times(times)

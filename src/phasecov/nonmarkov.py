@@ -262,11 +262,17 @@ def crossover_scan(
     last Markovian and first non-Markovian value is then shrunk by
     bisection on the parameter until its width falls below
     refine_rel * initial width, or until no float lies between its ends.
-    Returns threshold None when every grid value is Markovian.
+    Returns threshold None when every grid value is Markovian.  Values
+    that are not finite or not strictly increasing, and a refine_rel
+    outside 0 < refine_rel < inf, raise ValueError.
     """
     vals = [float(v) for v in values]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("values must be finite")
     if any(b <= a for a, b in zip(vals[:-1], vals[1:])):
         raise ValueError("values must be strictly increasing")
+    if not 0 < refine_rel < math.inf:
+        raise ValueError("refine_rel must be positive and finite")
 
     def is_nm(v):
         report = negative_intervals(family(v), window, resolution, tol)

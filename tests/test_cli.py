@@ -595,17 +595,30 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 _SEAMS_PROBE = """
-import json, sys
+import dataclasses, json, sys
 import numpy as np
-from phasecov import constant_profile, integrate_me, integrate_profile
+from phasecov import (ThermalParams, constant_profile, integrate_me, integrate_profile,
+                      thermal_closed_form, thermal_profile, thermal_zeros)
 loaded = [("scipy.integrate" in sys.modules)]
+# an R = 3 thermal grid that ends before its first pole, whose last interval
+# is bisected toward it, and a profile with a listed singular point
+thermal = ThermalParams(R=3.0, N=1.0)
+grid = np.linspace(0.0, 10.0, 200)[1:]
+grid = grid[grid < thermal_zeros(3.0, 10.0)[0]]
+near = integrate_profile(thermal_profile(thermal, t_max=10.0), grid)[-1]
 profile = constant_profile(0.2, 0.6, 0.1, 0.5)
+cut = dataclasses.replace(profile, singular_points=(0.3,))
+listed = integrate_profile(cut, [0.5, 1.0])[-1]
+loaded.append("scipy.integrate" in sys.modules)
 rho = integrate_me(profile, np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]]), 1.0)
 loaded.append("scipy.integrate" in sys.modules)
 c = integrate_profile(profile, [0.0, 0.5, 1.0])[-1]
 print(json.dumps({"loaded": loaded, "p1": rho[0, 0].real,
                   "alpha": [rho[0, 1].real, rho[0, 1].imag],
-                  "coefficients": [c.Gamma, c.GammaTilde, c.Omega, c.g]}))
+                  "coefficients": [c.Gamma, c.GammaTilde, c.Omega, c.g],
+                  "listed": [listed.Gamma, listed.GammaTilde, listed.Omega, listed.g],
+                  "near_pole": [near.Gamma, near.g],
+                  "closed_form": list(thermal_closed_form(thermal, float(near.t)))}))
 """
 
 
@@ -647,11 +660,14 @@ class TestColdStart:
 
     def test_first_integrator_calls_load_scipy_integrate(self):
         probe = _fresh_python(_SEAMS_PROBE)
-        # integrate_me's solve_ivp is the first call to load it
-        assert probe["loaded"] == [False, True]
+        # integrate_me's solve_ivp is the first call to load it: the
+        # quadrature route, near a pole or across a listed point, loads none
+        assert probe["loaded"] == [False, False, True]
+        np.testing.assert_allclose(probe["near_pole"], probe["closed_form"], rtol=1e-12)
         c = markovian_coefficients(0.2, 0.6, 0.1, 0.5, 1.0)
         expected = [c.Gamma, c.GammaTilde, c.Omega, c.g]
         np.testing.assert_allclose(probe["coefficients"], expected, rtol=1e-9)
+        np.testing.assert_allclose(probe["listed"], expected, rtol=1e-9)
         assert probe["p1"] == pytest.approx(c.decay * 0.3 + c.g, abs=1e-8)
         alpha = complex(0.2, 0.1) * c.kappa
         np.testing.assert_allclose(probe["alpha"], [alpha.real, alpha.imag], atol=1e-8)

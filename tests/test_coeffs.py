@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
                       ThermalParams, ToleranceError, coeffs, combine_profiles,
@@ -292,55 +292,49 @@ def test_window_beyond_the_singular_reach_is_refused():
     assert thermal_profile(ThermalParams(R=0.25), t_max=0.5).singular_reach == math.inf
 
 
-def test_g_pass_restarts_only_at_singular_points(monkeypatch):
+def _refuse_integrators(monkeypatch):
+    """Make any call to QUADPACK or the ODE solver fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrator called")
+
+    monkeypatch.setattr(coeffs, "quad", refuse)
+    monkeypatch.setattr(coeffs, "solve_ivp", refuse)
+
+
+def test_g_across_a_listed_jump_calls_no_integrator(monkeypatch):
     # gamma2 jumps from 0.4 to 1.2 at t = 1, listed as a singular point:
     # Gamma = 0.2 t, then 0.2 + 0.6 (t - 1), and g = 1 - exp(-Gamma)
-    spans, late = [], []
-    pass_end = [math.inf]
+    _refuse_integrators(monkeypatch)
+    window_end, sampled = [math.inf], []
 
     def gamma2(t):
-        # each pass may sample the rate only up to the end of its segment
-        if np.any(t > pass_end[0]):
-            late.append((t, pass_end[0]))
-            raise ValueError(f"rate sampled at t = {t!r}, past {pass_end[0]!r}")
+        # the panels sample the rate inside the window only, never at the point
+        sampled.append(t)
+        if np.any(t > window_end[0]):
+            raise ValueError(f"rate sampled at t = {t!r}, past {window_end[0]!r}")
         return _step(t, 1.0, 0.4, 1.2)
 
     prof = RateProfile(gamma2=gamma2, singular_points=(1.0,))
 
-    def recording(fun, t_span, *args, **kwargs):
-        spans.append(tuple(t_span))
-        pass_end[0] = t_span[1]
-        try:
-            return solve_ivp(fun, t_span, *args, **kwargs)
-        finally:
-            pass_end[0] = math.inf
-
-    monkeypatch.setattr(coeffs, "solve_ivp", recording)
-
     def big_gamma(t):
         return 0.2 * t if t <= 1.0 else 0.2 + 0.6 * (t - 1.0)
 
-    # the cut between two grid times, and on one: LSODA runs only over the
-    # grid intervals that hold the point, from the g reached, cut there
-    for times, passes in (([0.5, 1.5, 2.0, 2.5, 3.0], [(0.5, 1.0), (1.0, 1.5)]),
-                          ([0.0, 0.5, 1.0, 2.0], [(0.5, 1.0), (1.0, 2.0)])):
-        spans.clear()
+    # the cut between two grid times, and on one
+    for times in ([0.5, 1.5, 2.0, 2.5, 3.0], [0.0, 0.5, 1.0, 2.0]):
+        window_end[0] = times[-1]
         for c in integrate_profile(prof, times):
             assert c.Gamma == pytest.approx(big_gamma(c.t), rel=1e-12, abs=1e-15)
             assert c.g == pytest.approx(-math.expm1(-big_gamma(c.t)),
                                         rel=1e-10, abs=1e-15)
-        assert spans == passes
-    spans.clear()
+    window_end[0] = 2.0
     seg = segment_coefficients(prof, 0.5, 2.0)
     expected = -math.expm1(big_gamma(0.5) - big_gamma(2.0))
     assert seg.g == pytest.approx(expected, rel=1e-10)
-    assert spans == [(0.5, 1.0), (1.0, 2.0)]
     # and a window that ends on the singular point
-    spans.clear()
+    window_end[0] = 1.0
     seg = segment_coefficients(prof, 0.2, 1.0)
     assert seg.g == pytest.approx(-math.expm1(big_gamma(0.2) - big_gamma(1.0)), rel=1e-10)
-    assert spans == [(0.2, 1.0)]
-    assert late == []
+    assert not np.isin(1.0, np.concatenate(sampled))
 
 
 def test_integrator_seams_stay_rebindable(monkeypatch):
@@ -369,22 +363,13 @@ def test_integrator_seams_stay_rebindable(monkeypatch):
     assert calls == {"coeffs.quad": 0, "coeffs.solve_ivp": 0, "mesolve.solve_ivp": 1}
 
 
-def test_ode_pass_only_on_the_interval_with_a_singular_point(monkeypatch):
-    # smooth rates with a listed point at t = 1.3, inside [1, 1.5]: the
-    # panels give g everywhere else, and one LSODA pass on that interval,
-    # cut at the point
-    spans = []
-    lsoda = coeffs.solve_ivp
-
-    def recording(fun, t_span, *args, **kwargs):
-        spans.append(tuple(t_span))
-        return lsoda(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(coeffs, "solve_ivp", recording)
+def test_interval_with_a_singular_point_calls_no_ode_solver(monkeypatch):
+    # smooth rates with a listed point at t = 1.3, inside [1, 1.5]: g is
+    # stepped across the two panels that the point cuts it into
+    _refuse_integrators(monkeypatch)
     prof = dataclasses.replace(constant_profile(0.2, 0.6), singular_points=(1.3,))
     times = np.linspace(0.0, 3.0, 7)
     out = integrate_profile(prof, times)
-    assert spans == [(1.0, 1.3), (1.3, 1.5)]
     exact = markovian_coefficients(0.2, 0.6, 0.0, 0.0, times)
     np.testing.assert_allclose([c.g for c in out], exact.g, rtol=1e-10, atol=1e-15)
 
@@ -396,21 +381,23 @@ def test_g_that_overflows_is_refused():
         integrate_profile(constant_profile(-10.0, -10.0), np.linspace(1.0, 100.0, 400))
 
 
-def test_quadpack_only_on_the_interval_with_a_singular_point(monkeypatch):
-    # gamma2 jumps at t = 1.3, listed, inside the grid interval [1, 1.5]
-    spans = []
+def test_growth_past_the_last_node_is_not_lost():
+    # gamma2 = 2 on one grid interval [0, w]: from w of about 3e5, exp(-D)
+    # underflows on every Kronrod node, so that the panel's growth read 0
+    # with an error of 0; g = 1 - exp(-w) is 1 to double precision
+    for w in (1e4, 1e6, 1e8):
+        c = integrate_profile(constant_profile(0.0, 2.0), [w])[0]
+        assert c.g == pytest.approx(1.0, rel=1e-12)
 
-    def recording(func, a, b, **kwargs):
-        spans.append((a, b, kwargs.get("points")))
-        return quad(func, a, b, **kwargs)
 
-    monkeypatch.setattr(coeffs, "quad", recording)
+def test_interval_with_a_singular_point_calls_no_quadpack(monkeypatch):
+    # gamma2 jumps at t = 1.3, listed, inside the grid interval [1, 1.5],
+    # which the point cuts into two panels
+    _refuse_integrators(monkeypatch)
     prof = RateProfile(gamma2=lambda t: _step(t, 1.3, 0.4, 1.2), gamma3=np.cos,
                        singular_points=(1.3,))
     times = np.linspace(0.0, 3.0, 7)
     out = integrate_profile(prof, times)
-    # one call per integrated combination: (gamma1 + gamma2)/2, gamma3, omega
-    assert spans == [(1.0, 1.5, [1.3])] * 3
     for c in out:
         big_gamma = 0.2 * c.t if c.t <= 1.3 else 0.26 + 0.6 * (c.t - 1.3)
         assert c.Gamma == pytest.approx(big_gamma, rel=1e-12, abs=1e-15)
@@ -441,7 +428,7 @@ def test_non_finite_rate_on_an_unlisted_interval_is_refused():
 
 
 def test_unmeetable_tolerance_is_refused():
-    # below the rule's roundoff floor, neither qk21 nor QUADPACK can meet it
+    # below the rule's roundoff floor, no panel can meet it, however narrow
     prof = constant_profile(gamma1=0.3, gamma2=0.5, omega=1.0)
     cfg = QuadratureConfig(1e-300, 1e-300)
     with pytest.raises(ToleranceError, match="quadrature did not converge") as err:
@@ -459,25 +446,68 @@ def _narrow_peak(width=1e-3, centre=0.777):
     return prof, lambda t: np.arctan((t - centre) / width) + np.arctan(centre / width)
 
 
-def test_quadpack_takes_the_intervals_one_panel_cannot_resolve(monkeypatch):
-    spans = []
+def test_bisection_takes_the_intervals_one_panel_cannot_resolve(monkeypatch):
+    _refuse_integrators(monkeypatch)
+    panels = []
+    qk21 = coeffs._qk21
 
-    def recording(func, a, b, **kwargs):
-        spans.append((a, b))
-        return quad(func, a, b, **kwargs)
+    def recording(profile, a, b):
+        panels.append((a, b))
+        return qk21(profile, a, b)
 
-    monkeypatch.setattr(coeffs, "quad", recording)
+    monkeypatch.setattr(coeffs, "_qk21", recording)
     prof, exact = _narrow_peak()
     times = np.linspace(0.25, 2.0, 8)
     np.testing.assert_allclose([c.GammaTilde for c in integrate_profile(prof, times)],
                                exact(times), rtol=1e-10)
-    # gamma3 on the interval around the peak at 0.777 and on the one before
-    # it; the other combinations, and the other intervals, pass in one panel
-    assert spans == [(0.5, 0.75), (0.75, 1.0)]
+    # past level 0, only the interval around the peak at 0.777 and the one
+    # before it are halved; the other intervals pass in one panel
+    assert len(panels) > 1
+    assert all(a.min() >= 0.5 and b.max() <= 1.0 for a, b in panels[1:])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+def test_summed_error_of_a_bisected_interval_meets_the_tolerance(monkeypatch, rel_tol):
+    # the panels that tile a grid interval are accepted together: the sum
+    # of their error estimates is held to the interval's tolerance, not
+    # each panel's alone
+    panels = []
+    qk21 = coeffs._qk21
+
+    def recording(profile, a, b):
+        value, err = qk21(profile, a, b)
+        panels.extend(zip(a.tolist(), b.tolist(), value[1].tolist(), err[1].tolist()))
+        return value, err
+
+    monkeypatch.setattr(coeffs, "_qk21", recording)
+    prof, exact = _narrow_peak()
+    times = [0.5, 1.0]
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-300)
+    got = integrate_profile(prof, times, cfg)[-1].GammaTilde - exact(0.5)
+    halved = {(a, b) for a, b, _, _ in panels}
+    leaves = sorted((a, b, v, e) for a, b, v, e in panels
+                    if (a, 0.5 * (a + b)) not in halved and a >= 0.5)
+    starts, ends, values, errors = np.array(leaves).T
+    assert starts[0] == 0.5 and ends[-1] == 1.0
+    np.testing.assert_array_equal(starts[1:], ends[:-1])
+    assert len(leaves) > 10
+    assert errors.sum() <= rel_tol * abs(values.sum())
+    assert abs(got - (exact(1.0) - exact(0.5))) <= rel_tol * got
+
+
+def test_error_that_halving_does_not_shrink_is_refused():
+    # a ripple far finer than any panel leaves each panel an error estimate
+    # of about 6e-10 per unit width: eight panels would each meet
+    # rel_tol = 1e-10 while their sum, 6e-10, misses it six times over
+    prof = RateProfile(gamma3=lambda t: 1.0 + 1e-9 * np.sin(1e7 * t))
+    with pytest.raises(ToleranceError, match="quadrature did not converge") as err:
+        integrate_profile(prof, [1.0])
+    lo, hi = err.value.interval
+    assert 0.0 <= lo < hi <= 1.0
 
 
 def test_blocks_of_intervals_give_the_same_integrals(monkeypatch):
-    # a long grid is evaluated a block of intervals at a time; blocks of 7
+    # a long grid is evaluated a block of panels at a time; blocks of 7
     # over 49 intervals, the narrow peak in one of them, change no value
     # beyond the rounding of a matrix product of another shape
     prof, exact = _narrow_peak()
@@ -490,7 +520,7 @@ def test_blocks_of_intervals_give_the_same_integrals(monkeypatch):
 
 
 def test_integer_window_ends_are_taken_as_times():
-    # the window [0, 2] needs QUADPACK, which gets it as floats
+    # the window [0, 2] needs bisection, which gets it as floats
     prof, exact = _narrow_peak()
     assert segment_coefficients(prof, 0, 2).GammaTilde == pytest.approx(exact(2.0), rel=1e-10)
 

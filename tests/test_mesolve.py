@@ -9,12 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from phasecov import (IntegrationError, OhmicParams, QuadratureConfig, QubitState,
-                      RateProfile, ThermalParams, ToleranceError, combine_profiles,
+from phasecov import (IntegrationError, OhmicParams, QubitState,
+                      RateProfile, ThermalParams, combine_profiles,
                       constant_profile, evolve_state, integrate_me,
                       integrate_profile, liouvillian, markovian_coefficients,
                       ohmic_profile, thermal_profile)
-from phasecov.coeffs import _g_pass
 from phasecov.mesolve import (_affine_terms, _compiled_rhs, _pack, _unpack,
                               validate_density_matrix)
 
@@ -254,7 +253,7 @@ def test_unlisted_divergence_ends_the_pass():
 
 
 def test_non_finite_state_is_an_error():
-    # gamma2 turns NaN after t = 1 on [0, 3]: both ODE routes raise at the
+    # gamma2 turns NaN after t = 1 on [0, 3]: the ODE route raises at the
     # first reported state that is not finite instead of returning NaN
     prof = RateProfile(gamma1=lambda t: 0.1,
                        gamma2=lambda t: 0.5 if t <= 1.0 else math.nan)
@@ -266,9 +265,6 @@ def test_non_finite_state_is_an_error():
     assert _time_in(str(err.value)) in (1.0, 1.5)
     with pytest.raises(IntegrationError, match="at t = 3: the state is not finite"):
         integrate_me(prof, RHO0, 3.0)
-    with pytest.raises(ToleranceError, match="the state is not finite") as err:
-        _g_pass(prof, 0.0, times, QuadratureConfig())
-    assert _time_in(str(err.value)) in (1.0, 1.5)
 
 
 def test_repeated_solves_retain_no_memory():

@@ -312,3 +312,16 @@ class TestCrossover:
         fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))
         with pytest.raises(ValueError):
             crossover_scan(fam, [0.3, 0.2], (0.0, 10.0))
+
+    def test_non_finite_values_and_refine_rel_are_refused(self):
+        # refine_rel = NaN used to return the unrefined grid bracket, and a
+        # NaN value passed the increasing check and reached the family
+        def family(v):
+            raise AssertionError(f"family called at {v!r}")
+
+        for values in ([math.nan, 0.0, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0]):
+            with pytest.raises(ValueError, match="values must be finite"):
+                crossover_scan(family, values, (0.0, 1.0))
+        for refine_rel in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="refine_rel must be positive and finite"):
+                crossover_scan(family, [0.0, 1.0], (0.0, 1.0), refine_rel=refine_rel)

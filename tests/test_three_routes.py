@@ -19,16 +19,22 @@ whole array of nodes or on one float node at a time.
 
 g from the quadrature route's Gauss-Kronrod panels must match the
 closed form to 1e-12 relative on thermal (R < 1/2) and zero-temperature
-Ohmic generators on grids of intervals up to 1 wide, and LSODA, forced
-onto every interval by listing each grid time as a singular point,
-within the configuration's tolerances: LSODA's own global error reaches
-about 40 times its local tolerance, a hundredth of those.
+Ohmic generators on grids of intervals up to 1 wide.  Gamma and g must
+match it to 1e-12 relative also on thermal grids at R > 1/2 that end
+before the first pole of the rates, where the panels of the last grid
+interval are halved toward its end, as the rates grow like 1/(pole - t).
+The grid ends at most 99.9% of the way to the pole: nearer to it the
+closed form itself loses accuracy, about eps/|c| relative, and closer
+than about 1e-6 (1e-5 at R = 0.55) the rates' own rounding keeps the
+summed error estimates of the panels from meeting the tolerances, which
+ends in ToleranceError.
 
 The example count comes from the hypothesis profile (tests/conftest.py):
 15 by default, 150 with ``--hypothesis-profile=deep``.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,7 +46,7 @@ from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QuadratureConfig
                       QubitState, ThermalParams, combine_profiles, constant_profile,
                       cp_choi, cp_paper, integrate_me, integrate_profile,
                       ohmic_closed_form, ohmic_profile, thermal_closed_form,
-                      thermal_profile)
+                      thermal_profile, thermal_zeros)
 
 KERNELS = st.sampled_from(["paper", "literature"])
 
@@ -146,8 +152,8 @@ def test_vectorised_quadrature_matches_quadpack_per_interval(profile, t_max, n):
 @given(st.floats(0.01, 0.5, exclude_max=True), st.floats(0.0, 3.0), st.floats(0.01, 0.2),
        st.floats(0.5, 4.0), st.floats(0.5, 2.0), KERNELS, st.floats(0.5, 8.0),
        st.integers(9, 40))
-def test_g_from_the_panels_matches_the_closed_form_and_lsoda(R, N, alpha, s, omega_c,
-                                                             kernel, t_max, n):
+def test_g_from_the_panels_matches_the_closed_form(R, N, alpha, s, omega_c, kernel,
+                                                   t_max, n):
     thermal = ThermalParams(R=R, N=N)
     profile = combine_profiles(thermal_profile(thermal), ohmic_profile(
         OhmicParams(alpha=alpha, s=s, omega_c=omega_c, T=0.0, kernel=kernel)))
@@ -156,6 +162,17 @@ def test_g_from_the_panels_matches_the_closed_form_and_lsoda(R, N, alpha, s, ome
     g = np.array([c.g for c in integrate_profile(profile, times, cfg)])
     closed = thermal_closed_form(thermal, times)[1]
     assert np.all(np.abs(g - closed) <= 1e-12 * np.abs(closed))
-    forced = dataclasses.replace(profile, singular_points=tuple(times.tolist()))
-    ode = np.array([c.g for c in integrate_profile(forced, times, cfg)])
-    assert np.all(np.abs(g - ode) <= cfg.rel_tol * np.abs(ode) + cfg.abs_tol)
+
+
+@given(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, 3.0), st.floats(0.05, 0.999),
+       st.integers(2, 40))
+def test_bisection_toward_a_thermal_pole_matches_the_closed_form(R, N, reach, n):
+    # the first zero of c, where the rates have their first pole
+    pole = thermal_zeros(R, 2.0 * math.pi / math.sqrt(2.0 * R - 1.0))[0]
+    times = np.linspace(0.0, reach * pole, n)[1:]
+    thermal = ThermalParams(R=R, N=N)
+    got = integrate_profile(thermal_profile(thermal, t_max=times[-1]), times)
+    gamma, g = thermal_closed_form(thermal, times)
+    for name, closed in (("Gamma", gamma), ("g", g)):
+        route = np.array([getattr(c, name) for c in got])
+        assert np.all(np.abs(route - closed) <= 1e-12 * np.abs(closed)), name
