@@ -6,10 +6,11 @@ the dynamics is not CP-divisible.  This module localizes the maximal
 intervals where each rate is negative and scans parameterized families
 for the Markovian to non-Markovian crossover.
 
-A sign scan samples the rates on a grid and refines each sign change
-to 1e-10 in time: by Illinois regula falsi (``_illinois``) where the
-rate is smooth, about five calls per bracket of the T > 0 Ohmic rate,
-and by bisection (``_refine``, 24 to 27 calls) where it has a pole.
+A sign scan samples the rates on a grid, with two more samples beside
+each listed pole, and refines each sign change to 1e-10 in time by
+Illinois regula falsi (``_illinois``): about five calls per bracket of
+a smooth rate, none for a sign change across a pole, whose bracket the
+two samples beside it already make narrower than the target.
 """
 
 from __future__ import annotations
@@ -67,40 +68,11 @@ class NmReport:
         return min(starts) if starts else None
 
 
-def _refine(fn, lo, hi, neg_lo, tol):
-    """Locate the boundary of the predicate fn(t) < -tol inside each bracket
-    (lo, hi), where it holds at lo exactly where neg_lo does.
-
-    The refinement of the brackets of a rate with a pole (see
-    ``_rate_intervals``).  All brackets are bisected together, with one
-    call of fn on the array of their midpoints per step.  A bracket is
-    done once it is narrower than ``_TIME_ACCURACY``, or than the float
-    spacing at its upper end, which is wider from t = 2^19 (about 5.2e5)
-    on and would otherwise leave no float between its ends; its cut is
-    then its midpoint.  A non-finite midpoint counts as hi's side.
-    """
-    out = np.empty(lo.shape)
-    at = np.arange(lo.size)
-    limit = np.maximum(_TIME_ACCURACY, np.spacing(hi))
-    with np.errstate(all="ignore"):
-        while at.size:
-            mid = 0.5 * (lo + hi)
-            open_ = hi - lo > limit
-            if not open_.all():
-                out[at[~open_]] = mid[~open_]
-                lo, hi, neg_lo, limit, at = (x[open_] for x in (lo, hi, neg_lo, limit, at))
-                continue
-            v = fn(mid)
-            up = np.isfinite(v) & ((v < -tol) == neg_lo)
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-    return out
-
-
 def _illinois(fn, lo, hi, v_lo, v_hi, tol):
-    """Locate the boundary of fn(t) < -tol inside each bracket (lo, hi)
-    of a rate that is smooth there, from its finite values v_lo and v_hi
-    at the ends, which lie on either side of -tol.
+    """Locate the boundary of the predicate "fn(t) is finite and below
+    -tol" inside each bracket (lo, hi), from the values v_lo and v_hi of
+    fn at the ends, which lie on either side of it; a non-finite value
+    is passed as NaN and counts as not below.
 
     All brackets step together, with one call of fn on the array of their
     new points per step.  A step takes the secant point of the shifted
@@ -110,13 +82,17 @@ def _illinois(fn, lo, hi, v_lo, v_hi, tol):
     boundary.  The point is kept at least ``_END_STEP`` of the target
     from either end, so that once the secant has pinned the boundary
     next to one end, one step checks its other side and ends the
-    bracket.  A bracket bisects where the point is not inside it (after
-    a non-finite value, which counts as hi's side), and wherever only
-    bisection can still end it within ``_EXTRA_STEPS`` steps of
-    bisection's own count, which bounds every bracket by that count.
-    (Bisecting after each step that does not halve a bracket undoes the
-    halving: on Ohmic rates that took a median of 8 steps, not 5.)  The
-    stopping rule and the cut are ``_refine``'s.
+    bracket.  A bracket bisects where the point is not inside it (a NaN
+    at an end, or a non-finite value, which counts as hi's side), and
+    wherever only bisection can still end it within ``_EXTRA_STEPS``
+    steps of bisection's own count, which bounds every bracket by that
+    count.  (Bisecting after each step that does not halve a bracket
+    undoes the halving: on Ohmic rates that took a median of 8 steps,
+    not 5.)  A bracket is done once it is narrower than
+    ``_TIME_ACCURACY``, or than the float spacing at its upper end, which
+    is wider from t = 2^19 (about 5.2e5) on and would otherwise leave no
+    float between its ends; its cut is then its midpoint.  A bracket
+    that starts that narrow takes no call.
     """
     out = np.empty(lo.shape)
     at = np.arange(lo.size)
@@ -158,30 +134,27 @@ def _illinois(fn, lo, hi, v_lo, v_hi, tol):
     return out
 
 
-def _rate_intervals(fn, grid, vals, tol, poles):
-    """Negative intervals of one rate from its samples vals on grid.
+def _rate_intervals(fn, grid, vals, tol, plain):
+    """Negative intervals of one rate from its samples vals on grid, and
+    the times of its non-finite samples among the plain ones (those that
+    are not beside a pole).
 
-    If one of the rate's brackets holds a listed singular point (poles,
-    sorted) or has a non-finite sample at an end, all of them are
-    bisected (``_refine``); otherwise they take ``_illinois``.
+    The brackets of its sign changes all take ``_illinois``, with a
+    non-finite sample at an end passed as NaN.
     """
     finite = np.isfinite(vals)
     neg = finite & (vals < -tol)
     flips = np.flatnonzero(neg[1:] != neg[:-1]) + 1
-    lo, hi = grid[flips - 1], grid[flips]
-    if not flips.size:
-        cuts = []
-    elif (not (finite[flips - 1] & finite[flips]).all()
-          or (np.searchsorted(poles, lo) < np.searchsorted(poles, hi, "right")).any()):
-        cuts = _refine(fn, lo, hi, neg[flips - 1], tol).tolist()
-    else:
-        cuts = _illinois(fn, lo, hi, vals[flips - 1], vals[flips], tol).tolist()
+    cuts = []
+    if flips.size:
+        v_lo, v_hi = (np.where(finite[i], vals[i], np.nan) for i in (flips - 1, flips))
+        cuts = _illinois(fn, grid[flips - 1], grid[flips], v_lo, v_hi, tol).tolist()
     if neg[0]:
         cuts.insert(0, grid[0])
     if neg[-1]:
         cuts.append(grid[-1])
     intervals = [(float(a), float(b)) for a, b in zip(cuts[::2], cuts[1::2])]
-    return intervals, [float(t) for t in grid[~finite]]
+    return intervals, [float(t) for t in grid[~finite & plain]]
 
 
 def negative_intervals(
@@ -192,15 +165,16 @@ def negative_intervals(
 ) -> NmReport:
     """Sign-scan the three decay rates on a window.
 
-    The grid scan (2049 points by default, or the given resolution)
-    samples all rates in one ``profile.rates_on`` call and brackets each
-    sign change, which the refinement of all brackets of a rate together
-    then sharpens to 1e-10 in time: regula falsi where the rate is
-    smooth, bisection where a bracket of the rate holds a listed
-    singular point or a non-finite sample.  Listed singular points and
+    The grid scan (2049 points by default, or the given resolution,
+    plus a point a quarter of 1e-10 on either side of each listed
+    singular point in the window) samples all rates in one
+    ``profile.rates_on`` call and brackets each sign change, which
+    regula falsi on all brackets of a rate together then sharpens to
+    1e-10 in time (``_illinois``).  Listed singular points and
     non-finite samples are excluded from the sign logic and reported
-    separately; an interval opening at a rate divergence starts at the
-    divergence time itself.  A window beyond the profile's
+    separately, the samples beside a listed point as that point; an
+    interval opening at a rate divergence starts at the divergence time
+    itself.  A window beyond the profile's
     ``singular_reach``, a resolution that gives no finite grid count, or
     a tol outside 0 < tol < inf, NaN included, raises ValueError.
     """
@@ -219,12 +193,30 @@ def negative_intervals(
                          f"({t0:g}, {t1:g}) into a number of points that is not finite")
     n = max(math.ceil(spans) + 1, 3)
     grid = np.linspace(t0, t1, n)
+    singular = {s for s in profile.singular_points if t0 <= s <= t1}
+    plain = True
+    if singular:
+        # a quarter of the target on either side of each pole: a sign
+        # change across it is then bracketed however short the stretch
+        # it opens, in a bracket already narrower than the target
+        # (sorted and merged without a numpy sort, whose code pages add
+        # about 0.4 MB to a scan's peak RSS)
+        beside = []
+        for p in singular:
+            side = 0.25 * max(_TIME_ACCURACY, math.ulp(p))
+            beside += (p - side, p + side)
+        beside = np.array(sorted(t for t in beside if t0 < t < t1))
+        at = np.searchsorted(grid, beside) + np.arange(beside.size)
+        plain = np.ones(grid.size + beside.size, dtype=bool)
+        plain[at] = False
+        merged = np.empty(plain.size)
+        merged[at] = beside
+        merged[plain] = grid
+        grid = merged
 
     intervals = {}
-    singular = {s for s in profile.singular_points if t0 <= s <= t1}
-    poles = np.array(sorted(singular))
     for name, vals in zip(RATE_NAMES, profile.rates_on(grid)):
-        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol, poles)
+        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol, plain)
         intervals[name] = tuple(ivs)
         singular.update(bad_samples)
     verdict = (Verdict.NON_MARKOVIAN

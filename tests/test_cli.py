@@ -312,6 +312,15 @@ class TestScan:
         out = capsys.readouterr().out
         assert out.split("\n")[1].split(",")[5] == "Markovian"
 
+    def test_stretch_shorter_than_the_grid_spacing_opens_at_the_pole(self, capsys):
+        # at R = 0.5000001 gamma2 is negative on (14047.63, 14049.63) only,
+        # between two grid points 9.8 apart: it was reported Markovian
+        assert main(["scan", "--model", "thermal", "--param", "R", "--values", "0.5000001",
+                     "--t-max", "20000", "--out", "-"]) == EXIT_OK
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[5] == "NonMarkovian"
+        assert float(row[6]) == phasecov.thermal_zeros(0.5000001, 20000.0)[0]
+
     def test_ohmicity_crossover_verdicts(self, tmp_path):
         out = tmp_path / "s.csv"
         code = main(["scan", "--model", "ohmic", "--kernel", "literature",

@@ -9,7 +9,8 @@ from scipy.optimize import brentq
 
 from phasecov import (NmReport, OhmicParams, RateProfile, ThermalParams, Verdict,
                       constant_profile, cp_choi, crossover_scan, negative_intervals,
-                      nonmarkov, ohmic_profile, segment_coefficients, thermal_profile)
+                      nonmarkov, ohmic_profile, segment_coefficients, thermal_profile,
+                      thermal_zeros)
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -112,8 +113,10 @@ def test_tolerance_outside_zero_to_inf_is_refused(tol):
 
 def test_bisection_calls_each_rate_once_per_step():
     # R = 10 on [0, 12] has about 20 sign changes of gamma2, each bracket
-    # 12/2048 wide: one call samples the grid, then about 26 bisection
-    # steps call the rate once on the midpoints of all brackets
+    # 12/2048 wide: one call samples the grid and two points beside each
+    # pole, which close the brackets across a pole with no call, and
+    # regula falsi calls the rate once per step on one point in each of
+    # the others
     profile = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=12.0)
     calls = []
 
@@ -124,8 +127,45 @@ def test_bisection_calls_each_rate_once_per_step():
     rep = negative_intervals(dataclasses.replace(profile, gamma2=gamma2), (0.0, 12.0))
     assert len(rep.intervals["gamma2"]) >= 8
     assert all(isinstance(t, np.ndarray) for t in calls)
-    assert calls[0].size == 2049 and 1 + 20 <= len(calls) <= 1 + 30
+    assert calls[0].size == 2049 + 2 * len(profile.singular_points)
+    assert len(calls) <= 1 + 12
     assert rep == negative_intervals(profile, (0.0, 12.0))
+
+
+@pytest.mark.parametrize("t_max", [20000.0, 28095.3])
+def test_stretch_between_two_grid_points_opens_at_the_pole(t_max):
+    # at R = 0.5000001 gamma2 is negative on [tau_1, 2 pi/delta], about 2
+    # long, where the grid is 9.8 (t_max 20000) apart: it was missed
+    R = 0.5000001
+    profile = thermal_profile(ThermalParams(R=R, N=0.0), t_max=t_max)
+    rep = negative_intervals(profile, (0.0, t_max))
+    assert rep.verdict is Verdict.NON_MARKOVIAN
+    [(start, end)] = rep.intervals["gamma2"]
+    assert start == pytest.approx(thermal_zeros(R, t_max)[0], rel=0.0, abs=1e-10)
+    assert end == pytest.approx(2 * math.pi / math.sqrt(2 * R - 1), rel=0.0, abs=1e-10)
+
+
+def test_small_heating_rate_is_negative_next_to_the_pole():
+    # gamma1 = 4.4e-16 f is below -tol only where f < -2273, on 9e-4 after
+    # the pole at 3 pi/2, inside one grid step of 5/2048: it was missed
+    N, tol = 2.2e-16, 1e-12
+    profile = thermal_profile(ThermalParams(R=1.0, N=N), t_max=5.0)
+    rep = negative_intervals(profile, (0.0, 5.0), tol=tol)
+    [(start, end)] = rep.intervals["gamma1"]
+    assert start == pytest.approx(profile.singular_points[0], rel=0.0, abs=1e-10)
+    # at R = 1, f = 2 u/(1 + u) with u = tan(t/2), so 2N f = -tol at
+    # u = -tol/(4N + tol)
+    end_exact = 2 * (math.pi + math.atan(-tol / (4 * N + tol)))
+    assert end == pytest.approx(end_exact, rel=0.0, abs=1e-10)
+
+
+def test_non_finite_samples_beside_a_pole_are_not_singular_times():
+    # at R = 0.5 + 1e-9 the rate is non-finite within 8e-11 of the pole,
+    # so also at the two samples beside it: they belong to the pole
+    profile = thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0), t_max=2e5)
+    rep = negative_intervals(profile, (0.0, 2e5))
+    assert rep.singular_times == profile.singular_points
+    assert len(rep.singular_times) == 1
 
 
 def test_window_too_narrow_to_divide_is_scanned():
@@ -221,18 +261,39 @@ def _bisection_report(profile, t_max, tol=1e-12):
 
 @given(st.one_of(_THERMAL, _OHMIC))
 def test_report_matches_plain_bisection(case):
+    # every interval of the reference is found, to 1e-10; the samples
+    # beside a listed pole may also find a stretch that opens there and
+    # ends before the next grid point, which the reference misses
     profile, t_max = case
     report = negative_intervals(profile, (0.0, t_max))
     reference = _bisection_report(profile, t_max)
-    if profile.singular_points:
-        # a rate with a listed pole in a bracket is bisected as before
-        assert report == reference
-    assert report.verdict is reference.verdict
     assert report.singular_times == reference.singular_times
+    poles = np.array(profile.singular_points)
     for name in ("gamma1", "gamma2", "gamma3"):
-        assert len(report.intervals[name]) == len(reference.intervals[name])
-        np.testing.assert_allclose(report.intervals[name], reference.intervals[name],
-                                   rtol=0.0, atol=1e-10)
+        found = np.reshape(report.intervals[name], (-1, 2))
+        expected = np.reshape(reference.intervals[name], (-1, 2))
+        close = np.abs(found[:, None] - expected[None]).max(axis=2, initial=0.0) <= 1e-10
+        assert close.any(axis=0).all()
+        for start in found[~close.any(axis=1), 0]:
+            assert np.abs(poles - start).min(initial=math.inf) <= 1e-10
+
+
+@given(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, 3.0), st.floats(0.5, 20.0))
+def test_thermal_intervals_are_the_stretches_from_each_pole(R, N, t_max):
+    # f = -2 c'/c with c' proportional to -sin(delta t/2): gamma2 is
+    # negative exactly from each zero tau_k of c to 2 pi k/delta
+    mpmath = pytest.importorskip("mpmath")
+    rep = negative_intervals(thermal_profile(ThermalParams(R, N), t_max=t_max), (0.0, t_max))
+    expected = []
+    with mpmath.workdps(30):
+        delta = mpmath.sqrt(2 * mpmath.mpf(R) - 1)
+        k = 1
+        while (tau := 2 / delta * (k * mpmath.pi - mpmath.atan(delta))) < t_max:
+            expected.append((float(tau), float(min(2 * k * mpmath.pi / delta, t_max))))
+            k += 1
+    assert len(rep.intervals["gamma2"]) == len(expected)
+    np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
+                               np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
 
 
 def _counting(fn, calls):
@@ -267,6 +328,22 @@ def test_root_at_an_inflection_takes_at_most_a_few_steps_more_than_bisection():
     assert start == 0.0 and end == pytest.approx(1.0 - 1e-4, rel=0.0, abs=1e-10)
     bisection_steps = math.ceil(math.log2(2.5 / 2048 / 1e-10))
     assert len(calls) <= 1 + bisection_steps + nonmarkov._EXTRA_STEPS
+
+
+def test_unlisted_divergence_is_bisected():
+    # the grid sample at t = 1 is infinite, an end of the bracket where
+    # gamma3 = 1/(t - 1) stops being negative: a NaN end makes regula
+    # falsi bisect, as the reference does
+    calls = []
+    profile = RateProfile(gamma3=_counting(lambda t: 1.0 / (t - 1.0), calls))
+    rep = negative_intervals(profile, (0.0, 2.0))
+    count = len(calls)
+    reference = _bisection_report(profile, 2.0)
+    [(start, end)] = rep.intervals["gamma3"]
+    assert start == 0.0 and rep.singular_times == reference.singular_times == (1.0,)
+    assert end == pytest.approx(reference.intervals["gamma3"][0][1], rel=0.0, abs=1e-10)
+    bisection_steps = math.ceil(math.log2(2.0 / 2048 / 1e-10))
+    assert count <= 1 + bisection_steps + nonmarkov._EXTRA_STEPS
 
 
 class TestCrossover:
