@@ -13,6 +13,12 @@ deterministic formatting.  Exit codes: 0 success (and CP everywhere for
 cp-check), 1 bad usage or parameters, 2 I/O failure, 3 CP violation
 found.
 
+Options resolve as flags > --config FILE > defaults.  Each entry
+key: value of the file's JSON object is parsed as the option --key=value
+(t_max for --t-max) before the flags, with a flag's checks.  A key must
+be an option's exact name and a value a JSON number or string; a key
+that names only another command's option is ignored.
+
 The environment variable PHASECOV_TOL overrides the default verdict
 tolerance (margins and Choi eigenvalues count as non-negative above
 minus this value).
@@ -238,8 +244,6 @@ class RunConfig:
     out: str = _option("-", "output path, - for stdout")
 
     def validate(self):
-        if self.model not in MODELS:
-            raise UsageError(f"unknown model {self.model!r}")
         if self.steps < 2:
             raise UsageError("steps must be at least 2")
         # written so that NaN fails each comparison
@@ -457,107 +461,102 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     return EXIT_OK
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> set[str]:
-    """Add the options every subcommand takes, one per RunConfig field and
-    --config; return their dests.  They have no default of their own (see
-    build_parser), so an option left out keeps the RunConfig default."""
-    for f in fields(RunConfig):
-        kwargs = dict(f.metadata)
-        if isinstance(f.default, (int, float)):
-            kwargs["type"] = type(f.default)
-        p.add_argument("--" + f.name.replace("_", "-"), **kwargs)
-    p.add_argument("--config", help="JSON file with defaults for any option")
-    return {f.name for f in fields(RunConfig)}
+# each command: its help line, and its options besides the RunConfig fields
+_COMMANDS = {
+    "evolve": ("population and coherence over a time grid (CSV)", {}),
+    "cp-check": ("complete-positivity report over a time grid (JSON)",
+                 {"method": dict(choices=("paper", "choi", "both"), default="both")}),
+    "rates": ("decay rates over a time grid (CSV)", {}),
+    "scan": ("summary per value of a swept parameter (CSV)",
+             {"param": dict(required=True),
+              "values": dict(required=True, help="comma-separated parameter values")}),
+}
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The phasecov parser; ``config`` holds defaults for any option."""
+def build_parser() -> argparse.ArgumentParser:
+    """The phasecov parser, for the flags and the --config entries alike.
+
+    An entry key: value is parsed as the option --key=value (_ for -) of
+    the command, placed before the flags so that a flag wins.  The key
+    is an option's exact name, never a prefix, and the value a JSON
+    number or string; a key naming only another command's option is ignored.
+    """
     parser = _Parser(prog="phasecov", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("evolve", "population and coherence over a time grid (CSV)"),
-        ("cp-check", "complete-positivity report over a time grid (JSON)"),
-        ("rates", "decay rates over a time grid (CSV)"),
-        ("scan", "summary per value of a swept parameter (CSV)"),
-    ):
-        # no option has a default of its own: one left out is not in args
+    for name, (descr, options) in _COMMANDS.items():
+        # no option has a default of its own: one left out is not in args,
+        # and keeps its RunConfig default
         p = sub.add_parser(name, help=descr, argument_default=argparse.SUPPRESS)
-        dests = _add_model_args(p)
-        if name == "cp-check":
-            dests.add(p.add_argument("--method", choices=("paper", "choi", "both"),
-                                     default="both").dest)
-        if name == "scan":
-            dests.add(p.add_argument("--param", required=True).dest)
-            dests.add(p.add_argument("--values", required=True,
-                                     help="comma-separated parameter values").dest)
-        p.set_defaults(**{k: v for k, v in (config or {}).items() if k in dests})
+        for f in fields(RunConfig):
+            kwargs = dict(f.metadata)
+            if isinstance(f.default, (int, float)):
+                kwargs["type"] = type(f.default)
+            p.add_argument("--" + f.name.replace("_", "-"), **kwargs)
+        p.add_argument("--config", help="JSON file of option values, parsed before the flags")
+        for option, kwargs in options.items():
+            p.add_argument("--" + option, **kwargs)
     return parser
 
 
 @functools.cache
-def _default_parser() -> argparse.ArgumentParser:
-    """build_parser() without config defaults, built once per process."""
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process."""
     return build_parser()
 
 
-@functools.cache
-def _config_probe() -> argparse.ArgumentParser:
-    """A parser that reads only --config, built once per process."""
-    probe = _Parser(add_help=False)
-    probe.add_argument("--config")
-    return probe
-
-
-def _load_config(argv) -> dict:
-    """The option defaults in the --config JSON file named in argv, if any."""
-    known, _ = _config_probe().parse_known_args(argv)
-    if not known.config:
-        return {}
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed, with the entries of its --config file, if any, parsed as
+    options between the command name and the flags (see build_parser)."""
+    args = _parser().parse_args(argv)
+    if "config" not in args:
+        return args
+    own = {f.name for f in fields(RunConfig)} | _COMMANDS[args.command][1].keys()
     try:
-        with open(known.config) as fh:
+        with open(args.config) as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load config file: {exc}") from exc
-    if not isinstance(values, dict):
-        raise UsageError("config file must hold a JSON object")
-    return values
-
-
-def _config_from_args(args) -> RunConfig:
-    """The RunConfig of the options set by a flag or by --config; the
-    tolerance of neither comes from default_tolerance()."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if hasattr(args, f.name)}
-    if given.get("tol") is None:
-        given["tol"] = default_tolerance()
-    cfg = RunConfig(**given)
-    cfg.validate()
-    return cfg
+        if not isinstance(values, dict):
+            raise UsageError("it must hold a JSON object")
+        entries = []
+        for key, value in values.items():
+            if key not in own:
+                if any(key in options for _, options in _COMMANDS.values()):
+                    continue
+                raise UsageError(f"key {key!r} names no option (t_max names --t-max)")
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise UsageError(f"{key} is {json.dumps(value)}, not a number or a string")
+            entries.append(f"--{key.replace('_', '-')}={value}")
+        # the flags have parsed alone, so an error here is the file's
+        i = argv.index(args.command) + 1
+        return _parser().parse_args([*argv[:i], *entries, *argv[i:]])
+    except (OSError, ValueError, UsageError) as exc:
+        raise UsageError(f"config file {args.config}: {exc}") from exc
 
 
 def main(argv=None) -> int:
     argv = _join_negative_numbers(sys.argv[1:] if argv is None else argv)
     try:
-        config = _load_config(argv)
-        parser = build_parser(config) if config else _default_parser()
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        args = _parse(argv)
+        given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name in args}
+        # a tolerance set by neither a flag nor --config comes from the environment
+        if "tol" not in given:
+            given["tol"] = default_tolerance()
+        cfg = RunConfig(**given)
+        cfg.validate()
         if args.command == "evolve":
             return cmd_evolve(cfg)
         if args.command == "cp-check":
             return cmd_cp_check(cfg, args.method)
         if args.command == "rates":
             return cmd_rates(cfg)
-        if args.command == "scan":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError as exc:
-                raise UsageError(f"bad --values list: {exc}") from exc
-            if not values:
-                raise UsageError("--values must list at least one number")
-            return cmd_scan(cfg, args.param, values)
-        raise UsageError(f"unknown command {args.command!r}")
+        # scan
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad --values list: {exc}") from exc
+        if not values:
+            raise UsageError("--values must list at least one number")
+        return cmd_scan(cfg, args.param, values)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -509,6 +509,45 @@ class TestPlumbing:
             assert len(rows) == (4 if use_config else 200)
             assert float(rows[-1][0]) == (2.0 if use_config else 10.0)
 
+    @pytest.mark.parametrize("entries,message", [
+        ({"method": "bogus"}, "argument --method: invalid choice: 'bogus'"),
+        ({"steps": 4.0}, "argument --steps: invalid int value: '4.0'"),
+        ({"R": None}, "R is null, not a number or a string"),
+        ({"stepz": 4}, "key 'stepz' names no option"),
+        # never a prefix of --steps
+        ({"step": 4}, "key 'step' names no option"),
+    ])
+    def test_bad_config_entry_is_usage_error(self, tmp_path, capsys, entries, message):
+        # a CP-violating generator, whose report an entry once emptied (exit 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "cp.json"
+        assert main(["cp-check", "--model", "constant", "--g3=-0.1", "--steps", "3",
+                     "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: config file {cfg}: ")
+        assert message in err
+        assert not out.exists()
+
+    def test_config_entry_of_another_command_is_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "choi", "param": "R", "steps": "4"}))
+        argv = ["evolve", "--model", "thermal", "--out"]
+        assert main([*argv, str(tmp_path / "a.csv"), "--config", str(cfg)]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "b.csv"), "--steps", "4"]) == EXIT_OK
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+        _, rows = _read_csv(tmp_path / "a.csv")
+        assert len(rows) == 4
+
+    def test_numeric_out_entry_names_a_file(self, tmp_path):
+        # as --out 1 does; it once wrote to file descriptor 1 and closed it,
+        # so that the caller's next print failed
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": 1, "steps": 3}))
+        probe = _fresh_python(_OUT_PROBE, cwd=tmp_path)
+        assert probe == {"code": EXIT_OK}
+        header, rows = _read_csv(tmp_path / "1")
+        assert header == EVOLVE_HEADER and len(rows) == 3
+
     def test_env_var_overrides_default_tolerance(self, tmp_path, monkeypatch):
         # a huge tolerance makes the clearly violating map pass
         out = tmp_path / "cp.json"
@@ -585,10 +624,10 @@ class TestPlumbing:
 _PACKAGE_ROOT = str(Path(phasecov.__file__).resolve().parents[1])
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, cwd=None):
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
-                           *args], env=dict(os.environ, PYTHONPATH=path),
+                           *args], env=dict(os.environ, PYTHONPATH=path), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -601,6 +640,23 @@ phasecov.cli.build_parser()
 codes = [phasecov.cli.main(argv) for argv in json.loads(sys.argv[1])]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+_OUT_PROBE = """
+import json
+from phasecov.cli import main
+code = main(["evolve", "--model", "thermal", "--config", "cfg.json"])
+print(json.dumps({"code": code}))
+"""
+
+# build_parser wrapped to count its calls, before main first runs
+_PARSER_PROBE = """
+import json, sys
+import phasecov.cli
+built, build = [], phasecov.cli.build_parser
+phasecov.cli.build_parser = lambda *args: built.append(1) or build(*args)
+codes = [phasecov.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "built": len(built)}))
 """
 
 _SEAMS_PROBE = """
@@ -666,6 +722,14 @@ class TestColdStart:
         probe = _fresh_python(_CLI_PROBE, json.dumps(runs))
         assert probe["codes"] == expected
         assert probe["scipy"] == []
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 4}))
+        argv = ["evolve", "--model", "thermal", "--out", str(tmp_path / "out.csv")]
+        runs = [argv, [*argv, "--config", str(cfg)], argv, [*argv, "--config", str(cfg)]]
+        assert _fresh_python(_PARSER_PROBE, json.dumps(runs)) == {
+            "codes": [EXIT_OK] * 4, "built": 1}
 
     def test_first_integrator_calls_load_scipy_integrate(self):
         probe = _fresh_python(_SEAMS_PROBE)
