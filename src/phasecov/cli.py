@@ -9,7 +9,7 @@ scan      one summary row per value of a swept parameter as CSV
 
 All times are dimensionless (the thermal model's tau; w_c t for the
 dephasing model).  Curves go to CSV, verdict reports to JSON, both with
-deterministic formatting.  Exit codes: 0 success (and CP everywhere for
+deterministic formatting, written a block of rows at a time.  Exit codes: 0 success (and CP everywhere for
 cp-check), 1 bad usage or parameters, 2 I/O failure, 3 CP violation
 found.
 
@@ -153,11 +153,25 @@ def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
     return rates
 
 
+@functools.lru_cache(maxsize=1)
+def _ohmic_series(p: models.OhmicParams) -> models.OhmicSeries:
+    """The T > 0 series of p, kept for the next call: the grid and the
+    profile of one scan value share it."""
+    return models.OhmicSeries(p)
+
+
 def _ohmic_gamma_tilde(p: models.OhmicParams, times: np.ndarray) -> tuple[np.ndarray]:
     # the zero-T closed form, or at T > 0 the exact series
     if p.T == 0:
         return (models.ohmic_closed_form(p, times)[1],)
-    return (models.OhmicSeries(p).gamma_tilde(times),)
+    return (_ohmic_series(p).gamma_tilde(times),)
+
+
+def _ohmic_profile(p: models.OhmicParams, t_max: float) -> RateProfile:
+    # models.ohmic_profile, with the series that the grid uses
+    if p.T == 0:
+        return models.ohmic_profile(p)
+    return RateProfile(gamma3=_ohmic_series(p).rate)
 
 
 @dataclass(frozen=True)
@@ -190,7 +204,7 @@ _THERMAL = _Environment(
 _OHMIC = _Environment(
     ("s", "alpha", "omega_c", "T"),
     lambda cfg: models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),
-    lambda p, t_max: models.ohmic_profile(p), ("GammaTilde",), _ohmic_gamma_tilde)
+    _ohmic_profile, ("GammaTilde",), _ohmic_gamma_tilde)
 
 # each model by name, with the environments whose rates and coefficients it
 # adds up; their supplies do not overlap
@@ -325,19 +339,38 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_rows(header: str, columns) -> str:
-    """CSV text: the header, then one row per index of the columns, each
-    an array of floats or a list of its cells."""
-    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) else col
-             for col in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+# rows formatted and written at a time: the text of one block is all the
+# output that a run holds (256 to 512 rows measured fastest)
+_BLOCK_ROWS = 256
 
 
-def _blanked_cells(values: np.ndarray, blank: np.ndarray) -> list[str]:
-    """The repr of each value, or an empty cell where blank holds."""
+def _blocks(n: int):
+    """Slices of at most _BLOCK_ROWS rows that cover n rows in order."""
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _csv_rows(header: str, columns, blank=None):
+    """CSV text in chunks: the header, then one row per index of the
+    columns, each an array of floats or a sequence of its cells, one
+    block of rows per chunk.  blank, if given, holds for each column a
+    mask of the cells left empty, or None."""
+    yield header + "\n"
+    masks = [None] * len(columns) if blank is None else blank
+    for part in _blocks(len(columns[0])):
+        cells = [_cells(col[part], None if mask is None else mask[part])
+                 for col, mask in zip(columns, masks)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _cells(values, blank=None):
+    """The repr of each float of an array, or an empty cell where blank
+    holds; any other sequence is its own cells."""
+    if not isinstance(values, np.ndarray):
+        return values
     cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(blank).tolist():
-        cells[i] = ""
+    if blank is not None:
+        for i in np.flatnonzero(blank).tolist():
+            cells[i] = ""
     return cells
 
 
@@ -351,13 +384,40 @@ def _json_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
+def _json_report(report: dict, columns: dict):
+    """json.dumps(report, indent=2) + "\n" in chunks, with one entry per
+    index of the columns in its empty list "results", one block of
+    entries per chunk.
+
+    The pure-Python encoder that an indent selects would cost more than
+    the check, so the entries are formatted column by column in its
+    layout."""
+    head, tail = json.dumps(report, indent=2).split('"results": []')
+    entry = ("    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in columns)
+             + "\n    }")
+    yield head + '"results": [\n'
+    sep = ""
+    for part in _blocks(len(columns["t"])):
+        rows = zip(*(_json_cells(col[part]) for col in columns.values()))
+        yield sep + ",\n".join(entry % cells for cells in rows)
+        sep = ",\n"
+    yield "\n  ]" + tail + "\n"
+
+
+def _write_text(path: str, chunks) -> None:
+    """Write the chunks of text in order to path, or to stdout for -.
+
+    The commands pass generators that format one block of rows per
+    chunk, so a run holds its numeric arrays and one block of text,
+    never the whole output.  They call this once every number is
+    computed, so a run refused before then leaves no file.
+    """
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path == "-":
+            sys.stdout.writelines(chunks)
+        else:
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -405,15 +465,7 @@ def cmd_cp_check(cfg: RunConfig, method: str) -> int:
         "summary": {"all_cp": all_cp,
                     "first_violation_t": None if all_cp else float(c.t[np.argmin(ok)])},
     }
-    # the layout of json.dumps(report, indent=2), whose pure-Python
-    # encoder (the one an indent selects) would cost more than the check:
-    # the rows are formatted column by column and put in its empty list
-    entry = ("    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in columns)
-             + "\n    }")
-    rows = ",\n".join(entry % cells for cells in zip(*map(_json_cells, columns.values())))
-    text = json.dumps(report, indent=2).replace(
-        '"results": []', '"results": [\n' + rows + "\n  ]", 1)
-    _write_text(cfg.out, text + "\n")
+    _write_text(cfg.out, _json_report(report, columns))
     return EXIT_OK if all_cp else EXIT_VIOLATION
 
 
@@ -427,14 +479,14 @@ def cmd_rates(cfg: RunConfig) -> int:
         near_pole |= np.abs(times - s) <= dt / 2
     rates = profile.rates_on(times)
     blank = near_pole | ~np.isfinite(rates)
-    _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *map(_blanked_cells, rates, blank)]))
+    _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *rates], [None, *blank]))
     suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
     sidecar = json.dumps({"singular_times": singular,
                           "suppressed_rows": suppressed}, indent=2) + "\n"
     if cfg.out == "-":
         sys.stderr.write(sidecar)
     else:
-        _write_text(cfg.out + ".singularities.json", sidecar)
+        _write_text(cfg.out + ".singularities.json", [sidecar])
     return EXIT_OK
 
 
@@ -443,7 +495,7 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     if param not in used:
         raise UsageError(f"model {cfg.model!r} does not use parameter {param!r}; "
                          f"it uses {', '.join(used) or 'no scan parameter'}")
-    rows = [SCAN_HEADER]
+    rows = []
     for value in values:
         sub = replace(cfg, **{param: value})
         sub.validate()
@@ -452,12 +504,12 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
         report = nonmarkov.negative_intervals(
             _profile_for(sub), (0.0, sub.t_max), tol=sub.tol)
         first = report.first_negative
-        rows.append(",".join([
+        rows.append([
             param, _fmt(value), _fmt(stationary), _fmt(p1.max()),
             _fmt(p1.max() - stationary), report.verdict.value,
             "" if first is None else _fmt(first),
-        ]))
-    _write_text(cfg.out, "\n".join(rows) + "\n")
+        ])
+    _write_text(cfg.out, _csv_rows(SCAN_HEADER, list(zip(*rows))))
     return EXIT_OK
 
 

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phasecov
-from phasecov import cli, coeffs, markovian_coefficients
+from phasecov import cli, coeffs, markovian_coefficients, models
 from phasecov.cli import (EVOLVE_HEADER, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           EXIT_VIOLATION, MODELS, RATES_HEADER, SCAN_HEADER,
                           TOL_ENV_VAR, RunConfig, main)
@@ -204,6 +205,64 @@ def test_json_cells_are_spelled_as_json_dumps_spells_them():
     assert _json_cells(np.array([True, False])) == ["true", "false"]
 
 
+# step counts on each side of the output's block boundaries
+_BLOCK_STEPS = [2, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 3 * cli._BLOCK_ROWS + 7]
+# thermal poles, whose rates rows are blank, and dephasing at T > 0
+_BLOCK_MODEL = ["--model", "both", "--R", "10", "--N", "0.5", "--T", "0.3",
+                "--t-max", "4"]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("steps", _BLOCK_STEPS)
+    @pytest.mark.parametrize("method", ["both", "paper", "choi"])
+    def test_report_is_one_json_dumps_layout(self, tmp_path, capsys, method, steps):
+        out = tmp_path / "cp.json"
+        argv = ["cp-check", *_BLOCK_MODEL, "--method", method, "--steps", str(steps)]
+        code = main([*argv, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_VIOLATION)
+        text = out.read_text()
+        report = json.loads(text)
+        assert json.dumps(report, indent=2) + "\n" == text
+        assert [r["t"] for r in report["results"]] == np.linspace(0.0, 4.0, steps).tolist()
+        assert main([*argv, "--out", "-"]) == code
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("steps", _BLOCK_STEPS)
+    @pytest.mark.parametrize("command,header", [("evolve", EVOLVE_HEADER),
+                                                ("rates", RATES_HEADER)])
+    def test_csv_has_one_header_and_one_row_per_step(self, tmp_path, capsys, command,
+                                                     header, steps):
+        out = tmp_path / "out.csv"
+        argv = [command, *_BLOCK_MODEL, "--steps", str(steps)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        lines = text.split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        assert header not in lines[1:]
+        assert [float(line.split(",")[0]) for line in lines[1:-1]] == \
+            np.linspace(0.0, 4.0, steps).tolist()
+        assert all(line.count(",") == header.count(",") for line in lines[1:-1])
+        assert main([*argv, "--out", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("command,bound", [("cp-check", 1.0), ("evolve", 1.5)])
+def test_output_text_is_not_held_in_memory(tmp_path, command, bound):
+    # the text is written a block of rows at a time, so the run's heap
+    # peak is its numeric arrays and one block, not copies of the text
+    out = tmp_path / "out"
+    argv = [command, "--model", "both", "--steps", "20000", "--out", str(out)]
+    # lazy imports and caches are filled before the measured run
+    assert main(argv) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * out.stat().st_size
+
+
 class TestRates:
     def test_weak_coupling_rates_nonnegative(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -304,6 +363,16 @@ class TestScan:
         amp = _col(rows, 4)
         assert np.all(np.diff(amp) < 0)  # strictly decreasing in N
         assert all(r[5] == "NonMarkovian" for r in rows)
+
+    def test_ohmic_value_builds_one_series(self, tmp_path, monkeypatch):
+        # the GammaTilde grid and the sign scan's profile share one series
+        built, series = [], models.OhmicSeries
+        monkeypatch.setattr(models, "OhmicSeries", lambda p: built.append(p) or series(p))
+        cli._ohmic_series.cache_clear()
+        assert main(["scan", "--model", "ohmic", "--T", "0.5", "--param", "alpha",
+                     "--values", "0.05,0.1,0.2", "--steps", "50",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert [p.alpha for p in built] == [0.05, 0.1, 0.2]
 
     def test_window_too_narrow_to_divide(self, capsys):
         # t-max/2048 used to underflow to 0 in the sign scan: ZeroDivisionError
@@ -473,6 +542,22 @@ class TestPlumbing:
                      "--out", "/no/such/dir/x.csv"])
         assert code == EXIT_IO
         capsys.readouterr()
+
+    def test_reader_that_stops_early_is_io_error(self):
+        # the reader of stdout leaves after 10 bytes of a 1.8 MB output:
+        # the run fails loudly, not with exit 0 and a silently cut output
+        path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+        run_main = "import sys; from phasecov.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen([sys.executable, "-c", run_main, "evolve", "--model", "thermal",
+                                 "--steps", "20000", "--out", "-"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout.read(10) == EVOLVE_HEADER[:10].encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_IO
+        assert err == "error: cannot write -: [Errno 32] Broken pipe\n"
 
     def test_negative_number_in_scientific_notation(self, tmp_path):
         out = tmp_path / "ev.csv"
