@@ -410,10 +410,13 @@ def _write_text(path: str, chunks) -> None:
     The commands pass generators that format one block of rows per
     chunk, so a run holds its numeric arrays and one block of text,
     never the whole output.  They call this once every number is
-    computed, so a run refused before then leaves no file.
+    computed, so a run refused before then leaves no file.  With file
+    descriptor 1 closed, sys.stdout is None and - cannot be written.
     """
     try:
         if path == "-":
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
             sys.stdout.writelines(chunks)
         else:
             with open(path, "w") as fh:

@@ -158,15 +158,12 @@ class RateProfile:
     def rates_on(self, times) -> np.ndarray:
         """(gamma1, gamma2, gamma3, omega) on a grid, shape (4, len(times)).
 
-        Each callable is called once, on the whole grid, the same
-        read-only array for each, so that rates may share work through a
-        memo of it; a constant is broadcast over it.  numpy's
-        floating-point warnings are silenced, since a divergence is
-        reported by its non-finite value, and an exception from a
-        callable propagates.
+        Each callable is called once, on the whole grid; a constant is
+        broadcast over it.  numpy's floating-point warnings are silenced,
+        since a divergence is reported by its non-finite value, and an
+        exception from a callable propagates.
         """
         t = np.array(times, dtype=float)
-        t.flags.writeable = False
         out = np.empty((4, t.size))
         with np.errstate(all="ignore"):
             for row, fn in zip(out, (self.gamma1, self.gamma2, self.gamma3, self.omega)):

@@ -209,17 +209,20 @@ def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
 
 
 def _memory_rate(R: float):
-    """(tau, xp) -> amplitude_memory(R, tau).f, for one float tau >= 0 with
-    xp = math (bit for bit) or an ndarray of times with xp = numpy.
+    """f = amplitude_memory(R, tau).f as a rate callable: for one float
+    tau >= 0 bit for bit, or over an ndarray of times, with f = +inf at
+    the zeros of c.  A negative time raises ValueError, in an array too.
 
     The branch and its constants are fixed once per R, and no
     MemorySample is built, so that the integrators' rate callbacks do
-    only the arithmetic of f, each product once; f = +inf at the zeros
-    of c.  The caller checks the sign of tau.
+    only the type test, the sign test and the arithmetic of f, each
+    product once.
     """
     disc = 1.0 - 2.0 * R
     if abs(disc) <= _DEGENERATE_BAND:
-        def rate(tau, xp):
+        def rate(tau):
+            if (tau.min(initial=0.0) if type(tau) is np.ndarray else tau) < 0:
+                raise ValueError("tau must be non-negative")
             h = tau / 2
             return h / (1.0 + h)
         return rate
@@ -227,7 +230,10 @@ def _memory_rate(R: float):
         d = math.sqrt(disc)
         scale = 2 * R / d
 
-        def rate(tau, xp):
+        def rate(tau):
+            xp = np if type(tau) is np.ndarray else math
+            if (tau.min(initial=0.0) if xp is np else tau) < 0:
+                raise ValueError("tau must be non-negative")
             x = -d * tau
             em = -xp.expm1(x)
             return scale * em / (1 + xp.exp(x) + em / d)
@@ -236,7 +242,10 @@ def _memory_rate(R: float):
     half, scale = delta / 2, 2 * R / delta
     zero_band = _ZERO_BAND * math.hypot(1.0, 1.0 / delta)
 
-    def rate(tau, xp):
+    def rate(tau):
+        xp = np if type(tau) is np.ndarray else math
+        if (tau.min(initial=0.0) if xp is np else tau) < 0:
+            raise ValueError("tau must be non-negative")
         w = half * tau
         sin_w = xp.sin(w)
         bracket = xp.cos(w) + sin_w / delta
@@ -317,43 +326,14 @@ def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
 
     ``singular_points`` holds the zeros of c up to t_max, which is then
     the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
-    list is empty and the reach unbounded.
-
-    gamma1 and gamma2 share f through a one-entry memo of the last time
-    and its f, so that the two rates at one t cost one evaluation.  The
-    memo is kept by identity: every integrator callback hands both rates
-    the same float object, and ``RateProfile.rates_on`` the same array,
-    and a hit then costs no type test.  Only a read-only array is kept,
-    such as the one ``rates_on`` makes, since a writeable one may change
-    in place under the same identity.  A negative time raises
-    ValueError, in an array too: checked where f is computed, so a memo
-    hit is not checked again.
+    list is empty and the reach unbounded.  Each of gamma1 and gamma2
+    evaluates f (``_memory_rate``), which refuses a negative time.
     """
-    rate = _memory_rate(p.R)
+    f = _memory_rate(p.R)
     heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
-    last = (None, math.nan)
-
-    def _f(t):
-        nonlocal last
-        t_last, f = last
-        if t is not t_last:
-            if type(t) is np.ndarray:
-                if t.min(initial=0.0) < 0:
-                    raise ValueError("tau must be non-negative")
-                f = rate(t, np)
-                if t.flags.writeable:
-                    return f
-            elif t < 0:
-                raise ValueError("tau must be non-negative")
-            else:
-                f = rate(t, math)
-            # one tuple, so that a reader never pairs a t with another t's f
-            last = (t, f)
-        return f
-
     return RateProfile(
-        gamma1=_zero if p.N == 0 else (lambda t: heat * _f(t)),
-        gamma2=lambda t: loss * _f(t),
+        gamma1=_zero if p.N == 0 else (lambda t: heat * f(t)),
+        gamma2=lambda t: loss * f(t),
         singular_points=thermal_zeros(p.R, t_max),
         singular_reach=math.inf if p.R <= 0.5 else t_max,
     )

@@ -7,10 +7,13 @@ intervals where each rate is negative and scans parameterized families
 for the Markovian to non-Markovian crossover.
 
 A sign scan samples the rates on a grid, with two more samples beside
-each listed pole, and refines each sign change to 1e-10 in time by
-Illinois regula falsi (``_illinois``): about five calls per bracket of
-a smooth rate, none for a sign change across a pole, whose bracket the
-two samples beside it already make narrower than the target.
+each listed pole p, max(1e-10/4, ulp(p)) to either side, and refines
+each sign change to 1e-10 in time by Illinois regula falsi
+(``_illinois``): about five calls per bracket of a smooth rate, none
+for a sign change across a pole below 2^18, whose bracket the two
+samples beside it already make narrower than the target.  A sample
+beside a pole that reads non-finite moves 4 times farther out, at most
+halfway to its neighbouring grid point, until it reads finite.
 """
 
 from __future__ import annotations
@@ -166,15 +169,21 @@ def negative_intervals(
     """Sign-scan the three decay rates on a window.
 
     The grid scan (2049 points by default, or the given resolution,
-    plus a point a quarter of 1e-10 on either side of each listed
-    singular point in the window) samples all rates in one
+    plus a point max(1e-10/4, ulp(p)) on either side of each listed
+    singular point p in the window) samples all rates in one
     ``profile.rates_on`` call and brackets each sign change, which
     regula falsi on all brackets of a rate together then sharpens to
-    1e-10 in time (``_illinois``).  Listed singular points and
-    non-finite samples are excluded from the sign logic and reported
-    separately, the samples beside a listed point as that point; an
-    interval opening at a rate divergence starts at the divergence time
-    itself.  A window beyond the profile's
+    1e-10 in time (``_illinois``).  A sample beside a listed point that
+    reads non-finite in gamma1, gamma2 or gamma3 moves 4 times farther
+    out, at most halfway to its neighbouring grid point, and is sampled
+    again, in one ``rates_on`` call per move for all the samples that
+    move; a scan whose samples beside the poles read finite makes no
+    such call.
+    Listed singular points and non-finite samples are excluded from the
+    sign logic and reported separately, the samples beside a listed
+    point as that point; an interval opening at a rate divergence starts
+    at the divergence time itself, to within the target.  A window
+    beyond the profile's
     ``singular_reach``, a resolution that gives no finite grid count, or
     a tol outside 0 < tol < inf, NaN included, raises ValueError.
     """
@@ -196,16 +205,16 @@ def negative_intervals(
     singular = {s for s in profile.singular_points if t0 <= s <= t1}
     plain = True
     if singular:
-        # a quarter of the target on either side of each pole: a sign
-        # change across it is then bracketed however short the stretch
-        # it opens, in a bracket already narrower than the target
-        # (sorted and merged without a numpy sort, whose code pages add
-        # about 0.4 MB to a scan's peak RSS)
+        # a float spacing, at least a quarter of the target, on either
+        # side of each pole: a sign change across it is then bracketed
+        # however short the stretch it opens, below 2^18 in a bracket
+        # narrower than the target (sorted and merged without a numpy
+        # sort, whose code pages add about 0.4 MB to a scan's peak RSS)
         beside = []
         for p in singular:
-            side = 0.25 * max(_TIME_ACCURACY, math.ulp(p))
-            beside += (p - side, p + side)
-        beside = np.array(sorted(t for t in beside if t0 < t < t1))
+            side = max(0.25 * _TIME_ACCURACY, math.ulp(p))
+            beside += ((t, p) for t in (p - side, p + side) if t0 < t < t1)
+        beside, poles = np.array(sorted(beside)).reshape(-1, 2).T
         at = np.searchsorted(grid, beside) + np.arange(beside.size)
         plain = np.ones(grid.size + beside.size, dtype=bool)
         plain[at] = False
@@ -213,9 +222,27 @@ def negative_intervals(
         merged[at] = beside
         merged[plain] = grid
         grid = merged
+    rates = profile.rates_on(grid)
+    if singular:
+        # the thermal rate reads non-finite within about 3.6e-15/delta of
+        # a pole (R = 1/2 + delta^2/2), farther out than the first
+        # samples when R - 1/2 < 1e-8; stopping halfway to the outer
+        # neighbour keeps the grid sorted
+        out = np.sign(beside - poles)
+        side = np.abs(beside - poles)
+        reach = 0.5 * np.abs(np.where(out < 0, grid[at - 1], grid[at + 1]) - poles)
+        while True:
+            wider = np.minimum(4.0 * side, reach)
+            move = ~np.isfinite(rates[:3, at]).all(axis=0) & (wider > side)
+            if not move.any():
+                break
+            side[move] = wider[move]
+            moved = at[move]
+            grid[moved] = poles[move] + out[move] * side[move]
+            rates[:, moved] = profile.rates_on(grid[moved])
 
     intervals = {}
-    for name, vals in zip(RATE_NAMES, profile.rates_on(grid)):
+    for name, vals in zip(RATE_NAMES, rates):
         ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol, plain)
         intervals[name] = tuple(ivs)
         singular.update(bad_samples)

@@ -559,6 +559,18 @@ class TestPlumbing:
         assert proc.wait(timeout=120) == EXIT_IO
         assert err == "error: cannot write -: [Errno 32] Broken pipe\n"
 
+    def test_closed_stdout_is_io_error(self):
+        # with file descriptor 1 closed sys.stdout is None: this ended in an
+        # AttributeError traceback and exit 1
+        path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+        run_main = "import sys; from phasecov.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(["sh", "-c", '"$0" "$@" >&-', sys.executable, "-c", run_main,
+                               "evolve", "--model", "thermal", "--out", "-"],
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == "error: cannot write -: standard output is closed\n"
+
     def test_negative_number_in_scientific_notation(self, tmp_path):
         out = tmp_path / "ev.csv"
         assert main(["evolve", "--model", "constant", "--g1", "0.1", "--p1-0", "0.5",

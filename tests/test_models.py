@@ -174,32 +174,18 @@ class TestLeanRateCallbacks:
             factor = 2.0 * p.N if name == "gamma1" else 2.0 * (p.N + 1.0)
             assert getattr(prof, name)(t) == factor * amplitude_memory(p.R, t).f
 
-    def test_rates_on_evaluates_f_once(self, monkeypatch):
-        # gamma1 and gamma2 share f through the memo on rates_on's array too
-        evaluations = []
-        memory_rate = models._memory_rate
-
-        def counting(R):
-            rate = memory_rate(R)
-
-            def counted(tau, xp):
-                evaluations.append(tau)
-                return rate(tau, xp)
-            return counted
-
-        monkeypatch.setattr(models, "_memory_rate", counting)
+    def test_rates_on_scales_f_on_the_array(self):
+        # gamma1 = 2N f and gamma2 = 2(N+1) f bit for bit on rates_on's grid
+        f = models._memory_rate(0.3)
         prof = thermal_profile(ThermalParams(R=0.3, N=1.5))
         grid = np.linspace(0.0, 5.0, 101)
         rates = prof.rates_on(grid)
-        assert len(evaluations) == 1
-        f = memory_rate(0.3)(grid, np)
-        assert np.array_equal(rates[0], 3.0 * f) and np.array_equal(rates[1], 5.0 * f)
-        # a writeable array may change in place under its identity: never kept
+        assert np.array_equal(rates[0], 3.0 * f(grid)) and np.array_equal(rates[1], 5.0 * f(grid))
+        # an array changed in place between calls gives fresh values
         t = grid.copy()
         prof.gamma1(t)
         t += 1.0
-        assert np.array_equal(prof.gamma2(t), 5.0 * memory_rate(0.3)(t, np))
-        assert len(evaluations) == 3
+        assert np.array_equal(prof.gamma2(t), 5.0 * f(t))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 3.5])
@@ -228,7 +214,7 @@ class TestLeanRateCallbacks:
                     rate(t)
         with pytest.raises(ValueError, match="non-negative"):
             thermal.rates_on([-1.0])
-        # the refusal leaves nothing behind in the memo
+        # a refusal leaves the profile as it was
         grid = np.linspace(0.0, 2.0, 5)
         np.testing.assert_array_equal(
             thermal.rates_on(grid)[1],

@@ -132,17 +132,25 @@ def test_bisection_calls_each_rate_once_per_step():
     assert rep == negative_intervals(profile, (0.0, 12.0))
 
 
-@pytest.mark.parametrize("t_max", [20000.0, 28095.3])
-def test_stretch_between_two_grid_points_opens_at_the_pole(t_max):
+@pytest.mark.parametrize("R, t_max", [
+    pytest.param(0.5000001, 20000.0, id="20000.0"),
+    pytest.param(0.5000001, 28095.3, id="28095.3"),
+    # below R - 1/2 = 1e-8 the rate is non-finite within about
+    # 3.6e-15/delta of the pole, farther out than a quarter of 1e-10
+    # (8e-11 at 1e-9, 2.5e-9 at 1e-12), and past 2^18 a quarter of 1e-10
+    # rounded onto the pole: both samples beside it read non-finite, and
+    # these read Markovian
+    (0.5 + 1e-9, 1.97e5), (0.5 + 5e-9, 8.8e4), (0.5 + 1e-11, 1.5e6), (0.5 + 1e-12, 4.5e6)])
+def test_stretch_between_two_grid_points_opens_at_the_pole(R, t_max):
     # at R = 0.5000001 gamma2 is negative on [tau_1, 2 pi/delta], about 2
     # long, where the grid is 9.8 (t_max 20000) apart: it was missed
-    R = 0.5000001
     profile = thermal_profile(ThermalParams(R=R, N=0.0), t_max=t_max)
     rep = negative_intervals(profile, (0.0, t_max))
     assert rep.verdict is Verdict.NON_MARKOVIAN
     [(start, end)] = rep.intervals["gamma2"]
-    assert start == pytest.approx(thermal_zeros(R, t_max)[0], rel=0.0, abs=1e-10)
-    assert end == pytest.approx(2 * math.pi / math.sqrt(2 * R - 1), rel=0.0, abs=1e-10)
+    pole, stop = thermal_zeros(R, t_max)[0], 2 * math.pi / math.sqrt(2 * R - 1)
+    assert abs(start - pole) <= max(1e-10, 8 * math.ulp(pole))
+    assert abs(end - stop) <= max(1e-10, 8 * math.ulp(stop))
 
 
 def test_small_heating_rate_is_negative_next_to_the_pole():
@@ -161,11 +169,54 @@ def test_small_heating_rate_is_negative_next_to_the_pole():
 
 def test_non_finite_samples_beside_a_pole_are_not_singular_times():
     # at R = 0.5 + 1e-9 the rate is non-finite within 8e-11 of the pole,
-    # so also at the two samples beside it: they belong to the pole
+    # so also where the two samples beside it are first placed: they
+    # belong to the pole
     profile = thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0), t_max=2e5)
     rep = negative_intervals(profile, (0.0, 2e5))
     assert rep.singular_times == profile.singular_points
     assert len(rep.singular_times) == 1
+
+
+def test_stretches_from_poles_past_two_to_the_18_are_found():
+    # R = 1: gamma2 < 0 from each pole tau_k = 2 k pi - pi/2 for pi/2, a
+    # stretch the 50 wide grid steps cross; past 2^18 = 262144 the
+    # samples beside a pole used to round onto it, and 108 of the 478
+    # stretches were missed
+    t0, t1 = 2.6e5, 2.63e5
+    profile = thermal_profile(ThermalParams(R=1.0, N=0.0), t_max=t1)
+    poles = np.array([p for p in profile.singular_points if p >= t0])
+    assert (poles >= 2**18).sum() > 100
+    rep = negative_intervals(profile, (t0, t1), resolution=50.0)
+    found = np.reshape(rep.intervals["gamma2"], (-1, 2))
+    assert found.shape == (poles.size, 2)
+    accuracy = 8 * math.ulp(t1)
+    np.testing.assert_allclose(found[:, 0], poles, rtol=0.0, atol=accuracy)
+    np.testing.assert_allclose(found[:, 1], np.minimum(poles + math.pi / 2, t1),
+                               rtol=0.0, atol=accuracy)
+
+
+def test_finite_samples_beside_a_pole_take_no_extra_call():
+    calls = []
+    profile = RateProfile(gamma3=_counting(lambda t: 1.0 + 0.0 * t, calls),
+                          singular_points=(0.3, 0.6))
+    assert negative_intervals(profile, (0.0, 1.0)).verdict is Verdict.MARKOVIAN
+    assert [t.size for t in calls] == [2049 + 4]
+
+
+def test_sample_that_stays_non_finite_stops_halfway_to_its_neighbour():
+    # the rate is NaN within 1e-3 of the listed pole at 1, wider than half
+    # the grid step of 2/2048: the samples beside it move out 4 times
+    # farther per call, stop short of their neighbours and stay NaN
+    calls = []
+    profile = RateProfile(
+        gamma3=_counting(lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, 1.0 - t), calls),
+        singular_points=(1.0,))
+    rep = negative_intervals(profile, (0.0, 2.0))
+    moves = [t for t in calls[1:] if t.size == 2]
+    assert 10 <= len(moves) <= 13
+    assert np.all(np.abs(moves[-1] - 1.0) <= 0.5 * 2.0 / 2048)
+    [(start, end)] = rep.intervals["gamma3"]
+    assert 1.0 < start <= 1.0 + 2e-3 and end == 2.0
 
 
 def test_window_too_narrow_to_divide_is_scanned():
