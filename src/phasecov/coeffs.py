@@ -222,8 +222,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -290,50 +290,36 @@ _MAX_STEPS = 10**5
 _ODEINT_SUCCESS = "Integration successful."
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6):
-    """LSODA from t_span[0] to t_span[1] in one ODEPACK call (``odeint``).
+def solve_ivp(fun, t, y0, rtol, atol):
+    """LSODA through the times t in one ODEPACK call (``odeint``).
 
-    Called like scipy's ``solve_ivp`` with method="LSODA", it reports the
-    fields of that result which phasecov reads: ``t``, ``y``, ``success``,
-    ``message`` and ``nfev``.  ``fun(t, y)`` is sampled on t_span only (``tcrit`` at
-    its end), and ``.t`` holds the times of ``t_eval``, or the two ends
-    of t_span without it.  A failed pass has ``success`` False, and its
-    ``.t``/``.y`` run from t_span[0] to the time and state where it
-    stopped: ODEPACK's, with its message, or the first requested time at
-    which the state is not finite, or after ``_MAX_STEPS`` steps in one
-    interval of t_eval.  No solver warning is issued.
+    ``t`` is an array of at least two strictly increasing times, t[0]
+    the initial one; ``fun(t, y)`` is sampled on [t[0], t[-1]] only
+    (``tcrit`` at t[-1]).  Returns ``y``, the states at t as rows,
+    ``nfev``, and ``stop``: None when every state is reached and finite,
+    else the time and reason where the pass stopped, ODEPACK's or the
+    first time whose state is not finite, and ``y`` then ends with the
+    state there.  A pass stops after ``_MAX_STEPS`` steps between two
+    times.  No solver warning is issued.
     """
     from scipy.integrate import ODEintWarning, odeint
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    t = np.array([t0, t1] if t_eval is None else t_eval, dtype=float)
-    if t[0] < t0 or t[-1] > t1:
-        raise ValueError("t_eval must lie within t_span")
-    # odeint reports the initial time first
-    lead = t[0] != t0
-    if lead:
-        t = np.insert(t, 0, t0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
-        y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t1],
+        y, info = odeint(fun, y0, t, rtol=rtol, atol=atol, tcrit=[t[-1]],
                          mxstep=_MAX_STEPS, full_output=True, tfirst=True)
-    nfe, message = info["nfe"], info["message"]
-    failed = t.size > 1 and message != _ODEINT_SUCCESS
-    if failed:
+    nfe, message, stop = info["nfe"], info["message"], None
+    if message != _ODEINT_SUCCESS:
         # the call stopped in the first interval whose end it did not reach
         # (the last one also when a snap to tcrit left its tn a hair short);
         # that row holds where it stopped, and the rows after it are unset
         short = np.flatnonzero(~(info["tcur"] >= t[1:]))
         k = int(short[0]) if short.size else t.size - 2
         t, y, nfe = np.append(t[:k + 1], info["tcur"][k]), y[:k + 2], nfe[:k + 1]
+        stop = (float(t[-1]), message)
     bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
     if bad.size:
-        k = int(bad[0])
-        t, y, message = t[:k + 1], y[:k + 1], "the state is not finite"
-    success = not (failed or bad.size)
-    if lead and success:
-        t, y = t[1:], y[1:]
-    return SimpleNamespace(t=t, y=y.T, success=success, message=message,
-                           nfev=int(nfe[-1]) if nfe.size else 0)
+        y, stop = y[:bad[0] + 1], (float(t[bad[0]]), "the state is not finite")
+    return SimpleNamespace(y=y, nfev=int(nfe[-1]), stop=stop)
 
 
 def _quad(func, a, b, cfg, **weight):
@@ -618,12 +604,13 @@ def _accumulate(profile, start, times, cfg):
 
 
 def _validate_times(times):
-    ts = [float(t) for t in times]
-    if not ts:
-        raise ValueError("times must be non-empty")
-    if ts[0] < 0 or not all(math.isfinite(t) for t in ts):
+    """The times as a float array, if non-empty, finite, >= 0 and increasing."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or not ts.size:
+        raise ValueError("times must be a non-empty sequence")
+    if not (ts[0] >= 0 and np.isfinite(ts).all()):
         raise ValueError("times must be finite and non-negative")
-    if any(b <= a for a, b in zip(ts[:-1], ts[1:])):
+    if not (ts[1:] > ts[:-1]).all():
         raise ValueError("times must be strictly increasing")
     return ts
 
@@ -646,7 +633,7 @@ def integrate_profile(
     control cannot be met (for example at a rate divergence).
     """
     cfg = cfg or QuadratureConfig()
-    ts = _validate_times(times)
+    ts = _validate_times(times).tolist()
     profile.check_reach(ts[-1])
     return _accumulate(profile, 0.0, ts, cfg)
 
@@ -711,7 +698,9 @@ def piecewise_linear_coefficients(nodes, rates, times) -> CoefficientSet:
     ``rates`` holds (gamma1, gamma2, gamma3, omega) at the ``nodes``,
     shape (4, len(nodes)), interpolated as ``np.interp`` does; ``times``
     is a strictly increasing grid from t >= 0.  Returns the
-    CoefficientSet of arrays over ``times``.  No quadrature routine is
+    CoefficientSet of arrays over ``times``.  Nodes that are not finite
+    and strictly increasing, or rates that are not finite or not of that
+    shape, raise ValueError.  No quadrature routine is
     called: on the union of the nodes, the grid and the zeros of
     a = (gamma1 + gamma2)/2 every rate is linear, so
 
@@ -728,7 +717,11 @@ def piecewise_linear_coefficients(nodes, rates, times) -> CoefficientSet:
     """
     nodes = np.asarray(nodes, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    t = np.asarray(_validate_times(times))
+    if not (nodes.ndim == 1 and np.isfinite(nodes).all() and (nodes[1:] > nodes[:-1]).all()):
+        raise ValueError("table nodes must be finite and strictly increasing")
+    if rates.shape != (4, nodes.size) or not np.isfinite(rates).all():
+        raise ValueError(f"table rates must be finite, of shape (4, {nodes.size})")
+    t = _validate_times(times)
     inner = nodes[(nodes > 0.0) & (nodes < t[-1])]
     u = np.union1d(np.append(t, 0.0), inner)
     a = 0.5 * (np.interp(u, nodes, rates[0]) + np.interp(u, nodes, rates[1]))

@@ -27,10 +27,10 @@ Quantum Systems*, 2002), and written out, on first use for each pattern
 of rates that are not ``_zero``, as one straight-line right-hand side
 that calls those rates and adds their rate-weighted terms in float
 arithmetic; ``liouvillian`` stays as the 2x2 form.  The whole
-integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``), with
-``tcrit`` at t_end so that no rate is sampled past it; a solver failure,
-or a reported state that is not finite, raises :class:`IntegrationError`
-naming the time.
+integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``) from 0
+through every requested time, with ``tcrit`` at the last of them so that
+no rate is sampled past it; a solver failure, or a reported state that
+is not finite, raises :class:`IntegrationError` naming the time.
 Profiles with a rate singularity inside the integration window are
 refused: the generator diverges there even though the map stays finite,
 and the closed-form route is the authority across such points.
@@ -39,10 +39,11 @@ and the closed-form route is the authority across such points.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .coeffs import RateProfile, _zero, solve_ivp
+from .coeffs import RateProfile, _validate_times, _zero, solve_ivp
 
 __all__ = [
     "IntegrationError",
@@ -58,6 +59,10 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 # the smallest relative tolerance that integrate_me passes to LSODA
 _MIN_RTOL = 100 * np.finfo(float).eps
+# the least time past 0 that integrate_me reports: below about 1e-150,
+# LSODA's first step, and its sign tests on products of step and time
+# differences, underflow, and the pass fails or reads NaN
+_MIN_TIME = 1e-100
 
 
 class IntegrationError(RuntimeError):
@@ -188,13 +193,17 @@ def integrate_me(
     rho0 : array_like
         Valid 2x2 density matrix at t = 0.
     t_end : float
-        Final time.
+        Final time, 0 <= t_end < inf.  A requested time in (0, 1e-100),
+        t_end or in t_eval, raises ValueError.
     rtol, atol : float
         Local error control of LSODA, which switches between non-stiff
-        Adams and stiff BDF steps as the rates require.  An rtol below
-        100 machine epsilons raises ValueError.
+        Adams and stiff BDF steps as the rates require.  An rtol outside
+        [100 machine epsilons, inf), NaN included, or an atol that is not
+        finite raises ValueError.
     t_eval : sequence of float, optional
-        Report the state at these times instead of only at t_end.
+        Report the state at these times instead of only at t_end: a
+        non-empty, finite, non-negative and strictly increasing sequence,
+        as ``integrate_profile`` takes, that ends at or before t_end.
 
     Returns
     -------
@@ -202,11 +211,19 @@ def integrate_me(
         2x2 state at t_end, or an array of shape (len(t_eval), 2, 2).
     """
     rho0 = validate_density_matrix(rho0)
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and non-negative")
     # ODEPACK reports a far smaller rtol only as "illegal input"
-    if not rtol >= _MIN_RTOL:
-        raise ValueError(f"rtol = {rtol:g} is below 100 machine epsilons ({_MIN_RTOL:.3g})")
+    if not _MIN_RTOL <= rtol < math.inf:
+        raise ValueError(f"rtol = {rtol:g} is below 100 machine epsilons "
+                         f"({_MIN_RTOL:.3g}) or not finite")
+    if not math.isfinite(atol):
+        raise ValueError(f"atol = {atol:g} is not finite")
+    times = np.array([t_end], dtype=float) if t_eval is None else _validate_times(t_eval)
+    if times[-1] > t_end:
+        raise ValueError(f"t_eval ends at {times[-1]:g}, after t_end = {t_end:g}")
+    if np.any((times > 0.0) & (times < _MIN_TIME)):
+        raise ValueError(f"times in (0, {_MIN_TIME:g}) are too near 0 for LSODA")
     profile.check_reach(t_end)
     for s in profile.singular_points:
         if 0.0 <= s <= t_end:
@@ -214,23 +231,15 @@ def integrate_me(
                 f"rate singularity at t = {s:g} inside [0, {t_end:g}]; "
                 "use the closed-form route across singular generators")
 
-    if t_end == 0.0:
-        if t_eval is None:
-            return rho0.copy()
-        return np.array([rho0.copy() for _ in t_eval])
-
-    rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
-    rhs = _compiled_rhs(tuple(r is not _zero for r in rates))(
-        *(r for r in rates if r is not _zero))
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        _pack(rho0),
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"integration failed at t = {sol.t[-1]:g}: {sol.message}")
-    return _unpack(sol.y[:, -1] if t_eval is None else sol.y)
+    y = np.tile(_pack(rho0), (times.size, 1))
+    if times[-1] > 0.0:
+        rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
+        rhs = _compiled_rhs(tuple(r is not _zero for r in rates))(
+            *(r for r in rates if r is not _zero))
+        t = times if times[0] == 0.0 else np.insert(times, 0, 0.0)
+        sol = solve_ivp(rhs, t, y[0], rtol, atol)
+        if sol.stop is not None:
+            raise IntegrationError("integration failed at t = {:g}: {}".format(*sol.stop))
+        y = sol.y[t.size - times.size:]
+    states = _unpack(y.T)
+    return states[0] if t_eval is None else states

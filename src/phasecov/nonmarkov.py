@@ -74,8 +74,10 @@ class NmReport:
 def _illinois(fn, lo, hi, v_lo, v_hi, tol):
     """Locate the boundary of the predicate "fn(t) is finite and below
     -tol" inside each bracket (lo, hi), from the values v_lo and v_hi of
-    fn at the ends, which lie on either side of it; a non-finite value
-    is passed as NaN and counts as not below.
+    fn at the ends, which lie on either side of it.  A non-finite value
+    counts as not below, at an end (passed as NaN) and at a new point
+    alike, so a boundary next to a non-finite band is found where the
+    finite values below -tol end, whichever side the band lies on.
 
     All brackets step together, with one call of fn on the array of their
     new points per step.  A step takes the secant point of the shifted
@@ -86,10 +88,9 @@ def _illinois(fn, lo, hi, v_lo, v_hi, tol):
     from either end, so that once the secant has pinned the boundary
     next to one end, one step checks its other side and ends the
     bracket.  A bracket bisects where the point is not inside it (a NaN
-    at an end, or a non-finite value, which counts as hi's side), and
-    wherever only bisection can still end it within ``_EXTRA_STEPS``
-    steps of bisection's own count, which bounds every bracket by that
-    count.  (Bisecting after each step that does not halve a bracket
+    at an end, where a non-finite value was kept), and wherever only
+    bisection can still end it within ``_EXTRA_STEPS`` steps of
+    bisection's own count, which bounds every bracket by that count.  (Bisecting after each step that does not halve a bracket
     undoes the halving: on Ohmic rates that took a median of 8 steps,
     not 5.)  A bracket is done once it is narrower than
     ``_TIME_ACCURACY``, or than the float spacing at its upper end, which
@@ -125,7 +126,7 @@ def _illinois(fn, lo, hi, v_lo, v_hi, tol):
                 t = np.where(bisect, 0.5 * (lo + hi), t)
             v = fn(t)
             g = v + tol
-            up = np.isfinite(v) & ((g < 0) == neg_lo)
+            up = (np.isfinite(v) & (g < 0)) == neg_lo
             keep = np.where(bisect, 0.0, np.where(up, 1.0, -1.0))
             twice = keep * kept > 0
             g_lo = np.where(up, g, np.where(twice, 0.5 * g_lo, g_lo))

@@ -54,6 +54,9 @@ def test_times_must_increase():
         integrate_profile(RateProfile(), [-1.0, 1.0])
     with pytest.raises(ValueError):
         integrate_profile(RateProfile(), [])
+    for times in ([[1.0, 2.0]], 1.0, [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="times must be"):
+            integrate_profile(RateProfile(), times)
 
 
 def test_singular_crossing_raises_tolerance_error():
@@ -181,6 +184,12 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-9)
+    # NaN and inf used to pass: rel_tol = NaN ended in a misleading
+    # "quadrature did not converge", and rel_tol = inf was taken
+    for bad in (math.nan, math.inf):
+        for field in ("rel_tol", "abs_tol"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                QuadratureConfig(**{field: bad})
 
 
 def _tabulated(tmp_path):
@@ -525,33 +534,44 @@ def test_integer_window_ends_are_taken_as_times():
     assert segment_coefficients(prof, 0, 2).GammaTilde == pytest.approx(exact(2.0), rel=1e-10)
 
 
-def test_ode_seam_is_one_lsoda_pass_shaped_like_solve_ivp():
+def test_ode_seam_is_one_lsoda_pass_through_its_times():
+    sampled = []
+
     def rhs(t, y):
+        sampled.append(t)
         return [-0.5 * y[0], 0.25]
 
-    sol = coeffs.solve_ivp(rhs, (0.5, 2.0), [1.0, 0.0], t_eval=[1.0, 1.5, 2.0],
-                           rtol=1e-12, atol=1e-14)
-    assert sol.success and sol.nfev > 0
-    np.testing.assert_array_equal(sol.t, [1.0, 1.5, 2.0])
-    np.testing.assert_allclose(sol.y[0], np.exp(-0.5 * (sol.t - 0.5)), rtol=1e-10)
-    np.testing.assert_allclose(sol.y[1], 0.25 * (sol.t - 0.5), rtol=1e-10)
-    # without t_eval it reports both ends; t_eval may start at t_span[0]
-    sol = coeffs.solve_ivp(rhs, (0.5, 2.0), [1.0, 0.0], rtol=1e-12, atol=1e-14)
-    np.testing.assert_array_equal(sol.t, [0.5, 2.0])
-    sol = coeffs.solve_ivp(rhs, (0.5, 2.0), [1.0, 0.0], t_eval=[0.5, 2.0])
-    np.testing.assert_array_equal(sol.y[:, 0], [1.0, 0.0])
-    # a failed pass ends where ODEPACK stopped, with its message, and warns not
+    # t[0] is the initial time, and LSODA never steps past t[-1]
+    t = np.array([0.5, 1.0, 1.5, 2.0])
+    sol = coeffs.solve_ivp(rhs, t, [1.0, 0.0], 1e-12, 1e-14)
+    assert sol.stop is None and sol.nfev == len(sampled) > 0
+    assert sol.y.shape == (4, 2) and max(sampled) <= 2.0
+    np.testing.assert_array_equal(sol.y[0], [1.0, 0.0])
+    np.testing.assert_allclose(sol.y[:, 0], np.exp(-0.5 * (t - 0.5)), rtol=1e-10)
+    np.testing.assert_allclose(sol.y[:, 1], 0.25 * (t - 0.5), rtol=1e-10)
+    assert set(vars(sol)) == {"y", "nfev", "stop"}
+
+    # a failed pass stops where ODEPACK stopped, with its message, and
+    # warns not; the rows up to there are kept
     def diverges(t, y):
         return [math.inf if t >= 1.2 else -y[0]]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = coeffs.solve_ivp(diverges, (0.0, 3.0), [1.0], t_eval=[0.5, 1.0, 2.0, 3.0])
-    assert not sol.success and "successful" not in sol.message
-    assert sol.t[:3].tolist() == [0.0, 0.5, 1.0] and 1.0 < sol.t[-1] <= 1.2
-    assert sol.y.shape == (1, 4) and sol.nfev > 0
-    with pytest.raises(ValueError, match="t_span"):
-        coeffs.solve_ivp(rhs, (0.5, 2.0), [1.0, 0.0], t_eval=[1.0, 2.5])
+        sol = coeffs.solve_ivp(diverges, np.array([0.0, 0.5, 1.0, 2.0, 3.0]), [1.0],
+                               1e-10, 1e-12)
+    time, reason = sol.stop
+    assert 1.0 < time <= 1.2 and "successful" not in reason
+    assert sol.y.shape == (4, 1) and sol.nfev > 0
+    np.testing.assert_allclose(sol.y[:3, 0], np.exp(-np.array([0.0, 0.5, 1.0])), rtol=1e-8)
+
+    # a state that is not finite stops it at the first time that reports one
+    def lost(t, y):
+        return [-y[0] if t <= 1.0 else math.nan]
+
+    sol = coeffs.solve_ivp(lost, np.array([0.0, 0.5, 2.0, 3.0]), [1.0], 1e-10, 1e-12)
+    assert sol.stop == (2.0, "the state is not finite")
+    assert sol.y.shape == (3, 1) and np.isnan(sol.y[-1, 0])
 
 
 def _random_table(seed, nodes=41, t_end=10.0, lo=-0.6, hi=2.0):
@@ -640,3 +660,23 @@ def test_piecewise_linear_route_between_and_beyond_the_nodes():
     for name in ("Gamma", "GammaTilde", "Omega", "g"):
         np.testing.assert_allclose(getattr(got, name), getattr(ref, name)[at],
                                    rtol=1e-13, atol=1e-15)
+
+
+def test_piecewise_linear_route_refuses_a_bad_table():
+    # np.interp needs increasing nodes: the same table in the node order
+    # (0, 2, 1) gave Gamma(2) = 0.675, against 0.775 from the sorted one
+    nodes, rates = np.array([0.0, 1.0, 2.0]), np.array([[0.1, 0.3, 0.5], [0.2, 0.4, 0.9],
+                                                         [0.0] * 3, [0.0] * 3])
+    times = [1.0, 2.0]
+    assert piecewise_linear_coefficients(nodes, rates, times).Gamma[-1] == \
+        pytest.approx(0.775, rel=1e-14)
+    nan_rates = rates.copy()
+    nan_rates[1, 1] = math.nan
+    for table, message in (((nodes[[0, 2, 1]], rates[:, [0, 2, 1]]), "strictly increasing"),
+                           (([0.0, 1.0, 1.0], rates), "strictly increasing"),
+                           (([0.0, math.nan, 2.0], rates), "strictly increasing"),
+                           ((nodes, nan_rates), "rates must be finite"),
+                           ((nodes, rates[:, :2]), r"shape \(4, 3\)"),
+                           ((nodes, rates[:3]), r"shape \(4, 3\)")):
+        with pytest.raises(ValueError, match=message):
+            piecewise_linear_coefficients(*table, times)

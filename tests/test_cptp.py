@@ -248,6 +248,15 @@ class TestShortTime:
         assert rep.ok == (True, True, False)
         assert not rep.all_ok
 
+    def test_rate_unreadable_at_zero_is_indeterminate(self):
+        # a rate that raises at t = 0, and one that reads NaN there
+        rep = short_time_check(RateProfile(gamma1=lambda t: math.log(t)))
+        assert rep.indeterminate == (True, False, False) and math.isnan(rep.values[0])
+        assert rep.ok == (False, True, True) and not rep.all_ok
+        rep = short_time_check(constant_profile(gamma3=math.nan))
+        assert rep.indeterminate == (False, False, True) and math.isnan(rep.values[2])
+        assert rep.ok == (True, True, False) and not rep.all_ok
+
     def test_singular_origin_is_indeterminate(self):
         prof = RateProfile(singular_points=(0.0,))
         rep = short_time_check(prof)

@@ -14,6 +14,7 @@ from phasecov import (IntegrationError, OhmicParams, QubitState,
                       constant_profile, evolve_state, integrate_me,
                       integrate_profile, liouvillian, markovian_coefficients,
                       ohmic_profile, thermal_profile)
+from phasecov import mesolve
 from phasecov.mesolve import (_affine_terms, _compiled_rhs, _pack, _unpack,
                               validate_density_matrix)
 
@@ -124,6 +125,54 @@ def test_input_validation():
 
 def test_zero_time_returns_input():
     assert np.array_equal(integrate_me(RateProfile(), RHO0, 0.0), RHO0)
+
+
+def test_times_are_checked_once():
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+    # a NaN t_end ended in scipy's "must be monotonically increasing", an
+    # infinite one in "integration failed at t = inf"
+    for t_end in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="t_end must be finite and non-negative"):
+            integrate_me(prof, RHO0, t_end)
+    # t_eval meets integrate_profile's rule; [] ended in an IndexError
+    for t_eval in ([], [1.0, 0.5], [0.5, 0.5], [-0.5, 1.0], [0.5, math.nan], [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="times must be"):
+            integrate_me(prof, RHO0, 3.0, t_eval=t_eval)
+    # and ends by t_end: at t_end = 0, [0.5] gave rho0 as the state at 0.5
+    for t_end, t_eval in ((0.0, [0.5]), (3.0, [1.0, 3.5])):
+        with pytest.raises(ValueError, match="t_eval ends at .*, after t_end"):
+            integrate_me(prof, RHO0, t_end, t_eval=t_eval)
+    # LSODA's steps underflow below about 1e-150 (t_end = 1e-200 read "the
+    # state is not finite"); the floor of 1e-100 keeps a margin, and is reached
+    for t_end, t_eval in ((1e-200, None), (3.0, [1e-300, 3.0]), (3.0, [0.0, 5e-101])):
+        with pytest.raises(ValueError, match=r"times in \(0, 1e-100\) are too near 0"):
+            integrate_me(prof, RHO0, t_end, t_eval=t_eval)
+    assert np.isfinite(integrate_me(prof, RHO0, 3.0, t_eval=[1e-100, 3.0])).all()
+
+
+def test_states_at_zero_take_no_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LSODA called")
+
+    monkeypatch.setattr(mesolve, "solve_ivp", refuse)
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+    for t_end in (0.0, 2.0):
+        states = integrate_me(prof, RHO0, t_end, t_eval=[0.0])
+        assert states.shape == (1, 2, 2) and np.array_equal(states[0], RHO0)
+
+
+def test_grid_may_start_after_zero_and_end_before_t_end():
+    # the pass starts at 0 however t_eval starts, and stops at its end
+    prof = constant_profile(0.2, 0.6, 0.1, 0.5)
+    t_eval = np.array([0.7, 1.3, 2.0])
+    states = integrate_me(prof, RHO0, 3.0, t_eval=t_eval)
+    assert np.array_equal(states, integrate_me(prof, RHO0, 2.0, t_eval=t_eval))
+    assert np.array_equal(states,
+                          integrate_me(prof, RHO0, 2.0, t_eval=np.append(0.0, t_eval))[1:])
+    c = markovian_coefficients(0.2, 0.6, 0.1, 0.5, t_eval)
+    s0 = QubitState.from_density_matrix(RHO0)
+    assert np.abs(states[:, 0, 0].real - (c.decay * s0.P1 + c.g)).max() <= 1e-8
+    assert np.abs(states[:, 0, 1] - s0.alpha * c.kappa).max() <= 1e-8
 
 
 def test_affine_right_hand_side_equals_the_liouvillian():
@@ -241,6 +290,18 @@ def test_rtol_below_100_epsilons_is_refused(rtol):
     with pytest.raises(ValueError, match="rtol = .* is below 100 machine epsilons"):
         integrate_me(prof, RHO0, 3.0, rtol=rtol, atol=rtol)
     integrate_me(prof, RHO0, 3.0, rtol=100 * np.finfo(float).eps, atol=1e-20)
+
+
+@pytest.mark.parametrize("rtol, atol", [(math.inf, 1e-12), (1e-10, math.nan),
+                                        (1e-10, math.inf), (1e-10, -math.inf)])
+def test_tolerances_that_are_not_finite_are_refused(rtol, atol):
+    # rtol = inf and atol NaN or inf returned a state with no error, 8.0e-3
+    # and 3.1e-3 from the closed form, against 9.8e-13 at the defaults;
+    # ODEPACK took atol = -inf for an internal error
+    prof = constant_profile(0.1, 0.2, 0.05, 0.3)
+    rho0 = QubitState(0.6, 0.1).density_matrix
+    with pytest.raises(ValueError, match="is not finite|or not finite"):
+        integrate_me(prof, rho0, 3.0, rtol=rtol, atol=atol)
 
 
 def test_unlisted_divergence_ends_the_pass():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from phasecov import models
-from phasecov import (ThermalParams, amplitude_memory,
+from phasecov import (QuadratureConfig, ThermalParams, ToleranceError, amplitude_memory,
                       integrate_profile, markov_rate_limit,
                       thermal_closed_form, thermal_profile, thermal_zeros)
 from phasecov.models import (KERNELS, OhmicParams, OhmicSeries,
@@ -362,6 +363,19 @@ class TestOhmicRate:
             p = OhmicParams(alpha=0.1, s=s, kernel="literature")
             rates = np.array([ohmic_closed_form(p, t)[0] for t in u])
             assert (rates < -1e-15).any() == expect_negative
+
+    @pytest.mark.parametrize("route, interval", [(ohmic_rate, (0.125, 0.25)),
+                                                 (ohmic_gamma_tilde, (0.0, 1.0))])
+    def test_quadrature_that_misses_its_tolerances_raises(self, route, interval):
+        # tolerances of 1e-300 no quadrature meets: QUADPACK's failure
+        # becomes ToleranceError on its worst subinterval, and no warning
+        p = OhmicParams(alpha=0.1, s=2.0, omega_c=1.0, T=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="did not converge") as err:
+                route(p, 3.0, QuadratureConfig(1e-300, 1e-300))
+        assert err.value.interval == interval
+        assert math.isfinite(err.value.abserr) and err.value.abserr > 0.0
 
     def test_first_zero_locations(self):
         # paper kernel, s = 3: sin(4 atan u) first vanishes at u = 1

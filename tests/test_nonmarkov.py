@@ -219,6 +219,23 @@ def test_sample_that_stays_non_finite_stops_halfway_to_its_neighbour():
     assert 1.0 < start <= 1.0 + 2e-3 and end == 2.0
 
 
+def test_interval_beside_a_non_finite_band_starts_where_it_ends():
+    # NaN within 1e-3 of the listed pole at 1: a refinement point in the
+    # band counts as not negative, so the interval starts at 1.001, not at
+    # the grid point 1.0009765625 inside the band
+    profile = RateProfile(
+        gamma3=lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, 1.0 - t),
+        singular_points=(1.0,))
+    [(start, end)] = negative_intervals(profile, (0.0, 2.0)).intervals["gamma3"]
+    assert start == pytest.approx(1.001, rel=0.0, abs=1e-10) and end == 2.0
+    # and likewise where the band follows the negative stretch
+    profile = RateProfile(
+        gamma3=lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, t - 1.0),
+        singular_points=(1.0,))
+    [(start, end)] = negative_intervals(profile, (0.0, 2.0)).intervals["gamma3"]
+    assert start == 0.0 and end == pytest.approx(0.999, rel=0.0, abs=1e-10)
+
+
 def test_window_too_narrow_to_divide_is_scanned():
     # window/2048 used to underflow to 0 and raise ZeroDivisionError
     for profile in (thermal_profile(ThermalParams(R=0.5)),

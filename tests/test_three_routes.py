@@ -9,7 +9,10 @@ added.  The closed form must match adaptive quadrature
 (``integrate_profile``) within criterion 8's 1e-8 and direct
 integration of the master equation (``integrate_me``) within
 criterion 1's 1e-6; wherever the Choi spectrum says the map is CP, the
-conditions i)-iv) must hold too.
+conditions i)-iv) must hold too.  The ODE route must meet the same
+1e-6 on any sorted grid, one that starts after 0 or ends before t_end
+included, and refuse a grid that breaks its time rule (a time in
+(0, 1e-100), where LSODA's steps underflow, among them).
 
 The quadrature route itself, vectorised adaptive Gauss-Kronrod over the
 whole grid, must also agree with the route it replaced, one QUADPACK
@@ -99,6 +102,36 @@ def test_closed_form_quadrature_and_ode_agree(gen, t_max, p1, alpha):
 
     choi_cp = cp_choi(closed).is_cp
     assert np.all(cp_paper(closed).verdict[choi_cp])
+
+
+def _broken(times, t_end, kind):
+    """A t_eval that breaks integrate_me's rule in the given way."""
+    return {"empty": [], "repeated": np.append(times, times[-1]),
+            "negative": np.insert(times, 0, -1.0), "nan": np.append(times, math.nan),
+            "past t_end": np.append(times, np.nextafter(t_end, math.inf)),
+            "near 0": np.union1d(times, 5e-101)}[kind]
+
+
+@given(generators(), st.floats(1.0, 8.0),
+       st.lists(st.just(0.0) | st.floats(1e-100, 1.0), min_size=1, max_size=12),
+       st.floats(0.0, 1.0),
+       st.sampled_from(["empty", "repeated", "negative", "nan", "past t_end", "near 0"]))
+def test_ode_route_reports_any_sorted_grid(gen, t_max, fractions, p1, kind):
+    # t_eval need not start at 0 (the pass then starts there on its own)
+    # nor end at t_end (the pass then stops at its end)
+    thermal, cold, warm, gamma3, omega = gen
+    profile = combine_profiles(thermal_profile(thermal), ohmic_profile(cold),
+                               ohmic_profile(warm), constant_profile(gamma3=gamma3,
+                                                                     omega=omega))
+    times = np.unique(t_max * np.array(fractions))
+    alpha = 0.5 * (p1 * (1.0 - p1)) ** 0.5
+    rho0 = QubitState(p1, alpha).density_matrix
+    ode = integrate_me(profile, rho0, t_max, t_eval=times)
+    closed = _closed_form(thermal, cold, warm, gamma3, omega, times)
+    assert np.abs(ode[:, 0, 0].real - (closed.decay * p1 + closed.g)).max() <= 1e-6
+    assert np.abs(ode[:, 0, 1] - alpha * closed.kappa).max() <= 1e-6
+    with pytest.raises(ValueError, match="times must be|t_eval ends at|too near 0"):
+        integrate_me(profile, rho0, t_max, t_eval=_broken(times, t_max, kind))
 
 
 def _quadpack_steps(integrands, edges, cfg):
