@@ -335,13 +335,15 @@ def _check_finite(c: CoefficientSet) -> None:
                          f"{what} at t = {float(c.t[i])!r}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # rows formatted and written at a time: the text of one block is all the
 # output that a run holds (256 to 512 rows measured fastest)
 _BLOCK_ROWS = 256
+
+# orjson writes the shortest round-trip digits, as repr does, but spells
+# the exponents 1e16 and 1e-7 where repr writes 1e+16 and 1e-07; the
+# replacements are literal, as a group reference would cost a call per match
+_EXPONENT_SIGN = re.compile(r"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
 
 
 def _blocks(n: int):
@@ -349,39 +351,52 @@ def _blocks(n: int):
     return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS))
 
 
+def _cells(columns, spell, blank=None) -> list:
+    """The cells of one block of columns, a list per column.
+
+    Each float of an array is spelled as spell(x) spells it: repr for
+    CSV, json.dumps for JSON.  A bool array's cells are true and false,
+    and any other sequence is its own cells.  blank, if given, holds for
+    each column a mask of the cells left empty, or None.
+
+    The float columns are written by one orjson call.  Its text is
+    repr's but for the exponents, and for the band 1e-5 <= |x| < 1e-4,
+    which it writes positionally; those cells and the non-finite ones,
+    which it writes as null, are spelled one by one.
+    """
+    import orjson
+
+    floats = [i for i, col in enumerate(columns)
+              if isinstance(col, np.ndarray) and col.dtype != bool]
+    values = np.array([columns[i] for i in floats], dtype=np.float64)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = _ONE_DIGIT_EXPONENT.sub("e-0", _EXPONENT_SIGN.sub("e+", text))
+    cells = list(columns)
+    for i, column_text in zip(floats, text[2:-2].split("],[")):
+        cells[i] = column_text.split(",")
+    size = np.abs(values)
+    odd = ~np.isfinite(values) | ((1e-5 <= size) & (size < 1e-4))
+    for (i, j), x in zip(np.argwhere(odd).tolist(), values[odd].tolist()):
+        cells[floats[i]][j] = spell(x)
+    for i, col in enumerate(columns):
+        if isinstance(col, np.ndarray) and col.dtype == bool:
+            cells[i] = np.where(col, "true", "false").tolist()
+        if blank is not None and blank[i] is not None:
+            for j in np.flatnonzero(blank[i]).tolist():
+                cells[i][j] = ""
+    return cells
+
+
 def _csv_rows(header: str, columns, blank=None):
     """CSV text in chunks: the header, then one row per index of the
-    columns, each an array of floats or a sequence of its cells, one
-    block of rows per chunk.  blank, if given, holds for each column a
-    mask of the cells left empty, or None."""
+    columns (see ``_cells``), one block of rows per chunk.  blank, if
+    given, holds for each column a mask of the cells left empty, or None."""
     yield header + "\n"
     masks = [None] * len(columns) if blank is None else blank
     for part in _blocks(len(columns[0])):
-        cells = [_cells(col[part], None if mask is None else mask[part])
-                 for col, mask in zip(columns, masks)]
+        cells = _cells([col[part] for col in columns], repr,
+                       [None if mask is None else mask[part] for mask in masks])
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _cells(values, blank=None):
-    """The repr of each float of an array, or an empty cell where blank
-    holds; any other sequence is its own cells."""
-    if not isinstance(values, np.ndarray):
-        return values
-    cells = list(map(repr, values.tolist()))
-    if blank is not None:
-        for i in np.flatnonzero(blank).tolist():
-            cells[i] = ""
-    return cells
-
-
-def _json_cells(values: np.ndarray) -> list[str]:
-    """Each value as json.dumps writes it (NaN, Infinity, true, ...)."""
-    if values.dtype == bool:
-        return np.where(values, "true", "false").tolist()
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)):
-        cells[i] = json.dumps(float(values[i]))
-    return cells
 
 
 def _json_report(report: dict, columns: dict):
@@ -390,15 +405,15 @@ def _json_report(report: dict, columns: dict):
     entries per chunk.
 
     The pure-Python encoder that an indent selects would cost more than
-    the check, so the entries are formatted column by column in its
-    layout."""
+    the check, so the entries are formatted a block of columns at a
+    time in its layout."""
     head, tail = json.dumps(report, indent=2).split('"results": []')
     entry = ("    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in columns)
              + "\n    }")
     yield head + '"results": [\n'
     sep = ""
     for part in _blocks(len(columns["t"])):
-        rows = zip(*(_json_cells(col[part]) for col in columns.values()))
+        rows = zip(*_cells([col[part] for col in columns.values()], json.dumps))
         yield sep + ",\n".join(entry % cells for cells in rows)
         sep = ",\n"
     yield "\n  ]" + tail + "\n"
@@ -498,7 +513,7 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     if param not in used:
         raise UsageError(f"model {cfg.model!r} does not use parameter {param!r}; "
                          f"it uses {', '.join(used) or 'no scan parameter'}")
-    rows = []
+    numbers, verdicts = [], []
     for value in values:
         sub = replace(cfg, **{param: value})
         sub.validate()
@@ -507,12 +522,14 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
         report = nonmarkov.negative_intervals(
             _profile_for(sub), (0.0, sub.t_max), tol=sub.tol)
         first = report.first_negative
-        rows.append([
-            param, _fmt(value), _fmt(stationary), _fmt(p1.max()),
-            _fmt(p1.max() - stationary), report.verdict.value,
-            "" if first is None else _fmt(first),
-        ])
-    _write_text(cfg.out, _csv_rows(SCAN_HEADER, list(zip(*rows))))
+        numbers.append((value, stationary, p1.max(), p1.max() - stationary,
+                        math.nan if first is None else first))
+        verdicts.append(report.verdict.value)
+    value, stationary, peak, amplitude, first = np.array(numbers).T
+    # a value with no negative interval leaves its first_negative_start empty
+    _write_text(cfg.out, _csv_rows(
+        SCAN_HEADER, [[param] * len(values), value, stationary, peak, amplitude, verdicts,
+                      first], [None] * 6 + [np.isnan(first)]))
     return EXIT_OK
 
 

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import phasecov
 from phasecov import cli, coeffs, markovian_coefficients, models
@@ -198,11 +201,32 @@ class TestCpCheck:
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
+# where orjson's spelling leaves repr's: the positional band [1e-5, 1e-4),
+# the exponent 16, the ends of the float range and the non-finite values
+_EDGES = [edge for x in (1e-5, 1e-4, 1e16) for edge in (x, np.nextafter(x, 0.0))] + [
+    5e-324, 1.7976931348623157e308, 1e-7, 1e-10, 1e22, 0.1, 1.0, -0.0, 0.0,
+    math.nan, math.inf, -math.inf]
+
+
 def test_json_cells_are_spelled_as_json_dumps_spells_them():
-    from phasecov.cli import _json_cells
-    values = np.array([0.1, -0.0, 1e-300, math.nan, math.inf, -math.inf])
-    assert _json_cells(values) == [json.dumps(v) for v in values.tolist()]
-    assert _json_cells(np.array([True, False])) == ["true", "false"]
+    values = np.array([_EDGES, np.negative(_EDGES)])
+    assert cli._cells(list(values), json.dumps) == [
+        [json.dumps(v) for v in row] for row in values.tolist()]
+    assert cli._cells(list(values), repr) == [[repr(v) for v in row] for row in values.tolist()]
+    # bool arrays, cells of their own and blank masks, beside a float column
+    columns = [np.array([1e-5, 2.0]), np.array([True, False]), ["a", "b"], np.array([3.0, 4.0])]
+    assert cli._cells(columns, json.dumps, [None, None, None, np.array([False, True])]) == [
+        ["1e-05", "2.0"], ["true", "false"], ["a", "b"], ["3.0", ""]]
+
+
+@settings(max_examples=300)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                     elements=st.floats()))
+def test_block_cells_equal_the_cell_by_cell_spelling(values):
+    # every double, NaN, the infinities, -0.0 and subnormals included
+    rows = values.tolist()
+    assert cli._cells(list(values), repr) == [[repr(v) for v in row] for row in rows]
+    assert cli._cells(list(values), json.dumps) == [[json.dumps(v) for v in row] for row in rows]
 
 
 # step counts on each side of the output's block boundaries
@@ -244,6 +268,26 @@ class TestBlocks:
         assert all(line.count(",") == header.count(",") for line in lines[1:-1])
         assert main([*argv, "--out", "-"]) == EXIT_OK
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("steps", _BLOCK_STEPS)
+    def test_evolve_rows_equal_the_row_by_row_formatting(self, tmp_path, steps):
+        # the coherence decays through [1e-5, 1e-4) into exponents of one
+        # and two digits, and the coefficients rise through it from t = 0
+        argv = ["--model", "both", "--R", "0.3", "--N", "0.5", "--alpha", "0.5", "--s", "1",
+                "--T", "1", "--t-max", "4", "--p1-0", "0.6", "--re-alpha-0", "0.3",
+                "--im-alpha-0", "-1e-9", "--steps", str(steps)]
+        out = tmp_path / "ev.csv"
+        assert main(["evolve", *argv, "--out", str(out)]) == EXIT_OK
+        options = dict(zip(argv[2::2], argv[3::2]))
+        cfg = RunConfig(argv[1], **{k[2:].replace("-", "_"): int(v) if k == "--steps"
+                                    else float(v) for k, v in options.items()})
+        c = cli._coefficient_grid(cfg)
+        p1, alpha = phasecov.evolve_state(cfg.initial_state, c)
+        table = np.array([c.t, p1, alpha.real, alpha.imag, c.Gamma, c.GammaTilde, c.Omega, c.g])
+        rows = [",".join(map(repr, row)) for row in table.T.tolist()]
+        assert out.read_text() == "\n".join([EVOLVE_HEADER, *rows]) + "\n"
+        size = np.abs(table)
+        assert np.any((1e-5 <= size) & (size < 1e-4)) and np.any((0 < size) & (size < 1e-10))
 
 
 @pytest.mark.parametrize("command,bound", [("cp-check", 1.0), ("evolve", 1.5)])
