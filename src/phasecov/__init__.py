@@ -11,7 +11,7 @@ integrator for cross-checks.
 from .coeffs import (CoefficientSet, QuadratureConfig, RateProfile,
                      ToleranceError, combine_profiles, constant_profile,
                      integrate_profile, markovian_coefficients,
-                     piecewise_linear_coefficients, segment_coefficients)
+                     piecewise_linear_coefficients)
 from .cptp import (ChoiResult, CpConditions, CpReport, ShortTimeReport,
                    choi_spectrum, cp_choi, cp_paper, cp_report, pqwy,
                    short_time_check)
@@ -39,6 +39,6 @@ __all__ = [
     "integrate_profile", "liouvillian", "markov_rate_limit",
     "markovian_coefficients", "negative_intervals", "ohmic_closed_form",
     "ohmic_gamma_tilde", "ohmic_profile", "ohmic_rate",
-    "piecewise_linear_coefficients", "segment_coefficients", "short_time_check",
+    "piecewise_linear_coefficients", "short_time_check",
     "thermal_closed_form", "thermal_profile", "thermal_zeros",
 ]

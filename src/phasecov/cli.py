@@ -406,16 +406,26 @@ def _json_report(report: dict, columns: dict):
 
     The pure-Python encoder that an indent selects would cost more than
     the check, so the entries are formatted a block of columns at a
-    time in its layout."""
+    time in its layout: the fixed text before each cell of an entry, and
+    after its last, interleaved with the cells in one list that is
+    joined once.  The first entry drops the leading ",\n"."""
     head, tail = json.dumps(report, indent=2).split('"results": []')
-    entry = ("    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in columns)
-             + "\n    }")
+    keys = [json.dumps(key) for key in columns]
+    texts = [f",\n    {{\n      {keys[0]}: ", *(f",\n      {key}: " for key in keys[1:]),
+             "\n    }"]
+    stride = len(keys) + len(texts)
     yield head + '"results": [\n'
-    sep = ""
     for part in _blocks(len(columns["t"])):
-        rows = zip(*_cells([col[part] for col in columns.values()], json.dumps))
-        yield sep + ",\n".join(entry % cells for cells in rows)
-        sep = ",\n"
+        cells = _cells([col[part] for col in columns.values()], json.dumps)
+        n = len(cells[0])
+        flat = [""] * (stride * n)
+        for i, text in enumerate(texts):
+            flat[2 * i::stride] = [text] * n
+        for i, column in enumerate(cells):
+            flat[2 * i + 1::stride] = column
+        if part.start == 0:
+            flat[0] = texts[0][2:]
+        yield "".join(flat)
     yield "\n  ]" + tail + "\n"
 
 

@@ -24,12 +24,11 @@ variation of constants:
     D(s) = int_s^hi (gamma1 + gamma2)/2.
 
 Each rate is one callable, which takes a single time or an ndarray of
-times (see ``RateProfile``).  ``integrate_profile`` and
-``segment_coefficients`` accumulate all four coefficients by adaptive
-Gauss-Kronrod quadrature of the whole grid at once: QUADPACK's 21-point
-rule on panels, every rate on every node of a level from one
-``rates_on`` call, and QUADPACK's error estimates summed per grid
-interval and held to the tolerances.  Level 0 is one panel per grid
+times (see ``RateProfile``).  ``integrate_profile`` accumulates all four
+coefficients by adaptive Gauss-Kronrod quadrature of the whole grid at
+once: QUADPACK's 21-point rule on panels, every rate on every node of a
+level from one ``rates_on`` call, and QUADPACK's error estimates summed
+per grid interval and held to the tolerances.  Level 0 is one panel per grid
 interval, cut at each listed singular point; in an interval that misses,
 the worst panels are halved, all the halves of a level evaluated
 together.  The integral in g's step comes from the same nodes, with D at each node from a 21-point
@@ -62,7 +61,6 @@ __all__ = [
     "constant_profile",
     "combine_profiles",
     "integrate_profile",
-    "segment_coefficients",
     "markovian_coefficients",
     "piecewise_linear_coefficients",
 ]
@@ -237,8 +235,8 @@ class CoefficientSet:
     Every field is either a float or a 1-D ndarray over one time grid.
     In the second form the set holds the whole grid, row i being the
     coefficients at t[i]; the properties below, ``evolve_state``,
-    ``bloch_map``, ``cp_paper``, ``choi_spectrum`` and ``cp_choi`` then
-    work row by row on arrays.
+    ``bloch_map``, ``pqwy``, ``cp_paper``, ``choi_spectrum``, ``cp_choi``
+    and ``cp_report`` then work row by row on arrays.
     """
 
     t: float
@@ -491,10 +489,10 @@ def _g_tolerances(cfg):
     return max(cfg.rel_tol * 1e-2, 1e-13), max(cfg.abs_tol * 1e-2, 1e-15)
 
 
-def _running_integrals(profile, start, times, cfg):
+def _running_integrals(profile, times, cfg):
     """Gamma, GammaTilde and Omega, the integrals of the rate combinations
-    ``_COEFFICIENT_RATES`` @ rates from ``start`` to each of the sorted
-    times, and g grown from 0 at start, shape (4, len(times)).
+    ``_COEFFICIENT_RATES`` @ rates from 0 to each of the sorted times, and
+    g grown from 0 at 0, shape (4, len(times)).
 
     Adaptive qk21 bisection of the whole grid.  Level 0 is one panel per
     grid interval, cut at each listed singular point inside it; the
@@ -518,7 +516,7 @@ def _running_integrals(profile, start, times, cfg):
     """
     hi = np.array(times, dtype=float)
     sing = np.array(profile.singular_points, dtype=float)
-    edges = np.union1d(np.append(hi, start), sing[(sing > start) & (sing < hi[-1])])
+    edges = np.union1d(np.append(hi, 0.0), sing[(sing > 0.0) & (sing < hi[-1])])
     rows = len(_COEFFICIENT_RATES) + 1
     rel = np.full((rows, 1), cfg.rel_tol)
     floor = np.full((rows, 1), cfg.abs_tol)
@@ -593,14 +591,8 @@ def _running_integrals(profile, start, times, cfg):
     if lost.size:
         i = int(lost[0])
         raise ToleranceError(f"g is not finite at t = {times[i]:g}",
-                             (float(([start] + times)[i]), float(times[i])))
+                             (float(([0.0] + times)[i]), float(times[i])))
     return np.vstack([np.cumsum(steps, axis=1), out])
-
-
-def _accumulate(profile, start, times, cfg):
-    """Coefficients from ``start`` to each of the sorted times, g from 0 at start."""
-    rows = _running_integrals(profile, start, times, cfg).tolist()
-    return [CoefficientSet(t, *row) for t, *row in zip(times, *rows)]
 
 
 def _validate_times(times):
@@ -635,26 +627,8 @@ def integrate_profile(
     cfg = cfg or QuadratureConfig()
     ts = _validate_times(times).tolist()
     profile.check_reach(ts[-1])
-    return _accumulate(profile, 0.0, ts, cfg)
-
-
-def segment_coefficients(
-    profile: RateProfile,
-    t_start: float,
-    t_end: float,
-    cfg: QuadratureConfig | None = None,
-) -> CoefficientSet:
-    """Coefficients of the propagator from t_start to t_end.
-
-    The time-local structure makes the intermediate map look exactly
-    like a map from 0, with all integrals taken over [t_start, t_end]
-    and g restarted from 0.  The returned ``t`` is t_end.  A window
-    outside 0 <= t_start <= t_end < inf, NaN included, raises ValueError.
-    """
-    if not 0 <= t_start <= t_end < math.inf:
-        raise ValueError("need 0 <= t_start <= t_end < inf")
-    profile.check_reach(t_end)
-    return _accumulate(profile, t_start, [t_end], cfg or QuadratureConfig())[0]
+    rows = _running_integrals(profile, ts, cfg).tolist()
+    return [CoefficientSet(t, *row) for t, *row in zip(ts, *rows)]
 
 
 def markovian_coefficients(

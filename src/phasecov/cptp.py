@@ -70,15 +70,17 @@ def pqwy(c: CoefficientSet) -> tuple[float, float, float, complex]:
     """Bloch-inequality quantities (p, q, w, y) of a coefficient set.
 
     p and q are real, w = |kappa| cos(Omega) is real and
-    y = i |kappa| sin(Omega) purely imaginary.
+    y = i |kappa| sin(Omega) purely imaginary.  On a coefficient grid
+    each is an array over it.
     """
+    xp = _xp(c.Omega)
     pbar, qbar = _pq_bar(c)
     k = c.attenuation
     return (
         pbar - 0.5,
         qbar - 0.5,
-        k * math.cos(c.Omega),
-        1j * (k * math.sin(c.Omega)),
+        k * xp.cos(c.Omega),
+        1j * (k * xp.sin(c.Omega)),
     )
 
 
@@ -199,7 +201,9 @@ def cp_choi(m: AffineBlochMap | CoefficientSet, tol: float = DEFAULT_TOL) -> Cho
 
 @dataclass(frozen=True)
 class CpReport:
-    """Joint verdict of the inequality and Choi checkers at one time."""
+    """Joint verdict of the inequality and Choi checkers at one time, or
+    on a coefficient grid, where each field (the margins of
+    ``conditions`` too) is an array over it."""
 
     t: float
     p: float
@@ -217,7 +221,8 @@ class CpReport:
 
 
 def cp_report(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CpReport:
-    """Run both checkers on a coefficient set and cross-report."""
+    """Run both checkers on a coefficient set, or row by row on a grid,
+    and cross-report."""
     p, q, w, y = pqwy(c)
     conds = cp_paper(c, tol)
     choi = cp_choi(c, tol)

@@ -135,10 +135,12 @@ def _compiled_rhs(live: tuple[bool, bool, bool, bool]):
     pattern from the rows of ``_affine_terms``: the returned
     ``bind(*rates)`` takes the live rate callables and gives the
     right-hand side ``rhs(t, y)``, which calls each of them once, in
-    order, and adds the terms rate_k * a * y_j of each row in their order
-    from 0.0, with the coefficients a written out by their exact repr.  A
-    dropped term is a signed zero for a finite state, so the sum is the
-    one over all four rates bit for bit.
+    order, at each new t, and adds the terms rate_k * a * y_j of each row
+    in their order from 0.0, with the coefficients a written out by their
+    exact repr.  A dropped term is a signed zero for a finite state, so
+    the sum is the one over all four rates bit for bit.  The rates at the
+    last t are kept: LSODA's corrector calls rhs again at the same t, and
+    the rates of a ``RateProfile`` are deterministic.
     """
     def term(k, j, a):
         # (rate * a) * 1.0 is rate * a exactly: the constant column needs no factor
@@ -147,9 +149,14 @@ def _compiled_rhs(live: tuple[bool, bool, bool, bool]):
     body = ", ".join(" + ".join(["0.0", *(term(*t) for t in row if live[t[0]])])
                      for row in _affine_terms())
     ks = [k for k in range(4) if live[k]]
+    kept = ", ".join(["last", *(f"r{k}" for k in ks)])
     code = (f"def bind({', '.join(f'rate{k}' for k in ks)}):\n"
+            f"    {kept} = {', '.join(['None'] * (len(ks) + 1))}\n"
             "    def rhs(t, y):\n"
-            + "".join(f"        r{k} = rate{k}(t)\n" for k in ks)
+            f"        nonlocal {kept}\n"
+            "        if t != last:\n"
+            + "".join(f"            r{k} = rate{k}(t)\n" for k in ks)
+            + "            last = t\n"
             + "        y0, y1, y2 = y.tolist()\n"
             f"        return [{body}]\n"
             "    return rhs\n")

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phasecov import (CoefficientSet, QuadratureConfig, RateProfile,
-                      ThermalParams, ToleranceError, coeffs, combine_profiles,
-                      constant_profile, integrate_me, integrate_profile,
-                      markovian_coefficients, mesolve,
-                      piecewise_linear_coefficients, segment_coefficients,
-                      thermal_closed_form, thermal_profile)
+from phasecov import (QuadratureConfig, RateProfile, ThermalParams, ToleranceError,
+                      coeffs, combine_profiles, constant_profile, integrate_me,
+                      integrate_profile, markovian_coefficients, mesolve,
+                      piecewise_linear_coefficients, thermal_closed_form, thermal_profile)
 from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
 from phasecov.models import OhmicParams, ohmic_profile
 
@@ -161,24 +159,6 @@ def test_markovian_argument_errors():
         markovian_coefficients(0.1, 0.1, 0.0, 0.0, np.array([0.0, -1.0]))
 
 
-def test_segment_coefficients_compose():
-    prof = thermal_profile(ThermalParams(R=0.45, N=0.5))
-    s, t = 1.3, 4.0
-    full = integrate_profile(prof, [s, t])
-    seg = segment_coefficients(prof, s, t)
-    assert seg.Gamma == pytest.approx(full[1].Gamma - full[0].Gamma, rel=1e-9)
-    # g of the segment reproduces P1(t) from P1(s)
-    p1_s = full[0].g
-    p1_t = math.exp(-seg.Gamma) * p1_s + seg.g
-    assert p1_t == pytest.approx(full[1].g, rel=1e-9)
-    assert segment_coefficients(prof, 2.0, 2.0) == CoefficientSet.identity(2.0)
-    # a NaN end used to give the identity map, and an infinite one a
-    # RuntimeWarning before a ToleranceError
-    for window in ((3.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (1.0, math.inf)):
-        with pytest.raises(ValueError, match="0 <= t_start <= t_end < inf"):
-            segment_coefficients(prof, *window)
-
-
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
@@ -290,10 +270,8 @@ def test_window_beyond_the_singular_reach_is_refused():
     # R = 10 has an unlisted pole at 0.8242 when the list stops at 0.5
     prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
     assert prof.singular_reach == 0.5 and prof.singular_points == ()
-    for call in (lambda: integrate_profile(prof, [0.2, 2.0]),
-                 lambda: segment_coefficients(prof, 0.1, 2.0)):
-        with pytest.raises(ValueError, match="singular points only up to t = 0.5"):
-            call()
+    with pytest.raises(ValueError, match="singular points only up to t = 0.5"):
+        integrate_profile(prof, [0.2, 2.0])
     assert integrate_profile(prof, [0.5])[0].Gamma > 0.0
     # the combined profile keeps the shortest reach
     both = combine_profiles(prof, thermal_profile(ThermalParams(R=0.25)))
@@ -335,14 +313,6 @@ def test_g_across_a_listed_jump_calls_no_integrator(monkeypatch):
             assert c.Gamma == pytest.approx(big_gamma(c.t), rel=1e-12, abs=1e-15)
             assert c.g == pytest.approx(-math.expm1(-big_gamma(c.t)),
                                         rel=1e-10, abs=1e-15)
-    window_end[0] = 2.0
-    seg = segment_coefficients(prof, 0.5, 2.0)
-    expected = -math.expm1(big_gamma(0.5) - big_gamma(2.0))
-    assert seg.g == pytest.approx(expected, rel=1e-10)
-    # and a window that ends on the singular point
-    window_end[0] = 1.0
-    seg = segment_coefficients(prof, 0.2, 1.0)
-    assert seg.g == pytest.approx(-math.expm1(big_gamma(0.2) - big_gamma(1.0)), rel=1e-10)
     assert not np.isin(1.0, np.concatenate(sampled))
 
 
@@ -531,7 +501,7 @@ def test_blocks_of_intervals_give_the_same_integrals(monkeypatch):
 def test_integer_window_ends_are_taken_as_times():
     # the window [0, 2] needs bisection, which gets it as floats
     prof, exact = _narrow_peak()
-    assert segment_coefficients(prof, 0, 2).GammaTilde == pytest.approx(exact(2.0), rel=1e-10)
+    assert integrate_profile(prof, [2])[0].GammaTilde == pytest.approx(exact(2.0), rel=1e-10)
 
 
 def test_ode_seam_is_one_lsoda_pass_through_its_times():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from phasecov import (AffineBlochMap, CoefficientSet, OhmicParams, RateProfile,
                       ThermalParams, choi_spectrum, constant_profile,
-                      cp_choi, cp_paper, cp_report, ohmic_closed_form,
-                      ohmic_profile, pqwy, short_time_check, thermal_closed_form,
-                      thermal_profile)
+                      cp_choi, cp_paper, cp_report, markovian_coefficients,
+                      ohmic_closed_form, ohmic_profile, pqwy, short_time_check,
+                      thermal_closed_form, thermal_profile)
 
 RNG = np.random.default_rng(7)
 
@@ -174,6 +174,28 @@ def test_grid_checks_equal_scalar_checks_row_by_row(rows):
         assert abs(choi.min_eigenvalue[i] - one_choi.min_eigenvalue) <= scale
         assert conds.verdict[i] == one.verdict
         assert choi.is_cp[i] == one_choi.is_cp
+
+
+@pytest.mark.parametrize("rates", [(0.3, 0.5, 0.2, 1.7), (0.0, 0.4, -0.3, 2.0),
+                                   (0.6, 0.0, -0.05, -1.1)])
+def test_grid_report_equals_the_report_row_by_row(rates):
+    # pqwy used math.cos on the grid's Omega, and the report raised TypeError
+    grid = markovian_coefficients(*rates, np.linspace(0.0, 4.0, 41))
+    report = cp_report(grid)
+    # the grids with gamma3 < 0 leave CP
+    assert report.choi_verdict.all() == (rates[2] > 0.0)
+    for i, t in enumerate(grid.t.tolist()):
+        one = cp_report(_coeffs(grid.Gamma[i].item(), grid.GammaTilde[i].item(),
+                                grid.Omega[i].item(), grid.g[i].item(), t))
+        assert report.t[i] == one.t
+        # numpy's and libm's exp and cos may differ in the last bit
+        for name in ("p", "q", "w", "y", "choi_min_eig"):
+            assert getattr(report, name)[i] == pytest.approx(getattr(one, name), abs=1e-15)
+        for name in ("margin_i", "margin_ii", "margin_iii", "margin_iv"):
+            assert getattr(report.conditions, name)[i] == pytest.approx(
+                getattr(one.conditions, name), abs=1e-15)
+        for name in ("paper_verdict", "choi_verdict", "agreement"):
+            assert getattr(report, name)[i] == getattr(one, name)
 
 
 def test_float_choi_minimum_equals_the_grid_minimum_bit_for_bit():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import gc
 import itertools
 import math
@@ -244,6 +245,37 @@ def test_stiff_constant_rate_costs_few_rate_calls():
     assert np.abs(states[:, 0, 0].real - p1).max() <= 1e-8
     assert np.abs(states[:, 0, 1] - alpha).max() <= 1e-8
     assert rate.calls < 5000
+
+
+def test_rates_are_read_once_per_time(monkeypatch):
+    # LSODA's corrector calls the right-hand side again at the same t,
+    # where the rates read at that t are used again
+    base = combine_profiles(thermal_profile(ThermalParams(R=0.3, N=1.5)),
+                            ohmic_profile(OhmicParams(alpha=0.1, s=2.5, omega_c=1.0)),
+                            constant_profile(omega=0.7))
+    seen = {name: [] for name in ("gamma1", "gamma2", "gamma3", "omega")}
+
+    def recorded(name):
+        def rate(t):
+            seen[name].append(t)
+            return getattr(base, name)(t)
+        return rate
+
+    calls, solve = [], mesolve.solve_ivp
+
+    def counted(fun, *args):
+        def rhs(t, y):
+            calls.append(t)
+            return fun(t, y)
+        return solve(rhs, *args)
+
+    monkeypatch.setattr(mesolve, "solve_ivp", counted)
+    prof = dataclasses.replace(base, **{name: recorded(name) for name in seen})
+    rho = integrate_me(prof, RHO0, 5.0)
+    assert rho.tobytes() == integrate_me(base, RHO0, 5.0).tobytes()
+    assert len(calls) > len(set(calls))
+    for times in seen.values():
+        assert sorted(times) == sorted(set(calls))
 
 
 def test_master_equation_never_samples_past_its_window():

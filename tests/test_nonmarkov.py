@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from phasecov import (NmReport, OhmicParams, RateProfile, ThermalParams, Verdict,
-                      constant_profile, cp_choi, crossover_scan, negative_intervals,
-                      nonmarkov, ohmic_profile, segment_coefficients, thermal_profile,
-                      thermal_zeros)
+from phasecov import (CoefficientSet, NmReport, OhmicParams, RateProfile, ThermalParams,
+                      Verdict, constant_profile, cp_choi, crossover_scan,
+                      negative_intervals, nonmarkov, ohmic_profile, thermal_closed_form,
+                      thermal_profile, thermal_zeros)
+from conftest import intermediate_map
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -77,14 +78,18 @@ def test_resolution_halving_moves_endpoints_less_than_old_resolution():
             assert abs(a0 - a1) < res and abs(b0 - b1) < res
 
 
+def _thermal_map(params, t):
+    gamma, g = thermal_closed_form(params, t)
+    return CoefficientSet(t=t, Gamma=gamma, GammaTilde=0.0, Omega=0.0, g=g)
+
+
 def test_negative_rate_breaks_intermediate_cp():
-    # a propagator segment inside the negative stretch is not CP
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=10.0)
-    seg = segment_coefficients(prof, 1.0, 1.2)
-    assert not cp_choi(seg).is_cp
-    # while a segment in the initial positive stretch is CP
-    ok = segment_coefficients(prof, 0.1, 0.5)
-    assert cp_choi(ok).is_cp
+    # the map across [1.0, 1.2], inside the negative stretch after the pole
+    # at 0.824, is not CP, while one in the initial positive stretch is
+    params = ThermalParams(R=10.0, N=0.0)
+    maps = {t: _thermal_map(params, t) for t in (0.1, 0.5, 1.0, 1.2)}
+    assert not cp_choi(intermediate_map(maps[1.0], maps[1.2])).is_cp
+    assert cp_choi(intermediate_map(maps[0.1], maps[0.5])).is_cp
 
 
 def test_window_validation():

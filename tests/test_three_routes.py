@@ -32,6 +32,12 @@ than about 1e-6 (1e-5 at R = 0.55) the rates' own rounding keeps the
 summed error estimates of the panels from meeting the tolerances, which
 ends in ToleranceError.
 
+The intermediate map Lambda(t2, t1), composed from the coefficient sets
+at t1 and t2 (``intermediate_map`` in tests/conftest.py), must give
+Lambda(t2, 0) after Lambda(t1, 0) on random states to 1e-12, and match
+the quadrature route on the rates read from t1 on, rate(t + t1), within
+both quadratures' tolerances.
+
 The example count comes from the hypothesis profile (tests/conftest.py):
 15 by default, 150 with ``--hypothesis-profile=deep``.
 """
@@ -50,6 +56,7 @@ from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QuadratureConfig
                       cp_choi, cp_paper, integrate_me, integrate_profile,
                       ohmic_closed_form, ohmic_profile, thermal_closed_form,
                       thermal_profile, thermal_zeros)
+from conftest import intermediate_map
 
 KERNELS = st.sampled_from(["paper", "literature"])
 
@@ -209,3 +216,40 @@ def test_bisection_toward_a_thermal_pole_matches_the_closed_form(R, N, reach, n)
     for name, closed in (("Gamma", gamma), ("g", g)):
         route = np.array([getattr(c, name) for c in got])
         assert np.all(np.abs(route - closed) <= 1e-12 * np.abs(closed)), name
+
+
+def _shifted(profile, start):
+    """The profile with every rate read from start on: rate(t + start)."""
+    return dataclasses.replace(profile, **{
+        name: (lambda t, f=getattr(profile, name): f(t + start))
+        for name in ("gamma1", "gamma2", "gamma3", "omega")})
+
+
+@given(generators(), st.floats(0.05, 6.0), st.floats(0.05, 4.0), st.floats(0.0, 1.0),
+       st.complex_numbers(max_magnitude=1.0))
+def test_intermediate_map_composes_and_matches_a_shifted_profile(gen, t1, width, p1, alpha):
+    thermal, cold, warm, gamma3, omega = gen
+    profile = combine_profiles(thermal_profile(thermal), ohmic_profile(cold),
+                               ohmic_profile(warm), constant_profile(gamma3=gamma3,
+                                                                     omega=omega))
+    cfg = QuadratureConfig()
+    t2 = t1 + width
+    early, late = integrate_profile(profile, [t1, t2], cfg)
+    between = intermediate_map(early, late)
+    # Lambda(t2, t1) after Lambda(t1, 0) is Lambda(t2, 0) on a random state,
+    # applied without evolve_state's state check as negative gamma3 may
+    # leave the state space
+    alpha *= (p1 * (1.0 - p1)) ** 0.5
+    p1_t1, alpha_t1 = early.decay * p1 + early.g, alpha * early.kappa
+    assert between.decay * p1_t1 + between.g == pytest.approx(
+        late.decay * p1 + late.g, rel=1e-12, abs=1e-12)
+    assert alpha_t1 * between.kappa == pytest.approx(alpha * late.kappa, rel=1e-12,
+                                                     abs=1e-12)
+    # the same map from 0 of the rates read from t1 on, to both routes'
+    # tolerances, less the rounding of the differences
+    (direct,) = integrate_profile(_shifted(profile, t1), [width], cfg)
+    for name in ("Gamma", "GammaTilde", "Omega", "g"):
+        got, want = getattr(between, name), getattr(direct, name)
+        rounding = 4e-16 * max(abs(getattr(late, name)), abs(getattr(early, name)))
+        bound = 2.0 * max(cfg.abs_tol, cfg.rel_tol * abs(want)) + rounding
+        assert abs(got - want) <= bound, name
