@@ -503,8 +503,11 @@ def cmd_rates(cfg: RunConfig) -> int:
     dt = times[1] - times[0]
     singular = [s for s in profile.singular_points if s <= cfg.t_max]
     near_pole = np.zeros(times.shape, dtype=bool)
-    for s in singular:
-        near_pole |= np.abs(times - s) <= dt / 2
+    # within dt/2 of a pole lie at most the two grid points that bracket it
+    poles = np.array(singular, dtype=float)
+    for i in np.searchsorted(times, poles) - [[1], [0]]:
+        i = i.clip(0, times.size - 1)
+        near_pole[i[np.abs(times[i] - poles) <= dt / 2]] = True
     rates = profile.rates_on(times)
     blank = near_pole | ~np.isfinite(rates)
     _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *rates], [None, *blank]))

@@ -20,13 +20,12 @@ check.
 The state is advanced in the three real parameters y = (P1, Re alpha,
 Im alpha); the trace and Hermiticity are therefore preserved
 structurally, not up to solver error.  In these parameters each term of
-the generator is affine, rate_k(t) (A_k y + c_k).  A_k and c_k are
-found once, by applying the dissipators and the commutator to the basis
-states (superoperator form: Breuer and Petruccione, *The Theory of Open
-Quantum Systems*, 2002), and written out, on first use for each pattern
-of rates that are not ``_zero``, as one straight-line right-hand side
-that calls those rates and adds their rate-weighted terms in float
-arithmetic; ``liouvillian`` stays as the 2x2 form.  The whole
+the generator is affine, rate_k(t) (A_k y + c_k), with A_k and c_k
+those of the dissipators and the commutator on the basis states
+(superoperator form: Breuer and Petruccione, *The Theory of Open
+Quantum Systems*, 2002).  One closure writes the three rows out and
+reads the four rates once per time; ``liouvillian`` stays as the 2x2
+form that the tests check those rows against.  The whole
 integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``) from 0
 through every requested time, with ``tcrit`` at the last of them so that
 no rate is sampled past it; a solver failure, or a reported state that
@@ -38,12 +37,11 @@ and the closed-form route is the authority across such points.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .coeffs import RateProfile, _validate_times, _zero, solve_ivp
+from .coeffs import RateProfile, _validate_times, solve_ivp
 
 __all__ = [
     "IntegrationError",
@@ -70,15 +68,18 @@ class IntegrationError(RuntimeError):
 
 
 def validate_density_matrix(rho, tol: float = 1e-9) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 2x2 state."""
+    """Check finiteness, Hermiticity, unit trace and positivity of a 2x2 state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has entries that are not finite")
+    # written so that a NaN, as from a NaN tol, fails each comparison
+    if not np.abs(rho - rho.conj().T).max() <= tol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if not abs(np.trace(rho) - 1.0) <= tol:
         raise ValueError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if not np.linalg.eigvalsh(rho).min() >= -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return rho
 
@@ -105,64 +106,27 @@ def liouvillian(profile: RateProfile, t: float, rho) -> np.ndarray:
     return sum(r * term(rho) for r, term in zip(profile.rates(t), _TERMS))
 
 
-def _affine_terms() -> tuple:
-    """The nonzero entries of the affine generator on y = (P1, Re alpha, Im alpha).
+def _rhs(profile: RateProfile):
+    """dy/dt = sum_k rate_k(t) (A_k y + c_k) on y = (P1, Re alpha, Im alpha).
 
-    For each component i of dy/dt, a tuple of (k, j, a) meaning
-    rate_k * a * y_j, where j = 3 stands for the constant 1.  Found by
-    applying each term of ``_TERMS`` to the state at y = 0, which gives
-    c_k, and to the basis directions of P1, Re alpha and Im alpha, which
-    give the columns of A_k.
+    The rates are read once per new t and kept: LSODA's corrector calls
+    the right-hand side again at the same t, and the rates of a
+    ``RateProfile`` are deterministic.  A rate left at ``_zero`` adds
+    signed zeros to a sum that starts from 0.0, which leave it unchanged.
     """
-    base = _unpack(np.zeros(3))
-    rows = ([], [], [])
-    for k, term in enumerate(_TERMS):
-        const = _pack(term(base))
-        for j in range(4):
-            col = const if j == 3 else _pack(term(_unpack(np.eye(3)[j]))) - const
-            for i, a in enumerate(col.tolist()):
-                if a != 0.0:
-                    rows[i].append((k, j, a))
-    return tuple(map(tuple, rows))
+    rates = profile.rates
+    last = r0 = r1 = r2 = r3 = None
 
-
-@functools.cache
-def _compiled_rhs(live: tuple[bool, bool, bool, bool]):
-    """dy/dt = sum_k rate_k(t) (A_k y + c_k) as straight-line code.
-
-    ``live`` marks which of (gamma1, gamma2, gamma3, omega) are not
-    ``_zero``; the terms of the others are dropped.  Built once per
-    pattern from the rows of ``_affine_terms``: the returned
-    ``bind(*rates)`` takes the live rate callables and gives the
-    right-hand side ``rhs(t, y)``, which calls each of them once, in
-    order, at each new t, and adds the terms rate_k * a * y_j of each row
-    in their order from 0.0, with the coefficients a written out by their
-    exact repr.  A dropped term is a signed zero for a finite state, so
-    the sum is the one over all four rates bit for bit.  The rates at the
-    last t are kept: LSODA's corrector calls rhs again at the same t, and
-    the rates of a ``RateProfile`` are deterministic.
-    """
-    def term(k, j, a):
-        # (rate * a) * 1.0 is rate * a exactly: the constant column needs no factor
-        return f"r{k} * {a!r}" + ("" if j == 3 else f" * y{j}")
-
-    body = ", ".join(" + ".join(["0.0", *(term(*t) for t in row if live[t[0]])])
-                     for row in _affine_terms())
-    ks = [k for k in range(4) if live[k]]
-    kept = ", ".join(["last", *(f"r{k}" for k in ks)])
-    code = (f"def bind({', '.join(f'rate{k}' for k in ks)}):\n"
-            f"    {kept} = {', '.join(['None'] * (len(ks) + 1))}\n"
-            "    def rhs(t, y):\n"
-            f"        nonlocal {kept}\n"
-            "        if t != last:\n"
-            + "".join(f"            r{k} = rate{k}(t)\n" for k in ks)
-            + "            last = t\n"
-            + "        y0, y1, y2 = y.tolist()\n"
-            f"        return [{body}]\n"
-            "    return rhs\n")
-    namespace = {}
-    exec(code, namespace)
-    return namespace["bind"]
+    def rhs(t, y):
+        nonlocal last, r0, r1, r2, r3
+        if t != last:
+            r0, r1, r2, r3 = rates(t)
+            last = t
+        p, x, z = y.tolist()
+        return [0.0 + r0 * -0.5 * p + r1 * -0.5 * p + r1 * 0.5,
+                0.0 + r0 * -0.25 * x + r1 * -0.25 * x - r2 * x - r3 * z,
+                0.0 + r0 * -0.25 * z + r1 * -0.25 * z - r2 * z + r3 * x]
+    return rhs
 
 
 def _pack(rho: np.ndarray) -> np.ndarray:
@@ -198,7 +162,8 @@ def integrate_me(
         Generator rates; must be free of singular points on [0, t_end],
         and t_end must not lie beyond its ``singular_reach``.
     rho0 : array_like
-        Valid 2x2 density matrix at t = 0.
+        Valid 2x2 density matrix at t = 0: finite, Hermitian, of unit
+        trace and positive semidefinite to 1e-9, or ValueError.
     t_end : float
         Final time, 0 <= t_end < inf.  A requested time in (0, 1e-100),
         t_end or in t_eval, raises ValueError.
@@ -240,11 +205,8 @@ def integrate_me(
 
     y = np.tile(_pack(rho0), (times.size, 1))
     if times[-1] > 0.0:
-        rates = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
-        rhs = _compiled_rhs(tuple(r is not _zero for r in rates))(
-            *(r for r in rates if r is not _zero))
         t = times if times[0] == 0.0 else np.insert(times, 0, 0.0)
-        sol = solve_ivp(rhs, t, y[0], rtol, atol)
+        sol = solve_ivp(_rhs(profile), t, y[0], rtol, atol)
         if sol.stop is not None:
             raise IntegrationError("integration failed at t = {:g}: {}".format(*sol.stop))
         y = sol.y[t.size - times.size:]

@@ -326,6 +326,23 @@ class TestRates:
         _, rows = _read_csv(out)
         assert any(r[2] == "" for r in rows)  # empty gamma2 cells near the pole
 
+    @pytest.mark.parametrize("R, t_max, steps", [(10.0, 500.0, 5001), (1e4, 40.0, 2000)])
+    def test_suppressed_rows_equal_the_mask_of_every_pole(self, tmp_path, R, t_max, steps):
+        # the reference tests each pole against the whole grid
+        out = tmp_path / "r.csv"
+        assert main(["rates", "--model", "thermal", "--R", repr(R), "--t-max", repr(t_max),
+                     "--steps", str(steps), "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "r.csv.singularities.json").read_text())
+        times = np.linspace(0.0, t_max, steps)
+        dt = times[1] - times[0]
+        poles = phasecov.thermal_zeros(R, t_max)
+        near_pole = np.zeros(times.shape, dtype=bool)
+        for pole in poles:
+            near_pole |= np.abs(times - pole) <= dt / 2
+        assert len(poles) > 300 and 300 < near_pole.sum() < steps
+        assert sidecar["singular_times"] == list(poles)
+        assert sidecar["suppressed_rows"] == np.flatnonzero(near_pole).tolist()
+
     def test_ohmic_rate_column_matches_closed_form(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["rates", "--model", "ohmic", "--s", "1", "--alpha", "0.1",

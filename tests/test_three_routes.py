@@ -12,7 +12,10 @@ criterion 1's 1e-6; wherever the Choi spectrum says the map is CP, the
 conditions i)-iv) must hold too.  The ODE route must meet the same
 1e-6 on any sorted grid, one that starts after 0 or ends before t_end
 included, and refuse a grid that breaks its time rule (a time in
-(0, 1e-100), where LSODA's steps underflow, among them).
+(0, 1e-100), where LSODA's steps underflow, among them).  Its
+right-hand side, the three rows on (P1, Re alpha, Im alpha), must match
+the 2x2 ``liouvillian`` to 1e-14 times the largest rate (at least 1),
+for rates left at ``_zero`` or drawn from 1e-8 to 1e8 in magnitude.
 
 The quadrature route itself, vectorised adaptive Gauss-Kronrod over the
 whole grid, must also agree with the route it replaced, one QUADPACK
@@ -56,6 +59,8 @@ from phasecov import (CoefficientSet, OhmicParams, OhmicSeries, QuadratureConfig
                       cp_choi, cp_paper, integrate_me, integrate_profile,
                       ohmic_closed_form, ohmic_profile, thermal_closed_form,
                       thermal_profile, thermal_zeros)
+from phasecov.coeffs import RateProfile, _zero
+from phasecov.mesolve import _pack, _rhs, _unpack, liouvillian
 from conftest import intermediate_map
 
 KERNELS = st.sampled_from(["paper", "literature"])
@@ -139,6 +144,24 @@ def test_ode_route_reports_any_sorted_grid(gen, t_max, fractions, p1, kind):
     assert np.abs(ode[:, 0, 1] - alpha * closed.kappa).max() <= 1e-6
     with pytest.raises(ValueError, match="times must be|t_eval ends at|too near 0"):
         integrate_me(profile, rho0, t_max, t_eval=_broken(times, t_max, kind))
+
+
+def _rate(value):
+    return _zero if value is None else lambda t: value
+
+
+# a rate left at _zero, or a float of magnitude from 1e-8 to 1e8
+RATES = st.one_of(st.none(), st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+                                       st.integers(-8, 8)))
+
+
+@given(st.tuples(RATES, RATES, RATES, RATES), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_ode_right_hand_side_equals_the_liouvillian(rates, y):
+    profile = RateProfile(*map(_rate, rates))
+    drift = _rhs(profile)(0.3, np.array(y))
+    ref = _pack(liouvillian(profile, 0.3, _unpack(np.array(y))))
+    scale = max([1.0, *(abs(r) for r in rates if r is not None)])
+    assert np.abs(np.array(drift) - ref).max() <= 1e-14 * scale
 
 
 def _quadpack_steps(integrands, edges, cfg):
