@@ -22,6 +22,9 @@ that names only another command's option is ignored.
 The environment variable PHASECOV_TOL overrides the default verdict
 tolerance (margins and Choi eigenvalues count as non-negative above
 minus this value).
+
+RunConfig.validate checks the options and builds each environment of
+the model (MODELS) once: a command's grid and rate profile share it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -98,15 +100,27 @@ def default_tolerance() -> float:
         val = float(raw)
     except ValueError as exc:
         raise UsageError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-    if val <= 0:
-        raise UsageError(f"{TOL_ENV_VAR} must be positive")
+    # written so that NaN fails the comparison
+    if not 0 < val < math.inf:
+        raise UsageError(f"{TOL_ENV_VAR} must be positive and finite")
     return val
 
 
-def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+def _table_window(cfg: RunConfig) -> tuple[str, float]:
+    """The rates file and t-max of a tabulated run, checked before it is read."""
+    if not cfg.rates_file:
+        raise ValueError("tabulated model requires --rates-file")
+    # the exact route needs distinct times, which a subnormal t-max may not give
+    times = cfg.times
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError(f"t-max = {cfg.t_max!r} is too small for {cfg.steps} distinct times")
+    return cfg.rates_file, cfg.t_max
+
+
+def _rates_table(path: str, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     """The nodes and the (4, n) rates of a table that covers [0, t_max]."""
     try:
-        data = np.loadtxt(cfg.rates_file, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read rates file: {exc}") from exc
     if data.shape[1] != 5:
@@ -119,27 +133,10 @@ def _rates_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
         raise UsageError("rates file t column must be strictly increasing")
-    if not t[0] <= 0.0 < cfg.t_max <= t[-1]:
+    if not t[0] <= 0.0 < t_max <= t[-1]:
         raise UsageError(f"rates file covers t in [{t[0]!r}, {t[-1]!r}], "
-                         f"which does not contain [0, t-max = {cfg.t_max!r}]")
+                         f"which does not contain [0, t-max = {t_max!r}]")
     return t, data[:, 1:].T
-
-
-def _tabulated_profile(cfg: RunConfig) -> RateProfile:
-    """Linear interpolation of a rates table that covers [0, t_max]."""
-    t, rates = _rates_table(cfg)
-    return RateProfile(*(functools.partial(np.interp, xp=t, fp=values) for values in rates))
-
-
-def _tabulated_run(cfg: RunConfig) -> RunConfig:
-    # the parameters are the run's table and window, read by the command
-    if not cfg.rates_file:
-        raise ValueError("tabulated model requires --rates-file")
-    # the exact route needs distinct times, which a subnormal t-max may not give
-    times = cfg.times
-    if not np.all(times[1:] > times[:-1]):
-        raise ValueError(f"t-max = {cfg.t_max!r} is too small for {cfg.steps} distinct times")
-    return cfg
 
 
 def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
@@ -153,61 +150,39 @@ def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
     return rates
 
 
-@functools.lru_cache(maxsize=1)
-def _ohmic_series(p: models.OhmicParams) -> models.OhmicSeries:
-    """The T > 0 series of p, kept for the next call: the grid and the
-    profile of one scan value share it."""
-    return models.OhmicSeries(p)
-
-
-def _ohmic_gamma_tilde(p: models.OhmicParams, times: np.ndarray) -> tuple[np.ndarray]:
-    # the zero-T closed form, or at T > 0 the exact series
-    if p.T == 0:
-        return (models.ohmic_closed_form(p, times)[1],)
-    return (_ohmic_series(p).gamma_tilde(times),)
-
-
-def _ohmic_profile(p: models.OhmicParams, t_max: float) -> RateProfile:
-    # models.ohmic_profile, with the series that the grid uses
-    if p.T == 0:
-        return models.ohmic_profile(p)
-    return RateProfile(gamma3=_ohmic_series(p).rate)
-
-
 @dataclass(frozen=True)
 class _Environment:
-    """One environment of a model, as the commands build and run it.
+    """One environment of a model, as ``RunConfig.validate`` builds it.
 
     ``sweep`` names the RunConfig fields of its parameters that ``scan``
     may sweep (constant and tabulated rates have none).  ``params(cfg)``
-    builds its parameters p, raising ValueError for invalid ones;
-    ``profile(p, t_max)`` is its RateProfile for windows up to t_max;
-    ``grid(p, times)`` gives the CoefficientSet fields named in
-    ``supplies`` as arrays over the times.
+    checks and returns its parameters p, raising ValueError for invalid
+    ones, and ``build(p)`` makes from them what a run evaluates, b:
+    ``profile(b, t_max)`` is its RateProfile for windows up to t_max, and
+    ``grid(b, times)`` maps the CoefficientSet fields it supplies to arrays.
     """
 
     sweep: tuple[str, ...]
     params: Callable[[RunConfig], object]
     profile: Callable[[object, float], RateProfile]
-    supplies: tuple[str, ...]
-    grid: Callable[[object, np.ndarray], tuple]
+    grid: Callable[[object, np.ndarray], dict]
+    build: Callable[[object], object] = lambda p: p
 
-
-_COEFFICIENTS = ("Gamma", "GammaTilde", "Omega", "g")
-_coefficients_of = attrgetter(*_COEFFICIENTS)
 
 # the closed form, exact also across the rate singularities at R > 1/2; it
 # is looked up at each call, so that a wrapper put on the module sees it
 _THERMAL = _Environment(
-    ("R", "N"), lambda cfg: models.ThermalParams(cfg.R, cfg.N),
-    models.thermal_profile, ("Gamma", "g"), lambda p, t: models.thermal_closed_form(p, t))
+    ("R", "N"), lambda cfg: models.ThermalParams(cfg.R, cfg.N), models.thermal_profile,
+    lambda p, times: dict(zip(("Gamma", "g"), models.thermal_closed_form(p, times))))
+# built as gamma3 and GammaTilde callables, one series for both at T > 0
 _OHMIC = _Environment(
     ("s", "alpha", "omega_c", "T"),
     lambda cfg: models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),
-    _ohmic_profile, ("GammaTilde",), _ohmic_gamma_tilde)
+    lambda rates, t_max: RateProfile(gamma3=rates[0]),
+    lambda rates, times: {"GammaTilde": rates[1](times)}, build=models._ohmic_rates)
 
 # each model by name, with the environments whose rates and coefficients it
-# adds up; their supplies do not overlap
+# adds up; the fields that their grids supply do not overlap
 MODELS = {
     "thermal": (_THERMAL,),
     "ohmic": (_OHMIC,),
@@ -215,13 +190,15 @@ MODELS = {
     "both": (_THERMAL, _OHMIC),
     # the GKSL expressions of constant rates
     "constant": (_Environment(
-        (), _constant_rates, lambda rates, t_max: constant_profile(*rates), _COEFFICIENTS,
-        lambda rates, times: _coefficients_of(markovian_coefficients(*rates, times))),),
-    # the exact piecewise-linear route, with no quadrature and no ODE
+        (), _constant_rates, lambda rates, t_max: constant_profile(*rates),
+        lambda rates, times: vars(markovian_coefficients(*rates, times))),),
+    # the exact piecewise-linear route, with no quadrature and no ODE, on
+    # the table read once, after every check; its profile interpolates it
     "tabulated": (_Environment(
-        (), _tabulated_run, lambda run, t_max: _tabulated_profile(run), _COEFFICIENTS,
-        lambda run, times: _coefficients_of(
-            piecewise_linear_coefficients(*_rates_table(run), times))),),
+        (), _table_window, lambda table, t_max: RateProfile(*(
+            functools.partial(np.interp, xp=table[0], fp=rates) for rates in table[1])),
+        lambda table, times: vars(piecewise_linear_coefficients(*table, times)),
+        build=lambda window: _rates_table(*window)),),
 }
 
 
@@ -257,7 +234,10 @@ class RunConfig:
                          f"{cptp.DEFAULT_TOL:g}, override with {TOL_ENV_VAR})")
     out: str = _option("-", "output path, - for stdout")
 
-    def validate(self):
+    def validate(self, build: bool = True) -> tuple | None:
+        """Check the options; with build, return the run's model: each
+        environment of MODELS[model] with what its ``build`` made after
+        every check.  A scan's base options are only checked."""
         if self.steps < 2:
             raise UsageError("steps must be at least 2")
         # written so that NaN fails each comparison
@@ -266,11 +246,12 @@ class RunConfig:
         if not 0 < self.tol < math.inf:
             raise UsageError("tol must be positive and finite")
         try:
-            for env in MODELS[self.model]:
-                env.params(self)
+            params = [(env, env.params(self)) for env in MODELS[self.model]]
             QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if build:
+            return tuple((env, env.build(p)) for env, p in params)
 
     @property
     def times(self) -> np.ndarray:
@@ -281,11 +262,10 @@ class RunConfig:
         return QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
 
 
-def _profile_for(cfg: RunConfig) -> RateProfile:
-    """RateProfile of the configured model (for rates/NM scanning)."""
+def _profile_for(cfg: RunConfig, model: tuple) -> RateProfile:
+    """RateProfile of the model that cfg.validate() built (for rates/NM scanning)."""
     try:
-        return combine_profiles(*(env.profile(env.params(cfg), cfg.t_max)
-                                  for env in MODELS[cfg.model]))
+        return combine_profiles(*(env.profile(built, cfg.t_max) for env, built in model))
     except ValueError as exc:
         # e.g. a thermal window with more poles than can be listed
         raise UsageError(str(exc)) from exc
@@ -295,20 +275,19 @@ def _profile_for(cfg: RunConfig) -> RateProfile:
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _coefficient_grid(cfg: RunConfig) -> CoefficientSet:
-    """The coefficients on the whole time grid, as a CoefficientSet of arrays.
-
-    Each environment of the model supplies its fields, and the others
-    are 0.  A generator whose coefficients cannot be represented is
-    refused (see ``_check_finite``).
-    """
+def _coefficient_grid(cfg: RunConfig, model: tuple) -> CoefficientSet:
+    """The coefficients on the whole time grid, as a CoefficientSet of arrays:
+    each environment of the model that cfg.validate() built supplies its
+    fields, and the others are 0.  A generator whose coefficients cannot
+    be represented is refused (see ``_check_finite``)."""
     times = cfg.times
-    values = dict.fromkeys(_COEFFICIENTS, np.zeros_like(times))
+    values = dict(t=times, **dict.fromkeys(("Gamma", "GammaTilde", "Omega", "g"),
+                                           np.zeros_like(times)))
     # an overflow leaves a non-finite coefficient, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for env in MODELS[cfg.model]:
-            values.update(zip(env.supplies, env.grid(env.params(cfg), times)))
-    c = CoefficientSet(t=times, **values)
+        for env, built in model:
+            values.update(env.grid(built, times))
+    c = CoefficientSet(**values)
     _check_finite(c)
     return c
 
@@ -429,6 +408,14 @@ def _json_report(report: dict, columns: dict):
     yield "\n  ]" + tail + "\n"
 
 
+def _sidecar(poles: np.ndarray, rows: list[int]) -> str:
+    """json.dumps({"singular_times": poles, "suppressed_rows": rows}, indent=2)
+    + "\n", without the pure-Python encoder that the indent selects."""
+    lists = [_cells([poles], json.dumps)[0] if poles.size else [], list(map(str, rows))]
+    times, indices = ("[\n    %s\n  ]" % ",\n    ".join(c) if c else "[]" for c in lists)
+    return f'{{\n  "singular_times": {times},\n  "suppressed_rows": {indices}\n}}\n'
+
+
 def _write_text(path: str, chunks) -> None:
     """Write the chunks of text in order to path, or to stdout for -.
 
@@ -460,16 +447,16 @@ def _evolve(state0: QubitState, c: CoefficientSet):
                          f"state space {exc}") from exc
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    c = _coefficient_grid(cfg)
+def cmd_evolve(cfg: RunConfig, model: tuple) -> int:
+    c = _coefficient_grid(cfg, model)
     p1, alpha = _evolve(cfg.initial_state, c)
     _write_text(cfg.out, _csv_rows(EVOLVE_HEADER, (
         c.t, p1, alpha.real, alpha.imag, c.Gamma, c.GammaTilde, c.Omega, c.g)))
     return EXIT_OK
 
 
-def cmd_cp_check(cfg: RunConfig, method: str) -> int:
-    c = _coefficient_grid(cfg)
+def cmd_cp_check(cfg: RunConfig, model: tuple, method: str) -> int:
+    c = _coefficient_grid(cfg, model)
     columns = {"t": c.t}
     ok = np.ones(c.t.shape, dtype=bool)
     if method in ("paper", "both"):
@@ -497,23 +484,20 @@ def cmd_cp_check(cfg: RunConfig, method: str) -> int:
     return EXIT_OK if all_cp else EXIT_VIOLATION
 
 
-def cmd_rates(cfg: RunConfig) -> int:
-    profile = _profile_for(cfg)
+def cmd_rates(cfg: RunConfig, model: tuple) -> int:
+    profile = _profile_for(cfg, model)
     times = cfg.times
     dt = times[1] - times[0]
-    singular = [s for s in profile.singular_points if s <= cfg.t_max]
+    poles = np.array([s for s in profile.singular_points if s <= cfg.t_max], dtype=float)
     near_pole = np.zeros(times.shape, dtype=bool)
     # within dt/2 of a pole lie at most the two grid points that bracket it
-    poles = np.array(singular, dtype=float)
     for i in np.searchsorted(times, poles) - [[1], [0]]:
         i = i.clip(0, times.size - 1)
         near_pole[i[np.abs(times[i] - poles) <= dt / 2]] = True
     rates = profile.rates_on(times)
     blank = near_pole | ~np.isfinite(rates)
     _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *rates], [None, *blank]))
-    suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
-    sidecar = json.dumps({"singular_times": singular,
-                          "suppressed_rows": suppressed}, indent=2) + "\n"
+    sidecar = _sidecar(poles, np.flatnonzero(blank.any(axis=0)).tolist())
     if cfg.out == "-":
         sys.stderr.write(sidecar)
     else:
@@ -529,11 +513,11 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     numbers, verdicts = [], []
     for value in values:
         sub = replace(cfg, **{param: value})
-        sub.validate()
-        p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub))
+        model = sub.validate()
+        p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub, model))
         stationary = p1[-1]
         report = nonmarkov.negative_intervals(
-            _profile_for(sub), (0.0, sub.t_max), tol=sub.tol)
+            _profile_for(sub, model), (0.0, sub.t_max), tol=sub.tol)
         first = report.first_negative
         numbers.append((value, stationary, p1.max(), p1.max() - stationary,
                         math.nan if first is None else first))
@@ -627,13 +611,13 @@ def main(argv=None) -> int:
         if "tol" not in given:
             given["tol"] = default_tolerance()
         cfg = RunConfig(**given)
-        cfg.validate()
+        model = cfg.validate(build=args.command != "scan")
         if args.command == "evolve":
-            return cmd_evolve(cfg)
+            return cmd_evolve(cfg, model)
         if args.command == "cp-check":
-            return cmd_cp_check(cfg, args.method)
+            return cmd_cp_check(cfg, model, args.method)
         if args.command == "rates":
-            return cmd_rates(cfg)
+            return cmd_rates(cfg, model)
         # scan
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]

@@ -684,13 +684,23 @@ class OhmicSeries:
         return self._finish(direct, self._tail * t, lr[..., k], th[..., k])
 
 
+def _ohmic_rates(p: OhmicParams):
+    """gamma3 and GammaTilde of p as callables of t: the closed form at
+    T = 0, which each GammaTilde call looks up on this module, and at
+    T > 0 the methods of one ``OhmicSeries``."""
+    if p.T == 0:
+        return _cold_rate(p), lambda t: ohmic_closed_form(p, t)[1]
+    series = OhmicSeries(p)
+    return series.rate, series.gamma_tilde
+
+
 def ohmic_profile(p: OhmicParams) -> RateProfile:
     """Pure-dephasing rate profile for the Ohmic model.
 
     gamma3 comes from the closed form at T = 0 and from the exact
     series (``OhmicSeries``) otherwise; gamma1, gamma2 and omega vanish.
     """
-    return RateProfile(gamma3=_cold_rate(p) if p.T == 0 else OhmicSeries(p).rate)
+    return RateProfile(gamma3=_ohmic_rates(p)[0])
 
 
 def markov_rate_limit(R: float) -> float:

@@ -281,7 +281,7 @@ class TestBlocks:
         options = dict(zip(argv[2::2], argv[3::2]))
         cfg = RunConfig(argv[1], **{k[2:].replace("-", "_"): int(v) if k == "--steps"
                                     else float(v) for k, v in options.items()})
-        c = cli._coefficient_grid(cfg)
+        c = cli._coefficient_grid(cfg, cfg.validate())
         p1, alpha = phasecov.evolve_state(cfg.initial_state, c)
         table = np.array([c.t, p1, alpha.real, alpha.imag, c.Gamma, c.GammaTilde, c.Omega, c.g])
         rows = [",".join(map(repr, row)) for row in table.T.tolist()]
@@ -373,7 +373,7 @@ class TestRates:
         cfg = RunConfig(argv[1], **{k[2:].replace("-", "_"): (
             v if k == "--kernel" else int(v) if k == "--steps" else float(v))
             for k, v in options.items()})
-        profile = cli._profile_for(cfg)
+        profile = cli._profile_for(cfg, cfg.validate())
         times = cfg.times
         dt = times[1] - times[0]
         near_pole = np.zeros(times.shape, dtype=bool)
@@ -394,6 +394,24 @@ class TestRates:
         assert main(["rates", "--model", "ohmic", "--s", "1e300", "--steps", "5",
                      "--out", "-"]) == EXIT_OK
         assert json.loads(capsys.readouterr().err)["suppressed_rows"] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("argv,poles", [
+        (["--model", "thermal", "--steps", "50"], 0),
+        (["--model", "thermal", "--R", "10", "--t-max", "20", "--steps", "3001"], 14),
+        (["--model", "thermal", "--R", "1e4", "--t-max", "4000", "--steps", "2000"], 90029),
+    ], ids=["no-poles", "R-10", "R-1e4"])
+    def test_sidecar_is_the_indented_json_dump(self, tmp_path, capsys, argv, poles):
+        # the sidecar is written without json.dumps(indent=2), in its layout
+        out = tmp_path / "r.csv"
+        assert main(["rates", *argv, "--out", str(out)]) == EXIT_OK
+        text = Path(f"{out}.singularities.json").read_text()
+        sidecar = json.loads(text)
+        assert len(sidecar["singular_times"]) == poles
+        assert bool(sidecar["suppressed_rows"]) == bool(poles)
+        assert text == json.dumps(sidecar, indent=2) + "\n"
+        capsys.readouterr()
+        assert main(["rates", *argv, "--out", "-"]) == EXIT_OK
+        assert capsys.readouterr().err == text
 
     @pytest.mark.parametrize("kernel", ["paper", "literature"])
     def test_tiny_temperature_gives_the_zero_temperature_rates(self, tmp_path, kernel):
@@ -429,7 +447,6 @@ class TestScan:
         # the GammaTilde grid and the sign scan's profile share one series
         built, series = [], models.OhmicSeries
         monkeypatch.setattr(models, "OhmicSeries", lambda p: built.append(p) or series(p))
-        cli._ohmic_series.cache_clear()
         assert main(["scan", "--model", "ohmic", "--T", "0.5", "--param", "alpha",
                      "--values", "0.05,0.1,0.2", "--steps", "50",
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
@@ -513,7 +530,9 @@ def test_every_model_runs_every_command(tmp_path, model):
     assert json.loads(out.read_text())["model"] == model
     envs = MODELS[model]
     # the environments supply disjoint coefficients
-    supplied = [name for env in envs for name in env.supplies]
+    cfg = RunConfig(model, rates_file=str(table), t_max=3.0)
+    supplied = [name for env, built in cfg.validate()
+                for name in env.grid(built, cfg.times) if name != "t"]
     assert len(supplied) == len(set(supplied))
     # a one-value scan of each field that the model reads, off its default
     for param in (name for env in envs for name in env.sweep):
@@ -523,6 +542,58 @@ def test_every_model_runs_every_command(tmp_path, model):
                      "--out", str(out)]) == EXIT_OK
         _, rows = _read_csv(out)
         assert [row[:2] for row in rows] == [[param, repr(value)]]
+
+
+class TestOneBuildPerRun:
+    """RunConfig.validate builds each environment once, after every check:
+    the coefficient grid and the rate profile of a run share it."""
+
+    @pytest.fixture
+    def series_built(self, monkeypatch):
+        built, series = [], models.OhmicSeries
+        monkeypatch.setattr(models, "OhmicSeries", lambda p: built.append(p) or series(p))
+        return built
+
+    @pytest.mark.parametrize("command", ["evolve", "cp-check", "rates"])
+    @pytest.mark.parametrize("model", ["ohmic", "both"])
+    def test_command_builds_one_series(self, tmp_path, series_built, command, model):
+        assert main([command, "--model", model, "--T", "0.5", "--steps", "50",
+                     "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_VIOLATION)
+        assert [p.T for p in series_built] == [0.5]
+
+    def test_scan_builds_one_series_per_value_and_none_for_the_base(self, tmp_path,
+                                                                    series_built):
+        assert main(["scan", "--model", "both", "--T", "0.5", "--param", "T",
+                     "--values", "0.25,1", "--steps", "50",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert [p.T for p in series_built] == [0.25, 1.0]
+
+    def test_zero_temperature_builds_no_series(self, tmp_path, series_built):
+        for command in ("evolve", "rates"):
+            assert main([command, "--model", "ohmic", "--steps", "50",
+                         "--out", str(tmp_path / command)]) == EXIT_OK
+        assert series_built == []
+
+    def test_tabulated_run_reads_its_table_once(self, tmp_path, capsys, monkeypatch):
+        reads, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda path, **kwargs: reads.append(path) or loadtxt(path, **kwargs))
+        t = np.linspace(0.0, 4.0, 41)
+        path = tmp_path / "rates.csv"
+        np.savetxt(path, np.column_stack([t, 0.1 * t, 0.5 + 0.0 * t, np.cos(t), 0.0 * t]),
+                   delimiter=",", header=RATES_HEADER, comments="")
+        for command in ("evolve", "cp-check", "rates"):
+            reads.clear()
+            assert main([command, "--model", "tabulated", "--rates-file", str(path),
+                         "--t-max", "3", "--steps", "20", "--out", str(tmp_path / command)]) \
+                in (EXIT_OK, EXIT_VIOLATION)
+            assert reads == [str(path)]
+        # a scan is refused before its table is read
+        reads.clear()
+        assert main(["scan", "--model", "tabulated", "--rates-file", "unread.csv",
+                     "--param", "R", "--values", "1", "--out", "-"]) == EXIT_USAGE
+        assert "does not use parameter 'R'" in capsys.readouterr().err
+        assert reads == []
 
 
 class TestPlumbing:
@@ -716,6 +787,17 @@ class TestPlumbing:
         assert main(args) == EXIT_OK
         monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
         assert main(args) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_env_var_tolerance_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                           monkeypatch, value):
+        # nan and inf used to pass here, and the run then blamed --tol
+        monkeypatch.setenv(TOL_ENV_VAR, value)
+        out = tmp_path / "cp.json"
+        assert main(["cp-check", "--model", "thermal", "--steps", "5",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {TOL_ENV_VAR} must be positive and finite\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("defect,t_max,message", [
         ("swap", 4.0, "strictly increasing"),

@@ -10,7 +10,8 @@ from phasecov import (QuadratureConfig, RateProfile, ThermalParams, ToleranceErr
                       coeffs, combine_profiles, constant_profile, integrate_me,
                       integrate_profile, markovian_coefficients, mesolve,
                       piecewise_linear_coefficients, thermal_closed_form, thermal_profile)
-from phasecov.cli import RATES_HEADER, RunConfig, _tabulated_profile
+from phasecov import cli
+from phasecov.cli import RATES_HEADER, RunConfig
 from phasecov.models import OhmicParams, ohmic_profile
 
 
@@ -178,8 +179,8 @@ def _tabulated(tmp_path):
                              np.cos(1.7 * t), 0.3 * t])
     path = tmp_path / "rates.csv"
     np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
-    return _tabulated_profile(RunConfig(model="tabulated", rates_file=str(path),
-                                        t_max=12.0))
+    cfg = RunConfig(model="tabulated", rates_file=str(path), t_max=12.0)
+    return cli._profile_for(cfg, cfg.validate())
 
 
 def _built_in_profiles(tmp_path):
