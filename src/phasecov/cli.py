@@ -23,8 +23,9 @@ The environment variable PHASECOV_TOL overrides the default verdict
 tolerance (margins and Choi eigenvalues count as non-negative above
 minus this value).
 
-RunConfig.validate checks the options and builds each environment of
-the model (MODELS) once: a command's grid and rate profile share it.
+RunConfig.validate checks the options, and _build builds each
+environment of the model (MODELS) once: a command's grid and rate
+profile share that build.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def _constant_rates(cfg: RunConfig) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class _Environment:
-    """One environment of a model, as ``RunConfig.validate`` builds it.
+    """One environment of a model, as ``RunConfig.validate`` checks it and
+    ``_build`` builds it.
 
     ``sweep`` names the RunConfig fields of its parameters that ``scan``
     may sweep (constant and tabulated rates have none).  ``params(cfg)``
@@ -234,10 +236,9 @@ class RunConfig:
                          f"{cptp.DEFAULT_TOL:g}, override with {TOL_ENV_VAR})")
     out: str = _option("-", "output path, - for stdout")
 
-    def validate(self, build: bool = True) -> tuple | None:
-        """Check the options; with build, return the run's model: each
-        environment of MODELS[model] with what its ``build`` made after
-        every check.  A scan's base options are only checked."""
+    def validate(self) -> list:
+        """Check the options and the initial state, and return each
+        environment of MODELS[model] with its checked parameters."""
         if self.steps < 2:
             raise UsageError("steps must be at least 2")
         # written so that NaN fails each comparison
@@ -246,12 +247,11 @@ class RunConfig:
         if not 0 < self.tol < math.inf:
             raise UsageError("tol must be positive and finite")
         try:
-            params = [(env, env.params(self)) for env in MODELS[self.model]]
+            checked = [(env, env.params(self)) for env in MODELS[self.model]]
             QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if build:
-            return tuple((env, env.build(p)) for env, p in params)
+        return checked
 
     @property
     def times(self) -> np.ndarray:
@@ -262,8 +262,14 @@ class RunConfig:
         return QubitState(self.p1_0, complex(self.re_alpha_0, self.im_alpha_0))
 
 
+def _build(checked: list) -> tuple:
+    """The run's model: each environment with what its ``build`` made of
+    the parameters that RunConfig.validate checked."""
+    return tuple((env, env.build(p)) for env, p in checked)
+
+
 def _profile_for(cfg: RunConfig, model: tuple) -> RateProfile:
-    """RateProfile of the model that cfg.validate() built (for rates/NM scanning)."""
+    """RateProfile of the model that _build made (for rates/NM scanning)."""
     try:
         return combine_profiles(*(env.profile(built, cfg.t_max) for env, built in model))
     except ValueError as exc:
@@ -277,7 +283,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _coefficient_grid(cfg: RunConfig, model: tuple) -> CoefficientSet:
     """The coefficients on the whole time grid, as a CoefficientSet of arrays:
-    each environment of the model that cfg.validate() built supplies its
+    each environment of the model that _build made supplies its
     fields, and the others are 0.  A generator whose coefficients cannot
     be represented is refused (see ``_check_finite``)."""
     times = cfg.times
@@ -408,14 +414,6 @@ def _json_report(report: dict, columns: dict):
     yield "\n  ]" + tail + "\n"
 
 
-def _sidecar(poles: np.ndarray, rows: list[int]) -> str:
-    """json.dumps({"singular_times": poles, "suppressed_rows": rows}, indent=2)
-    + "\n", without the pure-Python encoder that the indent selects."""
-    lists = [_cells([poles], json.dumps)[0] if poles.size else [], list(map(str, rows))]
-    times, indices = ("[\n    %s\n  ]" % ",\n    ".join(c) if c else "[]" for c in lists)
-    return f'{{\n  "singular_times": {times},\n  "suppressed_rows": {indices}\n}}\n'
-
-
 def _write_text(path: str, chunks) -> None:
     """Write the chunks of text in order to path, or to stdout for -.
 
@@ -488,16 +486,19 @@ def cmd_rates(cfg: RunConfig, model: tuple) -> int:
     profile = _profile_for(cfg, model)
     times = cfg.times
     dt = times[1] - times[0]
-    poles = np.array([s for s in profile.singular_points if s <= cfg.t_max], dtype=float)
+    singular = [s for s in profile.singular_points if s <= cfg.t_max]
     near_pole = np.zeros(times.shape, dtype=bool)
     # within dt/2 of a pole lie at most the two grid points that bracket it
+    poles = np.array(singular, dtype=float)
     for i in np.searchsorted(times, poles) - [[1], [0]]:
         i = i.clip(0, times.size - 1)
         near_pole[i[np.abs(times[i] - poles) <= dt / 2]] = True
     rates = profile.rates_on(times)
     blank = near_pole | ~np.isfinite(rates)
     _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *rates], [None, *blank]))
-    sidecar = _sidecar(poles, np.flatnonzero(blank.any(axis=0)).tolist())
+    suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
+    sidecar = json.dumps({"singular_times": singular,
+                          "suppressed_rows": suppressed}, indent=2) + "\n"
     if cfg.out == "-":
         sys.stderr.write(sidecar)
     else:
@@ -513,7 +514,7 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
     numbers, verdicts = [], []
     for value in values:
         sub = replace(cfg, **{param: value})
-        model = sub.validate()
+        model = _build(sub.validate())
         p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub, model))
         stationary = p1[-1]
         report = nonmarkov.negative_intervals(
@@ -611,14 +612,14 @@ def main(argv=None) -> int:
         if "tol" not in given:
             given["tol"] = default_tolerance()
         cfg = RunConfig(**given)
-        model = cfg.validate(build=args.command != "scan")
+        checked = cfg.validate()
         if args.command == "evolve":
-            return cmd_evolve(cfg, model)
+            return cmd_evolve(cfg, _build(checked))
         if args.command == "cp-check":
-            return cmd_cp_check(cfg, model, args.method)
+            return cmd_cp_check(cfg, _build(checked), args.method)
         if args.command == "rates":
-            return cmd_rates(cfg, model)
-        # scan
+            return cmd_rates(cfg, _build(checked))
+        # scan, which builds each value and not the base options
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:

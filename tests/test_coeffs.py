@@ -180,7 +180,7 @@ def _tabulated(tmp_path):
     path = tmp_path / "rates.csv"
     np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
     cfg = RunConfig(model="tabulated", rates_file=str(path), t_max=12.0)
-    return cli._profile_for(cfg, cfg.validate())
+    return cli._profile_for(cfg, cli._build(cfg.validate()))
 
 
 def _built_in_profiles(tmp_path):
