@@ -160,13 +160,13 @@ class _Environment:
     may sweep (constant and tabulated rates have none).  ``params(cfg)``
     checks and returns its parameters p, raising ValueError for invalid
     ones, and ``build(p)`` makes from them what a run evaluates, b:
-    ``profile(b, t_max)`` is its RateProfile for windows up to t_max, and
+    ``profile(b)`` is its RateProfile, and
     ``grid(b, times)`` maps the CoefficientSet fields it supplies to arrays.
     """
 
     sweep: tuple[str, ...]
     params: Callable[[RunConfig], object]
-    profile: Callable[[object, float], RateProfile]
+    profile: Callable[[object], RateProfile]
     grid: Callable[[object, np.ndarray], dict]
     build: Callable[[object], object] = lambda p: p
 
@@ -180,7 +180,7 @@ _THERMAL = _Environment(
 _OHMIC = _Environment(
     ("s", "alpha", "omega_c", "T"),
     lambda cfg: models.OhmicParams(cfg.alpha, cfg.s, cfg.omega_c, cfg.T, cfg.kernel),
-    lambda rates, t_max: RateProfile(gamma3=rates[0]),
+    lambda rates: RateProfile(gamma3=rates[0]),
     lambda rates, times: {"GammaTilde": rates[1](times)}, build=models._ohmic_rates)
 
 # each model by name, with the environments whose rates and coefficients it
@@ -192,12 +192,12 @@ MODELS = {
     "both": (_THERMAL, _OHMIC),
     # the GKSL expressions of constant rates
     "constant": (_Environment(
-        (), _constant_rates, lambda rates, t_max: constant_profile(*rates),
+        (), _constant_rates, lambda rates: constant_profile(*rates),
         lambda rates, times: vars(markovian_coefficients(*rates, times))),),
     # the exact piecewise-linear route, with no quadrature and no ODE, on
     # the table read once, after every check; its profile interpolates it
     "tabulated": (_Environment(
-        (), _table_window, lambda table, t_max: RateProfile(*(
+        (), _table_window, lambda table: RateProfile(*(
             functools.partial(np.interp, xp=table[0], fp=rates) for rates in table[1])),
         lambda table, times: vars(piecewise_linear_coefficients(*table, times)),
         build=lambda window: _rates_table(*window)),),
@@ -268,13 +268,9 @@ def _build(checked: list) -> tuple:
     return tuple((env, env.build(p)) for env, p in checked)
 
 
-def _profile_for(cfg: RunConfig, model: tuple) -> RateProfile:
+def _profile_for(model: tuple) -> RateProfile:
     """RateProfile of the model that _build made (for rates/NM scanning)."""
-    try:
-        return combine_profiles(*(env.profile(built, cfg.t_max) for env, built in model))
-    except ValueError as exc:
-        # e.g. a thermal window with more poles than can be listed
-        raise UsageError(str(exc)) from exc
+    return combine_profiles(*(env.profile(built) for env, built in model))
 
 
 # the largest x with a finite exp(x)
@@ -358,7 +354,8 @@ def _cells(columns, spell, blank=None) -> list:
     text = _ONE_DIGIT_EXPONENT.sub("e-0", _EXPONENT_SIGN.sub("e+", text))
     cells = list(columns)
     for i, column_text in zip(floats, text[2:-2].split("],[")):
-        cells[i] = column_text.split(",")
+        # the text of an empty column is "", whose split is [""]
+        cells[i] = column_text.split(",") if column_text else []
     size = np.abs(values)
     odd = ~np.isfinite(values) | ((1e-5 <= size) & (size < 1e-4))
     for (i, j), x in zip(np.argwhere(odd).tolist(), values[odd].tolist()):
@@ -483,13 +480,16 @@ def cmd_cp_check(cfg: RunConfig, model: tuple, method: str) -> int:
 
 
 def cmd_rates(cfg: RunConfig, model: tuple) -> int:
-    profile = _profile_for(cfg, model)
+    profile = _profile_for(model)
+    try:
+        poles = np.array(profile.poles(0.0, cfg.t_max), dtype=float)
+    except ValueError as exc:
+        # a thermal window with more poles than can be listed
+        raise UsageError(str(exc)) from exc
     times = cfg.times
     dt = times[1] - times[0]
-    singular = [s for s in profile.singular_points if s <= cfg.t_max]
     near_pole = np.zeros(times.shape, dtype=bool)
     # within dt/2 of a pole lie at most the two grid points that bracket it
-    poles = np.array(singular, dtype=float)
     for i in np.searchsorted(times, poles) - [[1], [0]]:
         i = i.clip(0, times.size - 1)
         near_pole[i[np.abs(times[i] - poles) <= dt / 2]] = True
@@ -497,7 +497,7 @@ def cmd_rates(cfg: RunConfig, model: tuple) -> int:
     blank = near_pole | ~np.isfinite(rates)
     _write_text(cfg.out, _csv_rows(RATES_HEADER, [times, *rates], [None, *blank]))
     suppressed = np.flatnonzero(blank.any(axis=0)).tolist()
-    sidecar = json.dumps({"singular_times": singular,
+    sidecar = json.dumps({"singular_times": poles.tolist(),
                           "suppressed_rows": suppressed}, indent=2) + "\n"
     if cfg.out == "-":
         sys.stderr.write(sidecar)
@@ -517,8 +517,12 @@ def cmd_scan(cfg: RunConfig, param: str, values: list[float]) -> int:
         model = _build(sub.validate())
         p1, _ = _evolve(sub.initial_state, _coefficient_grid(sub, model))
         stationary = p1[-1]
-        report = nonmarkov.negative_intervals(
-            _profile_for(sub, model), (0.0, sub.t_max), tol=sub.tol)
+        try:
+            report = nonmarkov.negative_intervals(
+                _profile_for(model), (0.0, sub.t_max), tol=sub.tol)
+        except ValueError as exc:
+            # a thermal window with more poles than can be listed
+            raise UsageError(str(exc)) from exc
         first = report.first_negative
         numbers.append((value, stationary, p1.max(), p1.max() - stationary,
                         math.nan if first is None else first))

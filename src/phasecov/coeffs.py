@@ -125,10 +125,11 @@ class RateProfile:
     callbacks pass single times; grid consumers pass the whole grid at
     once through :meth:`rates_on`.
 
-    ``singular_points`` lists times where a rate may diverge; they are
-    used as mandatory quadrature panel boundaries and are excluded from
-    pointwise scans.  The list is complete up to ``singular_reach``:
-    integrators and scans refuse a window that ends beyond it.
+    ``poles(t0, t1)`` returns the sorted times in [t0, t1] where a rate
+    may diverge; each consumer asks for its own window, and uses them as
+    mandatory quadrature panel boundaries or excludes them from
+    pointwise scans.  A window with more poles than can be listed raises
+    ValueError.
 
     No divergence can be integrated across, nor up to.  The poles of the
     thermal rate f are simple poles, so ``integrate_profile`` raises
@@ -146,8 +147,7 @@ class RateProfile:
     gamma2: Callable = _zero
     gamma3: Callable = _zero
     omega: Callable = _zero
-    singular_points: tuple[float, ...] = ()
-    singular_reach: float = math.inf
+    poles: Callable = lambda t0, t1: ()
 
     def rates(self, t: float) -> tuple[float, float, float, float]:
         """Evaluate (gamma1, gamma2, gamma3, omega) at time t."""
@@ -167,14 +167,6 @@ class RateProfile:
             for row, fn in zip(out, (self.gamma1, self.gamma2, self.gamma3, self.omega)):
                 row[:] = fn(t)
         return out
-
-    def check_reach(self, t_end: float) -> None:
-        """Raise ValueError if t_end lies beyond the singular-point list."""
-        if t_end > self.singular_reach:
-            raise ValueError(
-                f"the profile lists its singular points only up to "
-                f"t = {self.singular_reach:g}, so a window to t = {t_end:g} may "
-                "cross unlisted ones; build it with a larger t_max")
 
 
 def constant_profile(gamma1=0.0, gamma2=0.0, gamma3=0.0, omega=0.0) -> RateProfile:
@@ -199,14 +191,12 @@ def combine_profiles(*profiles: RateProfile) -> RateProfile:
             return funcs[0] if funcs else _zero
         return lambda t: sum(f(t) for f in funcs)
 
-    sing = sorted({s for p in profiles for s in p.singular_points})
     return RateProfile(
         gamma1=_sum(lambda p: p.gamma1),
         gamma2=_sum(lambda p: p.gamma2),
         gamma3=_sum(lambda p: p.gamma3),
         omega=_sum(lambda p: p.omega),
-        singular_points=tuple(sing),
-        singular_reach=min(p.singular_reach for p in profiles),
+        poles=lambda t0, t1: tuple(sorted({s for p in profiles for s in p.poles(t0, t1)})),
     )
 
 
@@ -515,7 +505,7 @@ def _running_integrals(profile, times, cfg):
     raises :class:`ToleranceError`.
     """
     hi = np.array(times, dtype=float)
-    sing = np.array(profile.singular_points, dtype=float)
+    sing = np.array(profile.poles(0.0, times[-1]), dtype=float)
     edges = np.union1d(np.append(hi, 0.0), sing[(sing > 0.0) & (sing < hi[-1])])
     rows = len(_COEFFICIENT_RATES) + 1
     rel = np.full((rows, 1), cfg.rel_tol)
@@ -619,14 +609,14 @@ def integrate_profile(
     21-point panel, with g stepped across it from the same nodes; on an
     interval whose summed error estimates miss the tolerances of ``cfg``,
     the worst panels are halved (see ``_running_integrals``).
-    No QUADPACK or ODE routine is called.  Raises ValueError for a
-    non-monotone grid or one that ends beyond the profile's
-    ``singular_reach``, and :class:`ToleranceError` when the error
-    control cannot be met (for example at a rate divergence).
+    The panels are cut at the profile's poles on [0, times[-1]], on any
+    window.  No QUADPACK or ODE routine is called.  Raises ValueError for
+    a non-monotone grid or one with more poles than can be listed, and
+    :class:`ToleranceError` when the error control cannot be met (for
+    example at a rate divergence).
     """
     cfg = cfg or QuadratureConfig()
     ts = _validate_times(times).tolist()
-    profile.check_reach(ts[-1])
     rows = _running_integrals(profile, ts, cfg).tolist()
     return [CoefficientSet(t, *row) for t, *row in zip(ts, *rows)]
 

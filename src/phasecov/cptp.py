@@ -260,7 +260,7 @@ def short_time_check(profile: RateProfile, tol: float = DEFAULT_TOL) -> ShortTim
     outside 0 < tol < inf, NaN included, raises ValueError.
     """
     _check_tol(tol)
-    singular_origin = any(s == 0.0 for s in profile.singular_points)
+    singular_origin = bool(profile.poles(0.0, 0.0))
     values, ok, indet = [], [], []
     for fn in (profile.gamma1, profile.gamma2, profile.gamma3):
         if singular_origin:

@@ -30,9 +30,10 @@ integration is one LSODA call into ODEPACK (``coeffs.solve_ivp``) from 0
 through every requested time, with ``tcrit`` at the last of them so that
 no rate is sampled past it; a solver failure, or a reported state that
 is not finite, raises :class:`IntegrationError` naming the time.
-Profiles with a rate singularity inside the integration window are
-refused: the generator diverges there even though the map stays finite,
-and the closed-form route is the authority across such points.
+A profile with a pole on the integration window, which it lists
+through ``RateProfile.poles`` for any window, is refused: the generator
+diverges there even though the map stays finite, and the closed-form
+route is the authority across such points.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def integrate_me(
     Parameters
     ----------
     profile : RateProfile
-        Generator rates; must be free of singular points on [0, t_end],
-        and t_end must not lie beyond its ``singular_reach``.
+        Generator rates; ``profile.poles(0, t_end)`` must be empty, or
+        IntegrationError names the first pole, on any window.
     rho0 : array_like
         Valid 2x2 density matrix at t = 0: finite, Hermitian, of unit
         trace and positive semidefinite to 1e-9, or ValueError.
@@ -196,12 +197,11 @@ def integrate_me(
         raise ValueError(f"t_eval ends at {times[-1]:g}, after t_end = {t_end:g}")
     if np.any((times > 0.0) & (times < _MIN_TIME)):
         raise ValueError(f"times in (0, {_MIN_TIME:g}) are too near 0 for LSODA")
-    profile.check_reach(t_end)
-    for s in profile.singular_points:
-        if 0.0 <= s <= t_end:
-            raise IntegrationError(
-                f"rate singularity at t = {s:g} inside [0, {t_end:g}]; "
-                "use the closed-form route across singular generators")
+    poles = profile.poles(0.0, t_end)
+    if poles:
+        raise IntegrationError(
+            f"rate singularity at t = {poles[0]:g} inside [0, {t_end:g}]; "
+            "use the closed-form route across singular generators")
 
     y = np.tile(_pack(rho0), (times.size, 1))
     if times[-1] > 0.0:

@@ -185,27 +185,31 @@ def amplitude_memory(R: float, tau: float) -> MemorySample:
     return MemorySample(tau=tau, c_ratio=c, x=c * c, f=f)
 
 
-_MAX_ZEROS = 10**5     # the CLI's windows list at most about 40
+_MAX_ZEROS = 10**5     # the most poles one window lists
 
 
-def thermal_zeros(R: float, t_max: float) -> tuple[float, ...]:
-    """Times in (0, t_max] where c vanishes and f diverges.
+def thermal_zeros(R: float, t_max: float, t_min: float = 0.0) -> tuple[float, ...]:
+    """Times in [t_min, t_max] (t_min >= 0) where c vanishes and f diverges.
 
     Zeros exist only for R > 1/2, at tau_k = (2/delta)(k pi - atan delta)
-    with delta = sqrt(2R - 1), for k up to (delta t_max/2 + atan delta)/pi.
-    A window with more than ``_MAX_ZEROS`` of them raises ValueError.
+    with delta = sqrt(2R - 1), for k from (delta t_min/2 + atan delta)/pi
+    to (delta t_max/2 + atan delta)/pi; k is counted from the window's
+    start, and a window with more than ``_MAX_ZEROS`` of them raises
+    ValueError.  Each zero has the same bits whatever window lists it.
     """
     if R <= 0.5:
         return ()
     delta = math.sqrt(2 * R - 1)
-    count = (delta * t_max / 2 + math.atan(delta)) / math.pi
+    first, last = ((delta * t / 2 + math.atan(delta)) / math.pi for t in (t_min, t_max))
+    count = last - first // 1.0
     if not count <= _MAX_ZEROS:
-        raise ValueError(f"R = {R:g} gives about {count:.3g} rate poles up to t = "
-                         f"{t_max:g}, more than the {_MAX_ZEROS} that can be listed")
-    # one k past the count, in case its rounding differs from that of tau
-    k = np.arange(1, math.floor(count) + 2)
+        where = f"up to t = {t_max:g}" if t_min == 0 else f"on [{t_min:g}, {t_max:g}]"
+        raise ValueError(f"R = {R:g} gives about {count:.3g} rate poles {where}, "
+                         f"more than the {_MAX_ZEROS} that can be listed")
+    # one k before and one past the window, as their rounding may differ from tau's
+    k = first // 1.0 + np.arange(math.floor(count) + 2)
     tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
-    return tuple(tau[tau <= t_max].tolist())
+    return tuple(tau[(tau >= t_min) & (tau <= t_max)].tolist())
 
 
 def _memory_rate(R: float):
@@ -321,21 +325,21 @@ def _log_memory(R: float, tau):
     return out
 
 
-def thermal_profile(p: ThermalParams, t_max: float = 200.0) -> RateProfile:
+def thermal_profile(p: ThermalParams, t_max: float | None = None) -> RateProfile:
     """Rate profile gamma1 = 2N f, gamma2 = 2(N+1) f, gamma3 = omega = 0.
 
-    ``singular_points`` holds the zeros of c up to t_max, which is then
-    the profile's ``singular_reach``; for R <= 1/2 c has no zeros, the
-    list is empty and the reach unbounded.  Each of gamma1 and gamma2
-    evaluates f (``_memory_rate``), which refuses a negative time.
+    ``poles(t0, t1)`` lists the zeros of c on the window asked for
+    (``thermal_zeros``); for R <= 1/2 c has no zeros.  Each of gamma1 and
+    gamma2 evaluates f (``_memory_rate``), which refuses a negative time.
+    ``t_max`` has no effect: ``perfbench/workloads.py`` (``_case``) still
+    passes it by keyword, and it goes with the next change to the benchmark.
     """
     f = _memory_rate(p.R)
     heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
     return RateProfile(
         gamma1=_zero if p.N == 0 else (lambda t: heat * f(t)),
         gamma2=lambda t: loss * f(t),
-        singular_points=thermal_zeros(p.R, t_max),
-        singular_reach=math.inf if p.R <= 0.5 else t_max,
+        poles=lambda t0, t1: thermal_zeros(p.R, t1, t0),
     )
 
 

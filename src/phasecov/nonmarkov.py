@@ -183,16 +183,16 @@ def negative_intervals(
     Listed singular points and non-finite samples are excluded from the
     sign logic and reported separately, the samples beside a listed
     point as that point; an interval opening at a rate divergence starts
-    at the divergence time itself, to within the target.  A window
-    beyond the profile's
-    ``singular_reach``, a resolution that gives no finite grid count, or
-    a tol outside 0 < tol < inf, NaN included, raises ValueError.
+    at the divergence time itself, to within the target.  The listed
+    points are ``profile.poles(t0, t1)``, on any window.  A window with
+    more poles than can be listed, a resolution that gives no finite
+    grid count, or a tol outside 0 < tol < inf, NaN included, raises
+    ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (0 <= t0 < t1) or not math.isfinite(t1):
         raise ValueError("window must satisfy 0 <= t_start < t_end < inf")
     _check_tol(tol)
-    profile.check_reach(t1)
     if resolution is not None and resolution <= 0:
         raise ValueError("resolution must be positive")
     # the count, not a spacing, so that a window too narrow to divide
@@ -203,7 +203,7 @@ def negative_intervals(
                          f"({t0:g}, {t1:g}) into a number of points that is not finite")
     n = max(math.ceil(spans) + 1, 3)
     grid = np.linspace(t0, t1, n)
-    singular = {s for s in profile.singular_points if t0 <= s <= t1}
+    singular = set(profile.poles(t0, t1))
     plain = True
     if singular:
         # a float spacing, at least a quarter of the target, on either

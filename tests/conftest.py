@@ -9,6 +9,7 @@ either ODE route or to the refinement.  Properties that set
 
 ``intermediate_map`` gives the coefficients of the map between two
 times from the sets at each, as the tests of CP-divisibility need them.
+``listed_poles`` makes the ``RateProfile.poles`` of a fixed list.
 """
 
 import numpy as np
@@ -27,3 +28,9 @@ def intermediate_map(early: CoefficientSet, late: CoefficientSet) -> Coefficient
     rise = late.Gamma - early.Gamma
     return CoefficientSet(t=late.t, Gamma=rise, GammaTilde=late.GammaTilde - early.GammaTilde,
                           Omega=late.Omega - early.Omega, g=late.g - np.exp(-rise) * early.g)
+
+
+def listed_poles(*points: float):
+    """``RateProfile.poles`` for the fixed times ``points``: those in the
+    window asked for, sorted."""
+    return lambda t0, t1: tuple(sorted(p for p in points if t0 <= p <= t1))

@@ -184,7 +184,7 @@ def test_criterion_5b_strong_coupling_oscillations():
         decay_max = max(math.exp(-thermal_closed_form(p, float(t))[0])
                         for t in tail)
         amplitudes.append(mu * decay_max)
-        rep = negative_intervals(thermal_profile(p, t_max=10.0), (0.0, 6.0))
+        rep = negative_intervals(thermal_profile(p), (0.0, 6.0))
         verdicts.append(rep.verdict is Verdict.NON_MARKOVIAN)
 
     decreasing = all(b < a for a, b in zip(amplitudes[:-1], amplitudes[1:]))
@@ -220,7 +220,7 @@ def test_criterion_6_additivity_of_coherence_decay():
 
 def test_criterion_7_crossover_thresholds():
     """Markovian to non-Markovian thresholds in R and s."""
-    fam_r = lambda R: thermal_profile(ThermalParams(R=R, N=0.0), t_max=120.0)
+    fam_r = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))
     r_star = crossover_scan(fam_r, np.linspace(0.05, 2.0, 14),
                             (0.0, 120.0)).threshold
 

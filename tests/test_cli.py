@@ -219,6 +219,14 @@ def test_json_cells_are_spelled_as_json_dumps_spells_them():
         ["1e-05", "2.0"], ["true", "false"], ["a", "b"], ["3.0", ""]]
 
 
+def test_empty_float_columns_have_no_cells():
+    # orjson writes [[]], and "".split(",") gave one empty cell
+    empty = np.array([], dtype=float)
+    for spell in (json.dumps, repr):
+        assert cli._cells([empty], spell) == [[]]
+        assert cli._cells([empty, np.array([], dtype=bool), [], empty], spell) == [[]] * 4
+
+
 @settings(max_examples=300)
 @given(values=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
                      elements=st.floats()))
@@ -373,11 +381,11 @@ class TestRates:
         cfg = RunConfig(argv[1], **{k[2:].replace("-", "_"): (
             v if k == "--kernel" else int(v) if k == "--steps" else float(v))
             for k, v in options.items()})
-        profile = cli._profile_for(cfg, cli._build(cfg.validate()))
+        profile = cli._profile_for(cli._build(cfg.validate()))
         times = cfg.times
         dt = times[1] - times[0]
         near_pole = np.zeros(times.shape, dtype=bool)
-        for pole in profile.singular_points:
+        for pole in profile.poles(0.0, cfg.t_max):
             near_pole |= np.abs(times - pole) <= dt / 2
         with np.errstate(all="ignore"):
             rates = profile.rates_on(times)
@@ -905,13 +913,13 @@ from phasecov import (ThermalParams, constant_profile, integrate_me, integrate_p
                       thermal_closed_form, thermal_profile, thermal_zeros)
 loaded = [("scipy.integrate" in sys.modules)]
 # an R = 3 thermal grid that ends before its first pole, whose last interval
-# is bisected toward it, and a profile with a listed singular point
+# is bisected toward it, and a profile with a listed pole
 thermal = ThermalParams(R=3.0, N=1.0)
 grid = np.linspace(0.0, 10.0, 200)[1:]
 grid = grid[grid < thermal_zeros(3.0, 10.0)[0]]
-near = integrate_profile(thermal_profile(thermal, t_max=10.0), grid)[-1]
+near = integrate_profile(thermal_profile(thermal), grid)[-1]
 profile = constant_profile(0.2, 0.6, 0.1, 0.5)
-cut = dataclasses.replace(profile, singular_points=(0.3,))
+cut = dataclasses.replace(profile, poles=lambda t0, t1: (0.3,) if t0 <= 0.3 <= t1 else ())
 listed = integrate_profile(cut, [0.5, 1.0])[-1]
 loaded.append("scipy.integrate" in sys.modules)
 rho = integrate_me(profile, np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]]), 1.0)

@@ -12,7 +12,9 @@ from phasecov import (QuadratureConfig, RateProfile, ThermalParams, ToleranceErr
                       piecewise_linear_coefficients, thermal_closed_form, thermal_profile)
 from phasecov import cli
 from phasecov.cli import RATES_HEADER, RunConfig
-from phasecov.models import OhmicParams, ohmic_profile
+from phasecov.models import OhmicParams, ohmic_profile, thermal_zeros
+
+from conftest import listed_poles
 
 
 def _step(t, at, before, after):
@@ -60,7 +62,7 @@ def test_times_must_increase():
 
 def test_singular_crossing_raises_tolerance_error():
     # R > 1/2: one-sided integrals of f diverge at the zeros of c
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=10.0)
+    prof = thermal_profile(ThermalParams(R=10.0, N=0.0))
     with pytest.raises(ToleranceError) as err:
         integrate_profile(prof, [2.0])
     lo, hi = err.value.interval
@@ -180,18 +182,18 @@ def _tabulated(tmp_path):
     path = tmp_path / "rates.csv"
     np.savetxt(path, table, delimiter=",", header=RATES_HEADER, comments="")
     cfg = RunConfig(model="tabulated", rates_file=str(path), t_max=12.0)
-    return cli._profile_for(cfg, cli._build(cfg.validate()))
+    return cli._profile_for(cli._build(cfg.validate()))
 
 
 def _built_in_profiles(tmp_path):
-    yield from (thermal_profile(ThermalParams(R, N), t_max=12.0)
+    yield from (thermal_profile(ThermalParams(R, N))
                 for R in (0.02, 0.25, 0.45, 0.5, 0.55, 2.0, 20.0) for N in (0.0, 1.3))
     yield from (ohmic_profile(OhmicParams(0.1, s, 1.3, T, kernel))
                 for s in (0.5, 1.0, 2.0, 3.5) for T in (0.0, 0.7)
                 for kernel in ("paper", "literature"))
     yield constant_profile(0.3, -0.7, 0.15, 0.4)
     yield _tabulated(tmp_path)
-    yield combine_profiles(thermal_profile(ThermalParams(10.0, 0.5), t_max=12.0),
+    yield combine_profiles(thermal_profile(ThermalParams(10.0, 0.5)),
                            ohmic_profile(OhmicParams(0.1, 3.0, 1.0, 0.5, "paper")),
                            constant_profile(omega=0.2))
 
@@ -199,14 +201,15 @@ def _built_in_profiles(tmp_path):
 def test_rates_on_equals_per_point_evaluation(tmp_path):
     for profile in _built_in_profiles(tmp_path):
         # the listed poles are on the grid, where the rates are infinite
-        t = np.union1d(np.linspace(0.0, 12.0, 2049), profile.singular_points)
+        poles = profile.poles(0.0, 12.0)
+        t = np.union1d(np.linspace(0.0, 12.0, 2049), poles)
         grid = profile.rates_on(t)
         fns = (profile.gamma1, profile.gamma2, profile.gamma3, profile.omega)
         # the reference: each rate at each time, as a float
         points = np.array([[fn(x) for x in t.tolist()] for fn in fns], dtype=float)
         assert grid.shape == points.shape == (4, t.size)
         finite = np.isfinite(points)
-        assert (~finite[1]).any() == bool(profile.singular_points)
+        assert (~finite[1]).any() == bool(poles)
         np.testing.assert_array_equal(np.isfinite(grid), finite)
         np.testing.assert_array_equal(grid[~finite], points[~finite])
         np.testing.assert_allclose(grid[finite], points[finite], rtol=1e-14, atol=0.0)
@@ -267,17 +270,47 @@ def test_combined_profile_sums_only_the_nonzero_parts():
         assert twice.rates(t)[2] == ohmic.gamma3(t)
 
 
-def test_window_beyond_the_singular_reach_is_refused():
-    # R = 10 has an unlisted pole at 0.8242 when the list stops at 0.5
-    prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
-    assert prof.singular_reach == 0.5 and prof.singular_points == ()
-    with pytest.raises(ValueError, match="singular points only up to t = 0.5"):
+def test_poles_are_asked_for_the_window_of_the_grid():
+    # R = 10: the grid's first interval [0, 0.2] has no pole, and the
+    # second fails on the sub-panel that ends at the pole 0.8242034
+    prof = thermal_profile(ThermalParams(R=10.0))
+    with pytest.raises(ToleranceError) as err:
         integrate_profile(prof, [0.2, 2.0])
-    assert integrate_profile(prof, [0.5])[0].Gamma > 0.0
-    # the combined profile keeps the shortest reach
-    both = combine_profiles(prof, thermal_profile(ThermalParams(R=0.25)))
-    assert both.singular_reach == 0.5
-    assert thermal_profile(ThermalParams(R=0.25), t_max=0.5).singular_reach == math.inf
+    pole = thermal_zeros(10.0, 2.0)[0]
+    assert pole == pytest.approx(0.824203431, abs=1e-9)
+    lo, hi = err.value.interval
+    assert hi == pole and pole - 1e-8 < lo < pole
+    # past t = 200, where the poles used to stop, the same error as with
+    # the window's poles listed by hand
+    listed = dataclasses.replace(prof, poles=listed_poles(*thermal_zeros(10.0, 300.0)))
+    errors = []
+    for p in (prof, listed):
+        with pytest.raises(ToleranceError) as err:
+            integrate_profile(p, [0.1, 300.0])
+        errors.append((str(err.value), err.value.interval, err.value.abserr))
+    assert errors[0] == errors[1]
+
+
+def test_a_window_with_too_many_poles_is_refused():
+    prof = thermal_profile(ThermalParams(R=10.0))
+    with pytest.raises(ValueError, match="more than the 100000"):
+        prof.poles(0.0, 1e6)
+    with pytest.raises(ValueError, match="more than the 100000"):
+        integrate_profile(prof, [1e6])
+    # counted from the window's start: a short window far out is listed
+    assert len(prof.poles(1e6, 1e6 + 10.0)) == 7
+
+
+def test_combined_poles_are_the_union_of_the_parts():
+    thermal = thermal_profile(ThermalParams(R=10.0, N=0.5))
+    other = RateProfile(poles=listed_poles(0.5, thermal_zeros(10.0, 2.0)[0], 3.0))
+    both = combine_profiles(thermal, other, constant_profile(0.1))
+    for window in ((0.0, 2.0), (0.6, 30.0), (250.0, 300.0), (1.0, 1.5)):
+        assert both.poles(*window) == tuple(sorted(
+            set(thermal.poles(*window)) | set(other.poles(*window))))
+    assert both.poles(0.0, 2.0) == (0.5, thermal_zeros(10.0, 2.0)[0])
+    assert constant_profile(0.1).poles(0.0, 1e300) == ()
+    assert thermal_profile(ThermalParams(R=0.25)).poles(0.0, 1e300) == ()
 
 
 def _refuse_integrators(monkeypatch):
@@ -302,7 +335,7 @@ def test_g_across_a_listed_jump_calls_no_integrator(monkeypatch):
             raise ValueError(f"rate sampled at t = {t!r}, past {window_end[0]!r}")
         return _step(t, 1.0, 0.4, 1.2)
 
-    prof = RateProfile(gamma2=gamma2, singular_points=(1.0,))
+    prof = RateProfile(gamma2=gamma2, poles=listed_poles(1.0))
 
     def big_gamma(t):
         return 0.2 * t if t <= 1.0 else 0.2 + 0.6 * (t - 1.0)
@@ -347,7 +380,7 @@ def test_interval_with_a_singular_point_calls_no_ode_solver(monkeypatch):
     # smooth rates with a listed point at t = 1.3, inside [1, 1.5]: g is
     # stepped across the two panels that the point cuts it into
     _refuse_integrators(monkeypatch)
-    prof = dataclasses.replace(constant_profile(0.2, 0.6), singular_points=(1.3,))
+    prof = dataclasses.replace(constant_profile(0.2, 0.6), poles=listed_poles(1.3))
     times = np.linspace(0.0, 3.0, 7)
     out = integrate_profile(prof, times)
     exact = markovian_coefficients(0.2, 0.6, 0.0, 0.0, times)
@@ -375,7 +408,7 @@ def test_interval_with_a_singular_point_calls_no_quadpack(monkeypatch):
     # which the point cuts into two panels
     _refuse_integrators(monkeypatch)
     prof = RateProfile(gamma2=lambda t: _step(t, 1.3, 0.4, 1.2), gamma3=np.cos,
-                       singular_points=(1.3,))
+                       poles=listed_poles(1.3))
     times = np.linspace(0.0, 3.0, 7)
     out = integrate_profile(prof, times)
     for c in out:

@@ -11,6 +11,8 @@ from phasecov import (AffineBlochMap, CoefficientSet, OhmicParams, RateProfile,
                       ohmic_closed_form, ohmic_profile, pqwy, short_time_check,
                       thermal_closed_form, thermal_profile)
 
+from conftest import listed_poles
+
 RNG = np.random.default_rng(7)
 
 
@@ -280,7 +282,7 @@ class TestShortTime:
         assert rep.ok == (True, True, False) and not rep.all_ok
 
     def test_singular_origin_is_indeterminate(self):
-        prof = RateProfile(singular_points=(0.0,))
+        prof = RateProfile(poles=listed_poles(0.0))
         rep = short_time_check(prof)
         assert rep.indeterminate == (True, True, True)
         assert not rep.all_ok

@@ -13,9 +13,11 @@ from phasecov import (IntegrationError, OhmicParams, QubitState,
                       RateProfile, ThermalParams, combine_profiles,
                       constant_profile, evolve_state, integrate_me,
                       integrate_profile, liouvillian, markovian_coefficients,
-                      ohmic_profile, thermal_profile)
+                      ohmic_profile, thermal_profile, thermal_zeros)
 from phasecov import mesolve
 from phasecov.mesolve import validate_density_matrix
+
+from conftest import listed_poles
 
 RHO0 = QubitState(0.3, 0.2 - 0.1j).density_matrix
 
@@ -71,7 +73,7 @@ def test_tightening_tolerances_converges():
 
 
 def test_refuses_singular_window():
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=10.0)
+    prof = thermal_profile(ThermalParams(R=10.0, N=0.0))
     with pytest.raises(IntegrationError, match="0.8242"):
         integrate_me(prof, RHO0, 2.0)
     # before the first singularity the integration is fine
@@ -79,12 +81,14 @@ def test_refuses_singular_window():
     assert np.isfinite(out).all()
 
 
-def test_refuses_window_beyond_the_singular_reach():
-    # the pole at 0.8242 lies past the list's reach of 0.5; integrating
-    # through it gave P1 = -974.6 where the closed form has 0.9573
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=0.5)
-    with pytest.raises(ValueError, match="only up to t = 0.5"):
-        integrate_me(prof, QubitState(0.0).density_matrix, 2.0)
+def test_window_past_the_former_reach_names_its_first_pole():
+    # the poles used to be listed only up to t = 200, and this window was
+    # refused for that; it fails as one with its poles listed by hand does
+    prof = thermal_profile(ThermalParams(R=10.0, N=1.0))
+    listed = dataclasses.replace(prof, poles=listed_poles(*thermal_zeros(10.0, 300.0)))
+    for p in (prof, listed):
+        with pytest.raises(IntegrationError, match=r"t = 0\.824203 inside \[0, 300\]"):
+            integrate_me(p, RHO0, 300.0)
 
 
 def test_frequency_shift_changes_phase_not_magnitude():

@@ -116,7 +116,7 @@ class TestThermalProfile:
             assert prof.gamma1(t) >= 0.0
             assert prof.gamma2(t) >= 0.0
 
-    def test_singular_points_are_roots_of_c(self):
+    def test_zeros_are_roots_of_c(self):
         zeros = thermal_zeros(10.0, 10.0)
         assert len(zeros) > 2
         for z in zeros:
@@ -134,16 +134,37 @@ class TestThermalProfile:
                 break
             expected.append(tau)
         assert thermal_zeros(R, t_max) == tuple(expected)
+        # the profile's poles from 0 are the same list, bit for bit
+        assert thermal_profile(ThermalParams(R)).poles(0.0, t_max) == tuple(expected)
         # a zero as t_max itself is listed
         if expected:
             assert thermal_zeros(R, expected[-1]) == tuple(expected)
+        # a window from t_min lists the same zeros from there, a zero at
+        # t_min included
+        for t_min in (0.3 * t_max, *expected[-3:]):
+            later = tuple(tau for tau in expected if tau >= t_min)
+            assert thermal_zeros(R, t_max, t_min) == later
+            assert thermal_profile(ThermalParams(R)).poles(t_min, t_max) == later
 
     @pytest.mark.parametrize("t_max", [1e6, 1e300, math.inf, math.nan])
     def test_too_many_zeros_are_refused(self, t_max):
         with pytest.raises(ValueError, match="more than the 100000"):
             thermal_zeros(10.0, t_max)
         with pytest.raises(ValueError, match="more than the 100000"):
-            thermal_profile(ThermalParams(10.0), t_max=t_max)
+            thermal_profile(ThermalParams(10.0)).poles(0.0, t_max)
+
+    def test_zeros_are_counted_from_the_window_start(self):
+        # up to 1e6 there are too many, but 1e4 from 1e6 on are listed:
+        # tau_k for k = ceil(u(1e6)) to floor(u(1e6 + 1e4))
+        with pytest.raises(ValueError, match="about 6.94e[+]05 rate poles up to t = 1e[+]06"):
+            thermal_zeros(10.0, 1e6)
+        far = thermal_zeros(10.0, 1e6 + 1e4, 1e6)
+        delta = math.sqrt(19.0)
+        u = lambda t: (delta * t / 2 + math.atan(delta)) / math.pi
+        assert len(far) == math.floor(u(1e6 + 1e4)) - math.ceil(u(1e6)) + 1 == 6938
+        assert 1e6 <= far[0] < far[-1] <= 1e6 + 1e4
+        with pytest.raises(ValueError, match=r"rate poles on \[1e[+]06, 1e[+]09\]"):
+            thermal_zeros(10.0, 1e9, 1e6)
 
 
 class TestLeanRateCallbacks:
@@ -153,7 +174,7 @@ class TestLeanRateCallbacks:
     @pytest.mark.parametrize("N", [0.0, 1.3])
     def test_thermal_rates_equal_amplitude_memory(self, R, N):
         p = ThermalParams(R=R, N=N)
-        prof = thermal_profile(p, t_max=12.0)
+        prof = thermal_profile(p)
         zeros = thermal_zeros(R, 12.0)
         times = [0.0, 1e-9, 0.3, 1.7, 6.0, 12.0, *zeros]
         for t in times:

@@ -11,7 +11,7 @@ from phasecov import (CoefficientSet, NmReport, OhmicParams, RateProfile, Therma
                       Verdict, constant_profile, cp_choi, crossover_scan,
                       negative_intervals, nonmarkov, ohmic_profile, thermal_closed_form,
                       thermal_profile, thermal_zeros)
-from conftest import intermediate_map
+from conftest import intermediate_map, listed_poles
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -24,7 +24,7 @@ def test_weak_coupling_thermal_is_markovian():
 
 
 def test_strong_coupling_interval_starts_at_memory_zero():
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=10.0)
+    prof = thermal_profile(ThermalParams(R=10.0, N=0.0))
     rep = negative_intervals(prof, (0.0, 6.0))
     assert rep.verdict is Verdict.NON_MARKOVIAN
     assert rep.triggering_rates == ("gamma2",)  # gamma1 = 0 at N = 0
@@ -42,7 +42,7 @@ def test_strong_coupling_interval_starts_at_memory_zero():
 
     # heating triggers too once N > 0
     rep_hot = negative_intervals(
-        thermal_profile(ThermalParams(R=10.0, N=1.0), t_max=10.0), (0.0, 6.0))
+        thermal_profile(ThermalParams(R=10.0, N=1.0)), (0.0, 6.0))
     assert set(rep_hot.triggering_rates) == {"gamma1", "gamma2"}
 
 
@@ -58,7 +58,7 @@ def test_ohmic_negativity_follows_ohmicity():
 
 
 def test_intervals_are_sorted_disjoint_and_inside_window():
-    prof = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=20.0)
+    prof = thermal_profile(ThermalParams(R=10.0, N=0.0))
     rep = negative_intervals(prof, (0.0, 12.0))
     ivs = rep.intervals["gamma2"]
     assert len(ivs) >= 3
@@ -68,7 +68,7 @@ def test_intervals_are_sorted_disjoint_and_inside_window():
 
 
 def test_resolution_halving_moves_endpoints_less_than_old_resolution():
-    prof = thermal_profile(ThermalParams(R=2.0, N=0.5), t_max=20.0)
+    prof = thermal_profile(ThermalParams(R=2.0, N=0.5))
     res = 10.0 / 512
     coarse = negative_intervals(prof, (0.0, 10.0), resolution=res)
     fine = negative_intervals(prof, (0.0, 10.0), resolution=res / 2)
@@ -122,7 +122,7 @@ def test_bisection_calls_each_rate_once_per_step():
     # pole, which close the brackets across a pole with no call, and
     # regula falsi calls the rate once per step on one point in each of
     # the others
-    profile = thermal_profile(ThermalParams(R=10.0, N=0.0), t_max=12.0)
+    profile = thermal_profile(ThermalParams(R=10.0, N=0.0))
     calls = []
 
     def gamma2(t):
@@ -132,7 +132,7 @@ def test_bisection_calls_each_rate_once_per_step():
     rep = negative_intervals(dataclasses.replace(profile, gamma2=gamma2), (0.0, 12.0))
     assert len(rep.intervals["gamma2"]) >= 8
     assert all(isinstance(t, np.ndarray) for t in calls)
-    assert calls[0].size == 2049 + 2 * len(profile.singular_points)
+    assert calls[0].size == 2049 + 2 * len(profile.poles(0.0, 12.0))
     assert len(calls) <= 1 + 12
     assert rep == negative_intervals(profile, (0.0, 12.0))
 
@@ -149,7 +149,7 @@ def test_bisection_calls_each_rate_once_per_step():
 def test_stretch_between_two_grid_points_opens_at_the_pole(R, t_max):
     # at R = 0.5000001 gamma2 is negative on [tau_1, 2 pi/delta], about 2
     # long, where the grid is 9.8 (t_max 20000) apart: it was missed
-    profile = thermal_profile(ThermalParams(R=R, N=0.0), t_max=t_max)
+    profile = thermal_profile(ThermalParams(R=R, N=0.0))
     rep = negative_intervals(profile, (0.0, t_max))
     assert rep.verdict is Verdict.NON_MARKOVIAN
     [(start, end)] = rep.intervals["gamma2"]
@@ -162,10 +162,10 @@ def test_small_heating_rate_is_negative_next_to_the_pole():
     # gamma1 = 4.4e-16 f is below -tol only where f < -2273, on 9e-4 after
     # the pole at 3 pi/2, inside one grid step of 5/2048: it was missed
     N, tol = 2.2e-16, 1e-12
-    profile = thermal_profile(ThermalParams(R=1.0, N=N), t_max=5.0)
+    profile = thermal_profile(ThermalParams(R=1.0, N=N))
     rep = negative_intervals(profile, (0.0, 5.0), tol=tol)
     [(start, end)] = rep.intervals["gamma1"]
-    assert start == pytest.approx(profile.singular_points[0], rel=0.0, abs=1e-10)
+    assert start == pytest.approx(profile.poles(0.0, 5.0)[0], rel=0.0, abs=1e-10)
     # at R = 1, f = 2 u/(1 + u) with u = tan(t/2), so 2N f = -tol at
     # u = -tol/(4N + tol)
     end_exact = 2 * (math.pi + math.atan(-tol / (4 * N + tol)))
@@ -176,9 +176,9 @@ def test_non_finite_samples_beside_a_pole_are_not_singular_times():
     # at R = 0.5 + 1e-9 the rate is non-finite within 8e-11 of the pole,
     # so also where the two samples beside it are first placed: they
     # belong to the pole
-    profile = thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0), t_max=2e5)
+    profile = thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0))
     rep = negative_intervals(profile, (0.0, 2e5))
-    assert rep.singular_times == profile.singular_points
+    assert rep.singular_times == profile.poles(0.0, 2e5)
     assert len(rep.singular_times) == 1
 
 
@@ -188,8 +188,8 @@ def test_stretches_from_poles_past_two_to_the_18_are_found():
     # samples beside a pole used to round onto it, and 108 of the 478
     # stretches were missed
     t0, t1 = 2.6e5, 2.63e5
-    profile = thermal_profile(ThermalParams(R=1.0, N=0.0), t_max=t1)
-    poles = np.array([p for p in profile.singular_points if p >= t0])
+    profile = thermal_profile(ThermalParams(R=1.0, N=0.0))
+    poles = np.array(profile.poles(t0, t1))
     assert (poles >= 2**18).sum() > 100
     rep = negative_intervals(profile, (t0, t1), resolution=50.0)
     found = np.reshape(rep.intervals["gamma2"], (-1, 2))
@@ -203,7 +203,7 @@ def test_stretches_from_poles_past_two_to_the_18_are_found():
 def test_finite_samples_beside_a_pole_take_no_extra_call():
     calls = []
     profile = RateProfile(gamma3=_counting(lambda t: 1.0 + 0.0 * t, calls),
-                          singular_points=(0.3, 0.6))
+                          poles=listed_poles(0.3, 0.6))
     assert negative_intervals(profile, (0.0, 1.0)).verdict is Verdict.MARKOVIAN
     assert [t.size for t in calls] == [2049 + 4]
 
@@ -215,7 +215,7 @@ def test_sample_that_stays_non_finite_stops_halfway_to_its_neighbour():
     calls = []
     profile = RateProfile(
         gamma3=_counting(lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, 1.0 - t), calls),
-        singular_points=(1.0,))
+        poles=listed_poles(1.0))
     rep = negative_intervals(profile, (0.0, 2.0))
     moves = [t for t in calls[1:] if t.size == 2]
     assert 10 <= len(moves) <= 13
@@ -230,13 +230,13 @@ def test_interval_beside_a_non_finite_band_starts_where_it_ends():
     # the grid point 1.0009765625 inside the band
     profile = RateProfile(
         gamma3=lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, 1.0 - t),
-        singular_points=(1.0,))
+        poles=listed_poles(1.0))
     [(start, end)] = negative_intervals(profile, (0.0, 2.0)).intervals["gamma3"]
     assert start == pytest.approx(1.001, rel=0.0, abs=1e-10) and end == 2.0
     # and likewise where the band follows the negative stretch
     profile = RateProfile(
         gamma3=lambda t: np.where(abs(t - 1.0) < 1e-3, np.nan, t - 1.0),
-        singular_points=(1.0,))
+        poles=listed_poles(1.0))
     [(start, end)] = negative_intervals(profile, (0.0, 2.0)).intervals["gamma3"]
     assert start == 0.0 and end == pytest.approx(0.999, rel=0.0, abs=1e-10)
 
@@ -258,15 +258,32 @@ def test_bisection_ends_where_no_float_lies_between_the_ends():
     assert start == 0.0 and end == pytest.approx(3e6 + 0.3, rel=0.0, abs=1e-9)
 
 
-def test_window_beyond_the_singular_reach_is_refused():
-    prof = thermal_profile(ThermalParams(R=10.0), t_max=0.5)
-    with pytest.raises(ValueError, match="only up to t = 0.5"):
-        negative_intervals(prof, (0.0, 2.0))
-    assert negative_intervals(prof, (0.0, 0.5)).verdict is Verdict.MARKOVIAN
+def test_window_past_the_former_reach_is_scanned():
+    # the poles used to be listed only up to t = 200, and this window was
+    # refused for that; it reads as with its poles listed by hand
+    prof = thermal_profile(ThermalParams(R=10.0, N=1.0))
+    listed = dataclasses.replace(prof, poles=listed_poles(*thermal_zeros(10.0, 300.0)))
+    rep = negative_intervals(prof, (0.0, 300.0))
+    assert rep == negative_intervals(listed, (0.0, 300.0))
+    assert rep.singular_times == thermal_zeros(10.0, 300.0)
+    assert len(rep.intervals["gamma2"]) == len(rep.singular_times) == 208
+
+
+def test_far_window_lists_only_its_own_poles():
+    # up to t = 5001 there are about 1.13e5 poles, more than can be
+    # listed; the window's 22 are, and gamma2 is negative from each to
+    # 2 pi k/delta, and from the window's start to the first such end
+    pytest.importorskip("mpmath")
+    t0, t1 = 5000.0, 5001.0
+    rep = negative_intervals(thermal_profile(ThermalParams(R=1e4, N=0.5)), (t0, t1))
+    expected = _stretches(1e4, t0, t1)
+    assert len(expected) == 23
+    np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
+                               np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
 
 
 _THERMAL = st.builds(
-    lambda R, N, t_max: (thermal_profile(ThermalParams(R, N), t_max=t_max), t_max),
+    lambda R, N, t_max: (thermal_profile(ThermalParams(R, N)), t_max),
     st.one_of(st.floats(0.02, 0.49), st.floats(0.51, 20.0)),
     st.floats(0.0, 3.0), st.floats(0.5, 20.0))
 _OHMIC = st.builds(
@@ -306,7 +323,7 @@ def _bisection_report(profile, t_max, tol=1e-12):
     sign scan before regula falsi, kept as the reference."""
     grid = np.linspace(0.0, t_max, 2049)
     intervals = {}
-    singular = {s for s in profile.singular_points if s <= t_max}
+    singular = set(profile.poles(0.0, t_max))
     for name, vals in zip(("gamma1", "gamma2", "gamma3"), profile.rates_on(grid)):
         finite = np.isfinite(vals)
         neg = finite & (vals < -tol)
@@ -341,7 +358,7 @@ def test_report_matches_plain_bisection(case):
     report = negative_intervals(profile, (0.0, t_max))
     reference = _bisection_report(profile, t_max)
     assert report.singular_times == reference.singular_times
-    poles = np.array(profile.singular_points)
+    poles = np.array(profile.poles(0.0, t_max))
     for name in ("gamma1", "gamma2", "gamma3"):
         found = np.reshape(report.intervals[name], (-1, 2))
         expected = np.reshape(reference.intervals[name], (-1, 2))
@@ -351,19 +368,31 @@ def test_report_matches_plain_bisection(case):
             assert np.abs(poles - start).min(initial=math.inf) <= 1e-10
 
 
-@given(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, 3.0), st.floats(0.5, 20.0))
-def test_thermal_intervals_are_the_stretches_from_each_pole(R, N, t_max):
-    # f = -2 c'/c with c' proportional to -sin(delta t/2): gamma2 is
-    # negative exactly from each zero tau_k of c to 2 pi k/delta
-    mpmath = pytest.importorskip("mpmath")
-    rep = negative_intervals(thermal_profile(ThermalParams(R, N), t_max=t_max), (0.0, t_max))
-    expected = []
+def _stretches(R, t0, t1):
+    """The stretches from each zero tau_k of c to 2 pi k/delta, cut to the
+    window (t0, t1), from mpmath at 30 digits."""
+    import mpmath
+    out = []
     with mpmath.workdps(30):
         delta = mpmath.sqrt(2 * mpmath.mpf(R) - 1)
-        k = 1
-        while (tau := 2 / delta * (k * mpmath.pi - mpmath.atan(delta))) < t_max:
-            expected.append((float(tau), float(min(2 * k * mpmath.pi / delta, t_max))))
+        k = int(mpmath.floor(t0 * delta / (2 * mpmath.pi))) + 1
+        while (tau := 2 / delta * (k * mpmath.pi - mpmath.atan(delta))) < t1:
+            out.append((float(max(tau, t0)), float(min(2 * k * mpmath.pi / delta, t1))))
             k += 1
+    return out
+
+
+@given(st.floats(0.5, 20.0, exclude_min=True), st.floats(0.0, 3.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 400.0)), st.floats(0.5, 50.0))
+def test_thermal_intervals_are_the_stretches_from_each_pole(R, N, t0, width):
+    # f = -2 c'/c with c' proportional to -sin(delta t/2): gamma2 is
+    # negative exactly from each zero tau_k of c to 2 pi k/delta, on
+    # windows from 0 and on windows that start later, many of them past
+    # t = 200, where the poles used to stop
+    pytest.importorskip("mpmath")
+    t1 = t0 + width
+    rep = negative_intervals(thermal_profile(ThermalParams(R, N)), (t0, t1))
+    expected = _stretches(R, t0, t1)
     assert len(rep.intervals["gamma2"]) == len(expected)
     np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
                                np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
@@ -421,7 +450,7 @@ def test_unlisted_divergence_is_bisected():
 
 class TestCrossover:
     def test_thermal_threshold_near_half(self):
-        fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0), t_max=120.0)
+        fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))
         res = crossover_scan(fam, np.linspace(0.05, 2.0, 14), (0.0, 120.0))
         assert res.threshold == pytest.approx(0.5, abs=0.01)
         assert res.verdicts[0] is Verdict.MARKOVIAN
@@ -437,6 +466,25 @@ class TestCrossover:
             OhmicParams(alpha=0.1, s=s, omega_c=1.0, kernel="paper"))
         res = crossover_scan(fam_paper, np.linspace(0.5, 4.0, 15), (0.0, 50.0))
         assert res.threshold == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("kernel, offset", [("literature", 0.0), ("paper", 1.0)])
+    @pytest.mark.parametrize("omega_c, t_max", [(1.0, 3.0), (1.0, 50.0), (1.0, 200.0),
+                                                (2.0, 10.0), (0.5, 30.0)])
+    def test_zero_temperature_threshold_on_a_window(self, kernel, offset, omega_c, t_max):
+        # at T = 0 gamma3 first changes sign at omega_c t = tan(pi/m), with
+        # m = s (literature) or s + 1 (paper), so on (0, t_max) the
+        # threshold is s_w = pi/atan(omega_c t_max), less 1 for the paper
+        # kernel; the grid of values is not symmetric about it, so that no
+        # bisection midpoint lands on it.  Near s_w gamma3(t_max) is about
+        # -1e-5 (s - s_w) at t_max = 200, so the default tol of 1e-12 would
+        # move the verdict's threshold by 1e-7, a quarter of the bracket
+        s_w = math.pi / math.atan(omega_c * t_max) - offset
+        family = lambda s: ohmic_profile(OhmicParams(0.1, s, omega_c, 0.0, kernel))
+        res = crossover_scan(family, np.linspace(0.3, 4.3, 11), (0.0, t_max),
+                             tol=1e-15, refine_rel=1e-6)
+        lo, hi = res.bracket
+        assert lo < s_w < hi and hi - lo <= 1e-6 * 0.4
+        assert res.threshold == hi
 
     def test_no_crossover_in_grid(self):
         fam = lambda R: thermal_profile(ThermalParams(R=R, N=0.0))

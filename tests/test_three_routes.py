@@ -234,7 +234,7 @@ def test_bisection_toward_a_thermal_pole_matches_the_closed_form(R, N, reach, n)
     pole = thermal_zeros(R, 2.0 * math.pi / math.sqrt(2.0 * R - 1.0))[0]
     times = np.linspace(0.0, reach * pole, n)[1:]
     thermal = ThermalParams(R=R, N=N)
-    got = integrate_profile(thermal_profile(thermal, t_max=times[-1]), times)
+    got = integrate_profile(thermal_profile(thermal), times)
     gamma, g = thermal_closed_form(thermal, times)
     for name, closed in (("Gamma", gamma), ("g", g)):
         route = np.array([getattr(c, name) for c in got])
