@@ -73,7 +73,9 @@ class ToleranceError(RuntimeError):
     Attributes
     ----------
     interval : tuple of float
-        Worst offending (sub)interval.
+        The offending (sub)interval: of the panels that cannot converge
+        and lie between the same two listed poles as the earliest of
+        them, where the rates first diverge, the worst one.
     abserr : float or None
         Estimated absolute error on that interval, when available.
     """
@@ -123,7 +125,10 @@ class RateProfile:
     float, for a rate that is constant).  Where a rate diverges its value
     is non-finite.  Evaluation has to be deterministic.  The integrators'
     callbacks pass single times; grid consumers pass the whole grid at
-    once through :meth:`rates_on`.
+    once through :meth:`rates_on`.  A rate may carry
+    ``negative_stretches(t0, t1, tol)``, the stretches of the window
+    where it is below -tol, in order, which ``negative_intervals`` then
+    takes in place of sampling it.
 
     ``poles(t0, t1)`` returns the sorted times in [t0, t1] where a rate
     may diverge; each consumer asks for its own window, and uses them as
@@ -133,14 +138,15 @@ class RateProfile:
 
     No divergence can be integrated across, nor up to.  The poles of the
     thermal rate f are simple poles, so ``integrate_profile`` raises
-    :class:`ToleranceError` on a window that contains one (for R = 10, a
-    window to t = 2 fails on [0.824203428, 0.824203431], the sub-panel
-    that ends at the pole); across such poles the model's closed form
-    (``thermal_closed_form``) is the authority.  An integrable one fails
-    in the same way, as |t - 1|^-0.5 at a listed t = 1 does, once the
-    halving toward it reaches the float spacing; only a mild one at
-    t = 0, where that spacing is far finer, can converge (t^-0.5 does,
-    t^-0.9 does not).
+    :class:`ToleranceError` on a window that contains one, and names a
+    sub-panel next to the first (for R = 10, a window to t = 2 fails on
+    [0.8242034308, 0.8242034312], the sub-panel that ends at the pole,
+    and [0.1, 300], across 208 poles, on [0.1, 0.824203]); across such
+    poles the model's closed form (``thermal_closed_form``) is the
+    authority.  An integrable one fails in the same way, as |t - 1|^-0.5
+    at a listed t = 1 does, once the halving toward it reaches the float
+    spacing; only a mild one at t = 0, where that spacing is far finer,
+    can converge (t^-0.5 does, t^-0.9 does not).
     """
 
     gamma1: Callable = _zero
@@ -559,8 +565,14 @@ def _running_integrals(profile, times, cfg):
         mid = 0.5 * (a + b)
         stuck = halve & ((count[owner] > _MAX_SUBDIVISIONS) | ~((a < mid) & (mid < b)))
         if stuck.any():
+            # the worst of the stuck panels between the same two poles as
+            # the earliest one, where the rates first diverge: the poles of
+            # a grid interval share its panel count, so the worst of all
+            # can lie near its last pole
             worst = np.where(miss[:, owner], weighted[rows:], 0.0).max(axis=0)
-            i = int(np.argmax(np.where(stuck, worst, -1.0)))
+            before = np.searchsorted(sing, b)
+            first = stuck & (before == before[np.argmax(stuck)])
+            i = int(np.argmax(np.where(first, worst, -1.0)))
             raise ToleranceError("quadrature did not converge",
                                  (float(a[i]), float(b[i])), abserr=float(worst[i]))
         left = panels[:, missed[owner] & ~halve]

@@ -200,16 +200,53 @@ def thermal_zeros(R: float, t_max: float, t_min: float = 0.0) -> tuple[float, ..
     if R <= 0.5:
         return ()
     delta = math.sqrt(2 * R - 1)
+    k = _pole_numbers(R, delta, t_min, t_max)
+    tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
+    return tuple(tau[(tau >= t_min) & (tau <= t_max)].tolist())
+
+
+def _pole_numbers(R: float, delta: float, t_min: float, t_max: float) -> np.ndarray:
+    """The k of the zeros tau_k of c on [t_min, t_max], as floats, with one
+    k before the window and one past it, as their rounding may differ
+    from tau's; more than ``_MAX_ZEROS`` zeros on the window raise
+    ValueError."""
     first, last = ((delta * t / 2 + math.atan(delta)) / math.pi for t in (t_min, t_max))
     count = last - first // 1.0
     if not count <= _MAX_ZEROS:
         where = f"up to t = {t_max:g}" if t_min == 0 else f"on [{t_min:g}, {t_max:g}]"
         raise ValueError(f"R = {R:g} gives about {count:.3g} rate poles {where}, "
                          f"more than the {_MAX_ZEROS} that can be listed")
-    # one k before and one past the window, as their rounding may differ from tau's
-    k = first // 1.0 + np.arange(math.floor(count) + 2)
-    tau = (2.0 / delta) * (k * math.pi - math.atan(delta))
-    return tuple(tau[(tau >= t_min) & (tau <= t_max)].tolist())
+    return first // 1.0 + np.arange(math.floor(count) + 2)
+
+
+def _negative_stretches(R: float, weight: float):
+    """The stretches of a window where the rate weight * f (weight > 0) is
+    below -tol, as a callable of (t0, t1, tol) that returns them as
+    (start, end) pairs in order, cut to the window.
+
+    With delta = sqrt(2R - 1) and phi = delta tau/2, f = (2R/delta)
+    sin(phi)/B, B = cos(phi) + sin(phi)/delta, and sin(phi)/B has the
+    derivative 1/B^2, so it rises on each interval between two zeros of
+    c.  It is -inf just past the zero tau_k (``thermal_zeros``) and 0 at
+    phi = k pi, so weight * f < -tol exactly on (tau_k, e_k), with
+    e_k = (2/delta)(k pi - atan(delta tol/(tol + 2R weight))) > tau_k.
+    For R <= 1/2, the degenerate band included, f >= 0 and no stretch
+    exists.  A window with more than ``_MAX_ZEROS`` zeros raises
+    ValueError.
+    """
+    if 1.0 - 2.0 * R >= -_DEGENERATE_BAND:
+        return lambda t0, t1, tol: []
+    delta = math.sqrt(2 * R - 1)
+
+    def stretches(t0, t1, tol):
+        k_pi = _pole_numbers(R, delta, t0, t1) * math.pi
+        # the poles with thermal_zeros' bits
+        start = (2.0 / delta) * (k_pi - math.atan(delta))
+        end = (2.0 / delta) * (k_pi - math.atan(delta * tol / (tol + 2.0 * R * weight)))
+        start, end = np.maximum(start, t0), np.minimum(end, t1)
+        keep = start < end
+        return list(zip(start[keep].tolist(), end[keep].tolist()))
+    return stretches
 
 
 def _memory_rate(R: float):
@@ -330,15 +367,25 @@ def thermal_profile(p: ThermalParams, t_max: float | None = None) -> RateProfile
 
     ``poles(t0, t1)`` lists the zeros of c on the window asked for
     (``thermal_zeros``); for R <= 1/2 c has no zeros.  Each of gamma1 and
-    gamma2 evaluates f (``_memory_rate``), which refuses a negative time.
+    gamma2 evaluates f (``_memory_rate``), which refuses a negative time,
+    and carries its exact negative stretches as
+    ``negative_stretches(t0, t1, tol)`` (``_negative_stretches``), which
+    the sign scan takes in place of sampling it; a rate that replaces,
+    wraps or sums one of them carries none.
     ``t_max`` has no effect: ``perfbench/workloads.py`` (``_case``) still
     passes it by keyword, and it goes with the next change to the benchmark.
     """
     f = _memory_rate(p.R)
-    heat, loss = 2.0 * p.N, 2.0 * (p.N + 1.0)
+
+    def weighted(weight):
+        def rate(t):
+            return weight * f(t)
+        rate.negative_stretches = _negative_stretches(p.R, weight)
+        return rate
+
     return RateProfile(
-        gamma1=_zero if p.N == 0 else (lambda t: heat * f(t)),
-        gamma2=lambda t: loss * f(t),
+        gamma1=_zero if p.N == 0 else weighted(2.0 * p.N),
+        gamma2=weighted(2.0 * (p.N + 1.0)),
         poles=lambda t0, t1: thermal_zeros(p.R, t1, t0),
     )
 

@@ -6,9 +6,12 @@ the dynamics is not CP-divisible.  This module localizes the maximal
 intervals where each rate is negative and scans parameterized families
 for the Markovian to non-Markovian crossover.
 
-A sign scan samples the rates on a grid, with two more samples beside
-each listed pole p, max(1e-10/4, ulp(p)) to either side, and refines
-each sign change to 1e-10 in time by Illinois regula falsi
+A rate that knows where it is negative carries its stretches as
+``rate.negative_stretches(t0, t1, tol)``, as the thermal gamma1 and
+gamma2 do in closed form, and the sign scan takes them without a
+sample.  The other rates are sampled on a grid, with two more samples
+beside each listed pole p, max(1e-10/4, ulp(p)) to either side, and
+each sign change is refined to 1e-10 in time by Illinois regula falsi
 (``_illinois``): about five calls per bracket of a smooth rate, none
 for a sign change across a pole below 2^18, whose bracket the two
 samples beside it already make narrower than the target.  A sample
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import RateProfile, _check_tol
+from .coeffs import RateProfile, _check_tol, _zero
 
 __all__ = [
     "Verdict",
@@ -169,17 +172,20 @@ def negative_intervals(
 ) -> NmReport:
     """Sign-scan the three decay rates on a window.
 
-    The grid scan (2049 points by default, or the given resolution,
-    plus a point max(1e-10/4, ulp(p)) on either side of each listed
-    singular point p in the window) samples all rates in one
-    ``profile.rates_on`` call and brackets each sign change, which
-    regula falsi on all brackets of a rate together then sharpens to
-    1e-10 in time (``_illinois``).  A sample beside a listed point that
-    reads non-finite in gamma1, gamma2 or gamma3 moves 4 times farther
-    out, at most halfway to its neighbouring grid point, and is sampled
-    again, in one ``rates_on`` call per move for all the samples that
-    move; a scan whose samples beside the poles read finite makes no
-    such call.
+    A rate that carries its negative stretches, as
+    ``rate.negative_stretches(t0, t1, tol)`` (the thermal model's gamma1
+    and gamma2), reports them, and a rate that is ``_zero`` reports none;
+    neither is sampled.  The others take the grid scan (``_scan``): 2049
+    points by default, or the given resolution, plus a point
+    max(1e-10/4, ulp(p)) on either side of each listed singular point p
+    in the window, with the rates sampled in one ``rates_on`` call, and
+    each sign change bracketed and sharpened to 1e-10 in time by regula
+    falsi on all brackets of a rate together (``_illinois``).  A sample
+    beside a listed point that reads non-finite in a sampled rate moves
+    4 times farther out, at most halfway to its neighbouring grid point,
+    and is sampled again, in one ``rates_on`` call per move for all the
+    samples that move; a scan whose samples beside the poles read finite
+    makes no such call.
     Listed singular points and non-finite samples are excluded from the
     sign logic and reported separately, the samples beside a listed
     point as that point; an interval opening at a rate divergence starts
@@ -187,7 +193,7 @@ def negative_intervals(
     points are ``profile.poles(t0, t1)``, on any window.  A window with
     more poles than can be listed, a resolution that gives no finite
     grid count, or a tol outside 0 < tol < inf, NaN included, raises
-    ValueError.
+    ValueError, whichever path the rates take.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (0 <= t0 < t1) or not math.isfinite(t1):
@@ -201,9 +207,37 @@ def negative_intervals(
     if not math.isfinite(spans):
         raise ValueError(f"resolution = {resolution:g} divides the window "
                          f"({t0:g}, {t1:g}) into a number of points that is not finite")
-    n = max(math.ceil(spans) + 1, 3)
-    grid = np.linspace(t0, t1, n)
     singular = set(profile.poles(t0, t1))
+    intervals, sampled = {}, {}
+    for name in RATE_NAMES:
+        fn = getattr(profile, name)
+        if hasattr(fn, "negative_stretches"):
+            intervals[name] = tuple(fn.negative_stretches(t0, t1, tol))
+        elif fn is _zero:
+            intervals[name] = ()
+        else:
+            sampled[name] = fn
+    if sampled:
+        grid = np.linspace(t0, t1, max(math.ceil(spans) + 1, 3))
+        scanned, bad_samples = _scan(RateProfile(**sampled), grid, singular, tol)
+        intervals.update(scanned)
+        singular.update(bad_samples)
+    verdict = (Verdict.NON_MARKOVIAN
+               if any(intervals.values()) else Verdict.MARKOVIAN)
+    return NmReport(
+        window=(t0, t1),
+        intervals={name: intervals[name] for name in RATE_NAMES},
+        singular_times=tuple(sorted(singular)),
+        verdict=verdict,
+    )
+
+
+def _scan(profile, grid, singular, tol):
+    """The negative intervals of each rate of profile that is not
+    ``_zero``, by name, and the times of their non-finite samples, from
+    the grid, the listed singular points inside it and the tolerance
+    (see ``negative_intervals``)."""
+    t0, t1 = grid[0], grid[-1]
     plain = True
     if singular:
         # a float spacing, at least a quarter of the target, on either
@@ -242,19 +276,14 @@ def negative_intervals(
             grid[moved] = poles[move] + out[move] * side[move]
             rates[:, moved] = profile.rates_on(grid[moved])
 
-    intervals = {}
+    intervals, bad = {}, []
     for name, vals in zip(RATE_NAMES, rates):
-        ivs, bad_samples = _rate_intervals(getattr(profile, name), grid, vals, tol, plain)
-        intervals[name] = tuple(ivs)
-        singular.update(bad_samples)
-    verdict = (Verdict.NON_MARKOVIAN
-               if any(intervals[n] for n in RATE_NAMES) else Verdict.MARKOVIAN)
-    return NmReport(
-        window=(t0, t1),
-        intervals=intervals,
-        singular_times=tuple(sorted(singular)),
-        verdict=verdict,
-    )
+        fn = getattr(profile, name)
+        if fn is not _zero:
+            ivs, bad_samples = _rate_intervals(fn, grid, vals, tol, plain)
+            intervals[name] = tuple(ivs)
+            bad += bad_samples
+    return intervals, bad
 
 
 @dataclass(frozen=True)

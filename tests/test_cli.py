@@ -210,21 +210,32 @@ _EDGES = [edge for x in (1e-5, 1e-4, 1e16) for edge in (x, np.nextafter(x, 0.0))
 
 def test_json_cells_are_spelled_as_json_dumps_spells_them():
     values = np.array([_EDGES, np.negative(_EDGES)])
-    assert cli._cells(list(values), json.dumps) == [
+    assert cli._cells(list(values)) == [
         [json.dumps(v) for v in row] for row in values.tolist()]
-    assert cli._cells(list(values), repr) == [[repr(v) for v in row] for row in values.tolist()]
-    # bool arrays, cells of their own and blank masks, beside a float column
-    columns = [np.array([1e-5, 2.0]), np.array([True, False]), ["a", "b"], np.array([3.0, 4.0])]
-    assert cli._cells(columns, json.dumps, [None, None, None, np.array([False, True])]) == [
-        ["1e-05", "2.0"], ["true", "false"], ["a", "b"], ["3.0", ""]]
+    # bool arrays beside a float column
+    columns = [np.array([1e-5, 2.0]), np.array([True, False])]
+    assert cli._cells(columns) == [["1e-05", "2.0"], ["true", "false"]]
 
 
 def test_empty_float_columns_have_no_cells():
     # orjson writes [[]], and "".split(",") gave one empty cell
     empty = np.array([], dtype=float)
-    for spell in (json.dumps, repr):
-        assert cli._cells([empty], spell) == [[]]
-        assert cli._cells([empty, np.array([], dtype=bool), [], empty], spell) == [[]] * 4
+    assert cli._cells([empty]) == [[]]
+    assert cli._cells([empty, np.array([], dtype=bool), empty]) == [[]] * 3
+    assert list(cli._csv_rows("t,x", [empty, []])) == ["t,x\n"]
+
+
+def _csv_cell_by_cell(header, columns, blank=None):
+    """The CSV text with each cell spelled on its own: "" where blank, repr
+    of a float, and any other cell as it is; the reference of the block
+    writer."""
+    masks = [None] * len(columns) if blank is None else blank
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    rows = [",".join("" if mask is not None and mask[j] else
+                     repr(col[j]) if isinstance(source, np.ndarray) else col[j]
+                     for col, source, mask in zip(cells, columns, masks))
+            for j in range(len(cells[0]))]
+    yield "".join(line + "\n" for line in [header, *rows])
 
 
 @settings(max_examples=300)
@@ -233,8 +244,27 @@ def test_empty_float_columns_have_no_cells():
 def test_block_cells_equal_the_cell_by_cell_spelling(values):
     # every double, NaN, the infinities, -0.0 and subnormals included
     rows = values.tolist()
-    assert cli._cells(list(values), repr) == [[repr(v) for v in row] for row in rows]
-    assert cli._cells(list(values), json.dumps) == [[json.dumps(v) for v in row] for row in rows]
+    assert cli._cells(list(values)) == [[json.dumps(v) for v in row] for row in rows]
+    assert "".join(cli._csv_rows("h", list(values))) == \
+        "".join(_csv_cell_by_cell("h", list(values)))
+
+
+@pytest.mark.parametrize("block_rows", [3, 7, cli._BLOCK_ROWS])
+def test_csv_blocks_equal_the_repr_reference(monkeypatch, block_rows):
+    # non-finite, band, e-07 and e+16 cells, blank cells (over numbers, a
+    # non-finite value and a string) and string columns, in blocks of
+    # which some hold no such cell and no exponent
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    edges = np.array(_EDGES + [0.5, 2.0, 3.25, 7.0, 1.5, 0.125, 42.0, 9.0, 1.0, 2.5, 6.0, 8.0])
+    n = edges.size
+    columns = [np.arange(n) / 4.0, ["R"] * n, edges, np.negative(edges[::-1]),
+               ["NonMarkovian", "Markovian"] * (n // 2), np.full(n, 0.75)]
+    blank = [None, np.arange(n) == 1, np.isnan(edges), None, None,
+             np.arange(n) % 5 == 0]
+    for masks in (None, blank):
+        text = "".join(cli._csv_rows("a,b,c,d,e,f", columns, masks))
+        assert text == "".join(_csv_cell_by_cell("a,b,c,d,e,f", columns, masks))
+    assert all(s in text for s in ("e-07", "e+16", "e-05", "inf", "nan", "Markovian,\n", ",,"))
 
 
 # step counts on each side of the output's block boundaries
@@ -296,6 +326,35 @@ class TestBlocks:
         assert out.read_text() == "\n".join([EVOLVE_HEADER, *rows]) + "\n"
         size = np.abs(table)
         assert np.any((1e-5 <= size) & (size < 1e-4)) and np.any((0 < size) & (size < 1e-10))
+
+    @pytest.mark.parametrize("argv,mark", [
+        # rows next to a pole blank, with the sidecar
+        (["rates", "--model", "both", "--R", "10", "--N", "1", "--s", "3", "--t-max", "30",
+          "--steps", "2001"], ",,"),
+        # Gamma = inf at the pole that ends the grid
+        (["evolve", "--model", "thermal", "--R", "10", "--N", "0.5",
+          "--t-max", "0.8242034311692071", "--steps", "700"], ",inf,"),
+        # the coherence decays through [1e-5, 1e-4) into exponents
+        (["evolve", "--model", "thermal", "--R", "20", "--N", "2", "--t-max", "30",
+          "--steps", "1001", "--p1-0", "0.6", "--re-alpha-0", "0.3"], "e-0"),
+        # an empty first_negative_start beside numbers
+        (["scan", "--model", "thermal", "--param", "R", "--values", "0.1,0.4,0.6,10",
+          "--t-max", "30"], "Markovian,\n"),
+    ], ids=["rates-poles", "evolve-to-a-pole", "evolve-R-20", "scan"])
+    def test_output_equals_the_cell_by_cell_writer(self, tmp_path, capsys, monkeypatch,
+                                                   argv, mark):
+        # the files, the sidecar, stdout and stderr, byte for byte
+        runs = []
+        for writer in (cli._csv_rows, _csv_cell_by_cell):
+            monkeypatch.setattr(cli, "_csv_rows", writer)
+            out = tmp_path / f"{len(runs)}.csv"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            files = [path.read_bytes() for path in sorted(tmp_path.glob(f"{out.name}*"))]
+            assert main([*argv, "--out", "-"]) == EXIT_OK
+            runs.append((files, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert mark in runs[0][0][0].decode()
+        assert len(runs[0][0]) == (2 if argv[0] == "rates" else 1)
 
 
 @pytest.mark.parametrize("command,bound", [("cp-check", 1.0), ("evolve", 1.5)])

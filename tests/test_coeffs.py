@@ -291,6 +291,18 @@ def test_poles_are_asked_for_the_window_of_the_grid():
     assert errors[0] == errors[1]
 
 
+@pytest.mark.parametrize("t_end", [100.0, 300.0])
+def test_window_across_many_poles_names_the_first(t_end):
+    # the poles of the one grid interval share its panel count, so the
+    # halving stops near each; the error used to name the worst stuck
+    # panel, near the last pole ([98.8211, 98.8436] and [297.765, 299.207])
+    prof = thermal_profile(ThermalParams(R=10.0, N=1.0))
+    with pytest.raises(ToleranceError) as err:
+        integrate_profile(prof, [0.1, t_end])
+    lo, hi = err.value.interval
+    assert hi == thermal_zeros(10.0, 2.0)[0] and 0.1 <= lo < hi
+
+
 def test_a_window_with_too_many_poles_is_refused():
     prof = thermal_profile(ThermalParams(R=10.0))
     with pytest.raises(ValueError, match="more than the 100000"):

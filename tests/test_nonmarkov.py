@@ -8,10 +8,21 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from phasecov import (CoefficientSet, NmReport, OhmicParams, RateProfile, ThermalParams,
-                      Verdict, constant_profile, cp_choi, crossover_scan,
+                      Verdict, combine_profiles, constant_profile, cp_choi, crossover_scan,
                       negative_intervals, nonmarkov, ohmic_profile, thermal_closed_form,
                       thermal_profile, thermal_zeros)
 from conftest import intermediate_map, listed_poles
+
+
+def _scanned(profile):
+    """profile with each rate that carries its negative stretches wrapped in
+    a plain function, which carries none: the sign scan samples it on its
+    grid and refines its sign changes, as for any other rate."""
+    def plain(fn):
+        return lambda t: fn(t)
+    return dataclasses.replace(profile, **{
+        name: plain(fn) for name in ("gamma1", "gamma2", "gamma3")
+        if hasattr(fn := getattr(profile, name), "negative_stretches")})
 
 
 def test_weak_coupling_thermal_is_markovian():
@@ -68,7 +79,7 @@ def test_intervals_are_sorted_disjoint_and_inside_window():
 
 
 def test_resolution_halving_moves_endpoints_less_than_old_resolution():
-    prof = thermal_profile(ThermalParams(R=2.0, N=0.5))
+    prof = _scanned(thermal_profile(ThermalParams(R=2.0, N=0.5)))
     res = 10.0 / 512
     coarse = negative_intervals(prof, (0.0, 10.0), resolution=res)
     fine = negative_intervals(prof, (0.0, 10.0), resolution=res / 2)
@@ -134,7 +145,7 @@ def test_bisection_calls_each_rate_once_per_step():
     assert all(isinstance(t, np.ndarray) for t in calls)
     assert calls[0].size == 2049 + 2 * len(profile.poles(0.0, 12.0))
     assert len(calls) <= 1 + 12
-    assert rep == negative_intervals(profile, (0.0, 12.0))
+    assert rep == negative_intervals(_scanned(profile), (0.0, 12.0))
 
 
 @pytest.mark.parametrize("R, t_max", [
@@ -148,14 +159,16 @@ def test_bisection_calls_each_rate_once_per_step():
     (0.5 + 1e-9, 1.97e5), (0.5 + 5e-9, 8.8e4), (0.5 + 1e-11, 1.5e6), (0.5 + 1e-12, 4.5e6)])
 def test_stretch_between_two_grid_points_opens_at_the_pole(R, t_max):
     # at R = 0.5000001 gamma2 is negative on [tau_1, 2 pi/delta], about 2
-    # long, where the grid is 9.8 (t_max 20000) apart: it was missed
+    # long, where the grid is 9.8 (t_max 20000) apart: it was missed; the
+    # exact stretches and the grid scan of the plain rates alike
     profile = thermal_profile(ThermalParams(R=R, N=0.0))
-    rep = negative_intervals(profile, (0.0, t_max))
-    assert rep.verdict is Verdict.NON_MARKOVIAN
-    [(start, end)] = rep.intervals["gamma2"]
-    pole, stop = thermal_zeros(R, t_max)[0], 2 * math.pi / math.sqrt(2 * R - 1)
-    assert abs(start - pole) <= max(1e-10, 8 * math.ulp(pole))
-    assert abs(end - stop) <= max(1e-10, 8 * math.ulp(stop))
+    for rates in (profile, _scanned(profile)):
+        rep = negative_intervals(rates, (0.0, t_max))
+        assert rep.verdict is Verdict.NON_MARKOVIAN
+        [(start, end)] = rep.intervals["gamma2"]
+        pole, stop = thermal_zeros(R, t_max)[0], 2 * math.pi / math.sqrt(2 * R - 1)
+        assert abs(start - pole) <= max(1e-10, 8 * math.ulp(pole))
+        assert abs(end - stop) <= max(1e-10, 8 * math.ulp(stop))
 
 
 def test_small_heating_rate_is_negative_next_to_the_pole():
@@ -163,20 +176,21 @@ def test_small_heating_rate_is_negative_next_to_the_pole():
     # the pole at 3 pi/2, inside one grid step of 5/2048: it was missed
     N, tol = 2.2e-16, 1e-12
     profile = thermal_profile(ThermalParams(R=1.0, N=N))
-    rep = negative_intervals(profile, (0.0, 5.0), tol=tol)
-    [(start, end)] = rep.intervals["gamma1"]
-    assert start == pytest.approx(profile.poles(0.0, 5.0)[0], rel=0.0, abs=1e-10)
     # at R = 1, f = 2 u/(1 + u) with u = tan(t/2), so 2N f = -tol at
     # u = -tol/(4N + tol)
     end_exact = 2 * (math.pi + math.atan(-tol / (4 * N + tol)))
-    assert end == pytest.approx(end_exact, rel=0.0, abs=1e-10)
+    for rates in (profile, _scanned(profile)):
+        rep = negative_intervals(rates, (0.0, 5.0), tol=tol)
+        [(start, end)] = rep.intervals["gamma1"]
+        assert start == pytest.approx(profile.poles(0.0, 5.0)[0], rel=0.0, abs=1e-10)
+        assert end == pytest.approx(end_exact, rel=0.0, abs=1e-10)
 
 
 def test_non_finite_samples_beside_a_pole_are_not_singular_times():
     # at R = 0.5 + 1e-9 the rate is non-finite within 8e-11 of the pole,
     # so also where the two samples beside it are first placed: they
     # belong to the pole
-    profile = thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0))
+    profile = _scanned(thermal_profile(ThermalParams(R=0.5 + 1e-9, N=0.0)))
     rep = negative_intervals(profile, (0.0, 2e5))
     assert rep.singular_times == profile.poles(0.0, 2e5)
     assert len(rep.singular_times) == 1
@@ -191,13 +205,14 @@ def test_stretches_from_poles_past_two_to_the_18_are_found():
     profile = thermal_profile(ThermalParams(R=1.0, N=0.0))
     poles = np.array(profile.poles(t0, t1))
     assert (poles >= 2**18).sum() > 100
-    rep = negative_intervals(profile, (t0, t1), resolution=50.0)
-    found = np.reshape(rep.intervals["gamma2"], (-1, 2))
-    assert found.shape == (poles.size, 2)
-    accuracy = 8 * math.ulp(t1)
-    np.testing.assert_allclose(found[:, 0], poles, rtol=0.0, atol=accuracy)
-    np.testing.assert_allclose(found[:, 1], np.minimum(poles + math.pi / 2, t1),
-                               rtol=0.0, atol=accuracy)
+    for rates in (profile, _scanned(profile)):
+        rep = negative_intervals(rates, (t0, t1), resolution=50.0)
+        found = np.reshape(rep.intervals["gamma2"], (-1, 2))
+        assert found.shape == (poles.size, 2)
+        accuracy = 8 * math.ulp(t1)
+        np.testing.assert_allclose(found[:, 0], poles, rtol=0.0, atol=accuracy)
+        np.testing.assert_allclose(found[:, 1], np.minimum(poles + math.pi / 2, t1),
+                                   rtol=0.0, atol=accuracy)
 
 
 def test_finite_samples_beside_a_pole_take_no_extra_call():
@@ -275,11 +290,13 @@ def test_far_window_lists_only_its_own_poles():
     # 2 pi k/delta, and from the window's start to the first such end
     pytest.importorskip("mpmath")
     t0, t1 = 5000.0, 5001.0
-    rep = negative_intervals(thermal_profile(ThermalParams(R=1e4, N=0.5)), (t0, t1))
+    profile = thermal_profile(ThermalParams(R=1e4, N=0.5))
     expected = _stretches(1e4, t0, t1)
     assert len(expected) == 23
-    np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
-                               np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
+    for rates in (profile, _scanned(profile)):
+        rep = negative_intervals(rates, (t0, t1))
+        np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
+                                   np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
 
 
 _THERMAL = st.builds(
@@ -306,7 +323,7 @@ def _per_point(fn):
 @given(st.one_of(_THERMAL, _OHMIC))
 def test_grid_and_per_point_sampling_give_the_same_report(case):
     profile, t_max = case
-    fast = negative_intervals(profile, (0.0, t_max))
+    fast = negative_intervals(_scanned(profile), (0.0, t_max))
     slow = negative_intervals(dataclasses.replace(profile, **{
         name: _per_point(getattr(profile, name))
         for name in ("gamma1", "gamma2", "gamma3", "omega")}), (0.0, t_max))
@@ -355,7 +372,7 @@ def test_report_matches_plain_bisection(case):
     # beside a listed pole may also find a stretch that opens there and
     # ends before the next grid point, which the reference misses
     profile, t_max = case
-    report = negative_intervals(profile, (0.0, t_max))
+    report = negative_intervals(_scanned(profile), (0.0, t_max))
     reference = _bisection_report(profile, t_max)
     assert report.singular_times == reference.singular_times
     poles = np.array(profile.poles(0.0, t_max))
@@ -391,11 +408,77 @@ def test_thermal_intervals_are_the_stretches_from_each_pole(R, N, t0, width):
     # t = 200, where the poles used to stop
     pytest.importorskip("mpmath")
     t1 = t0 + width
-    rep = negative_intervals(thermal_profile(ThermalParams(R, N)), (t0, t1))
     expected = _stretches(R, t0, t1)
-    assert len(rep.intervals["gamma2"]) == len(expected)
-    np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
-                               np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
+    profile = thermal_profile(ThermalParams(R, N))
+    for rates in (profile, _scanned(profile)):
+        rep = negative_intervals(rates, (t0, t1))
+        assert len(rep.intervals["gamma2"]) == len(expected)
+        np.testing.assert_allclose(np.reshape(rep.intervals["gamma2"], (-1, 2)),
+                                   np.reshape(expected, (-1, 2)), rtol=0.0, atol=1e-10)
+
+
+# R from just above 1/2, where the rate reads non-finite within 8e-12 of
+# each pole, to 1e4; windows from 0, later ones, and one far out per R
+# scale (R = 1/2 + 1e-7 first turns negative at t = 14047.6)
+_STRETCH_CASES = st.tuples(
+    st.sampled_from([0.5 + 1e-7, 0.5 + 1e-4, 0.51, 0.6, 1.0, 2.5, 10.0, 137.0, 1e4]),
+    st.sampled_from([0.0, 1.0, 2.9]),
+    st.sampled_from([(0.0, 10.0), (0.0, 40.0), (3.3, 7.7), (150.0, 320.0),
+                     (5000.0, 5001.0), (14040.0, 14060.0)]),
+    st.sampled_from([1e-12, 1e-10, 1e-9, 1e-6]),
+    st.one_of(st.none(), st.builds(OhmicParams, st.just(0.1), st.floats(0.5, 4.0),
+                                   st.just(1.0), st.one_of(st.just(0.0), st.floats(0.2, 3.0)),
+                                   st.sampled_from(["paper", "literature"]))))
+
+
+@given(_STRETCH_CASES)
+def test_exact_stretches_equal_the_grid_scan(case):
+    # the thermal gamma1 and gamma2 report their stretches with no sample;
+    # the grid scan of the same rates, with the stretches stripped, finds
+    # the same intervals to 1e-10, and the same first start to the bit: an
+    # interval opening at a pole starts at the pole either way.  With an
+    # Ohmic part (the model "both"), gamma3 is scanned on both sides
+    R, N, window, tol, ohmic = case
+    profile = thermal_profile(ThermalParams(R, N))
+    if ohmic is not None:
+        profile = combine_profiles(profile, ohmic_profile(ohmic))
+    exact = negative_intervals(profile, window, tol=tol)
+    grid = negative_intervals(_scanned(profile), window, tol=tol)
+    assert exact.verdict is grid.verdict
+    assert exact.first_negative == grid.first_negative
+    assert exact.singular_times == grid.singular_times
+    for name in ("gamma1", "gamma2", "gamma3"):
+        assert len(exact.intervals[name]) == len(grid.intervals[name])
+        np.testing.assert_allclose(np.reshape(exact.intervals[name], (-1, 2)),
+                                   np.reshape(grid.intervals[name], (-1, 2)),
+                                   rtol=0.0, atol=1e-10)
+
+
+class _CountedRate:
+    """A rate that counts its calls and carries the stretches of another."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+        self.negative_stretches = fn.negative_stretches
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(t)
+
+
+def test_exact_stretches_take_no_sample():
+    # a thermal profile's gamma1 and gamma2 carry their stretches and its
+    # gamma3 is zero: no rate is called; a rate summed with another
+    # carries none, and is sampled
+    profile = thermal_profile(ThermalParams(R=10.0, N=1.0))
+    counted = dataclasses.replace(profile, gamma1=_CountedRate(profile.gamma1),
+                                  gamma2=_CountedRate(profile.gamma2))
+    rep = negative_intervals(counted, (0.0, 12.0))
+    assert counted.gamma1.calls == counted.gamma2.calls == 0
+    assert len(rep.intervals["gamma1"]) == 8
+    assert rep.singular_times == profile.poles(0.0, 12.0)
+    assert not hasattr(combine_profiles(profile, constant_profile(gamma1=1.0)).gamma1,
+                       "negative_stretches")
 
 
 def _counting(fn, calls):
